@@ -30,23 +30,12 @@ from .bench import (
 from .discretize import Scheme, default_step, discretize, inverse_discretize
 from .errors import (
     BadParameters,
-    BiorthogonalityError,
     DimensionMismatch,
     DomainMismatch,
-    MaxStepsExceeded,
     MissingFile,
     MorsoError,
-    NonFiniteIterate,
     NonPositiveStep,
-    OrderTooLarge,
     ParseError,
-    RankCollapse,
-    RankDeficient,
-    SingularAtPoint,
-    SingularMass,
-    SvdFailure,
-    UnstableSystem,
-    ZeroPoint,
 )
 from .metrics import FrequencyGrid, error_response, frequency_response
 from .oracle import dense_balanced_truncation
@@ -61,20 +50,6 @@ _VALIDATION_ERRORS = (
     MissingFile,
     NonPositiveStep,
     ParseError,
-)
-
-_NUMERICAL_ERRORS = (
-    BiorthogonalityError,
-    MaxStepsExceeded,
-    NonFiniteIterate,
-    OrderTooLarge,
-    RankCollapse,
-    RankDeficient,
-    SingularAtPoint,
-    SingularMass,
-    SvdFailure,
-    UnstableSystem,
-    ZeroPoint,
 )
 
 
@@ -370,9 +345,6 @@ def cli_main(argv=None):
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 2
     except MorsoError as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ from .errors import (
     NonPositiveStep,
     UnstableDiscretizationWarning,
 )
-from .systems import SecondOrderSystem, stability_report
+from .systems import MARGINAL_TOL, SecondOrderSystem, stability_report
 
 __all__ = [
     "Scheme",
@@ -78,6 +78,16 @@ def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):
     stability_check : bool, optional
         When True (default), emit UnstableDiscretizationWarning if the
         continuous system is stable but the difference system is not.
+        The check first tries an energy certificate: when ``Mb``, ``Db``
+        and ``Kb`` are symmetric, Cholesky factorizations of
+        ``Mb - Kb``, ``Mb + Db + Kb`` and ``Mb - Db + Kb`` (the Jury
+        conditions), taken on the pencil scaled so that they prove a
+        stability margin above ``MARGINAL_TOL``, show that no warning is
+        due without computing a spectrum.  Only when that certificate
+        fails does it fall back to :func:`stability_report` on both
+        systems (the continuous one is certified by Cholesky
+        factorizations of its shifted ``M``, ``D`` and ``K`` where it can
+        be), so the warning fires in the same cases either way.
 
     Returns
     -------
@@ -108,8 +118,9 @@ def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):
         raise ValueError(f"unknown scheme {scheme!r}")
 
     dsos = SecondOrderSystem(Mb, Db, Kb, sos.F, sos.G, h=h)
-    if stability_check:
-        if stability_report(sos).is_stable and not stability_report(dsos).is_stable:
+    if stability_check and not _certified_stable(dsos):
+        sos_stable = _certified_stable(sos) or stability_report(sos).is_stable
+        if sos_stable and not stability_report(dsos).is_stable:
             warnings.warn(
                 f"discretization with h={h} ({scheme.value} scheme) made a "
                 "stable system unstable; reduce the step size",
@@ -117,6 +128,37 @@ def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):
                 stacklevel=2,
             )
     return dsos
+
+
+def _certified_stable(sos):
+    """True when an energy certificate proves that ``sos`` has a stability
+    margin above MARGINAL_TOL, so that :func:`stability_report` would call
+    it stable; False when the certificate does not apply or fails.
+
+    For symmetric ``P2 = M``, ``P1 = D``, ``P0 = K`` every eigenvalue
+    ``lam`` with eigenvector ``x`` solves the scalar quadratic with
+    coefficients ``x^H P_k x``.  A continuous system is stable when all
+    three are positive definite; a difference system ``P2 z^2 + P1 z + P0``
+    is when ``P2 - P0``, ``P2 + P1 + P0`` and ``P2 - P1 + P0`` are (the
+    Jury conditions).  The pencil is first shifted (``s -> s - t``) or
+    scaled (``z -> (1 - t) z``) by ``t = MARGINAL_TOL``.
+    """
+    P2, P1, P0 = sos.M, sos.D, sos.K
+    if not all(np.array_equal(P, P.T) for P in (P2, P1, P0)):
+        return False
+    t = MARGINAL_TOL
+    if sos.is_continuous:
+        tests = (P2, P1 - 2.0 * t * P2, P0 - t * P1 + t * t * P2)
+    else:
+        r = 1.0 - t
+        tests = (r * r * P2 - P0, r * r * P2 + r * P1 + P0,
+                 r * r * P2 - r * P1 + P0)
+    for P in tests:
+        try:
+            np.linalg.cholesky(P)
+        except np.linalg.LinAlgError:
+            return False
+    return True
 
 
 def inverse_discretize(dsos, scheme=DEFAULT_SCHEME):

@@ -201,10 +201,11 @@ def assemble_controllability(dsos, window):
     _require_discrete(dsos)
     _check_window(dsos, window, "window")
     N, n, m = dsos.order, window.n_columns, dsos.n_inputs
+    ops = dsos._ops
     out = np.zeros((2 * N, n + m))
     out[:N, :n] = window.curr
-    out[N:, :n] = -dsos.solve_mass(dsos.K @ window.prev + dsos.D @ window.curr)
-    out[N:, n:] = dsos.solve_mass(dsos.F)
+    out[N:, :n] = -dsos.solve_mass(ops.K @ window.prev + ops.D @ window.curr)
+    out[N:, n:] = dsos._mass_input
     return out
 
 
@@ -218,10 +219,11 @@ def assemble_observability(dsos, window):
     _require_discrete(dsos)
     _check_window(dsos, window, "window")
     N, n, p = dsos.order, window.n_columns, dsos.n_outputs
+    ops = dsos._ops
     mt_curr = dsos.solve_mass_t(window.curr)
     out = np.zeros((2 * N, n + p))
-    out[:N, :n] = -dsos.K.T @ mt_curr
-    out[N:, :n] = window.prev - dsos.D.T @ mt_curr
+    out[:N, :n] = -(ops.KT @ mt_curr)
+    out[N:, :n] = window.prev - ops.DT @ mt_curr
     out[N:, n:] = dsos.G.T
     return out
 
@@ -336,11 +338,39 @@ def _orthonormal(rng, N, n):
     return q
 
 
-def _max_principal_angle(a, b):
-    # subspace_angles resolves tiny angles through its sine path, which the
-    # plain arccos of overlap singular values cannot (it floors near 1e-8).
+def _orth(a):
+    """Orthonormal basis of the range of `a` (step 1 of
+    ``scipy.linalg.subspace_angles``), or None if its SVD fails."""
     try:
-        angles = scipy.linalg.subspace_angles(a, b)
+        return scipy.linalg.orth(a)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _max_principal_angle(qa, qb):
+    """Largest principal angle between the ranges of two :func:`_orth`
+    bases: steps 2-5 of ``scipy.linalg.subspace_angles``, so the value is
+    bit-identical to ``np.max(subspace_angles(a, b))`` while each basis is
+    computed once per iterate.  Its sine path resolves tiny angles, which
+    the plain arccos of overlap singular values cannot (it floors near
+    1e-8)."""
+    if qa is None or qb is None:
+        return np.pi / 2
+    try:
+        cross = qa.T @ qb
+        sigma = scipy.linalg.svdvals(cross)
+        if qa.shape[1] >= qb.shape[1]:
+            resid = qb - qa @ cross
+        else:
+            resid = qa - qb @ cross.T
+        mask = sigma ** 2 >= 0.5
+        if mask.any():
+            mu_arcsin = np.arcsin(np.clip(
+                scipy.linalg.svdvals(resid, overwrite_a=True), -1.0, 1.0))
+        else:
+            mu_arcsin = 0.0
+        angles = np.where(mask, mu_arcsin,
+                          np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
     except np.linalg.LinAlgError:
         return np.pi / 2
     return float(np.max(angles)) if angles.size else 0.0
@@ -392,12 +422,16 @@ def run_recursion(dsos, config, algorithm="srlrg"):
 
     diag = RecursionDiagnostics()
     below_tol_streak = 0
+    # Each iterate's basis is computed once and reused on the next step.
+    basis_s, basis_r = _orth(window_s.curr), _orth(window_r.curr)
     for _ in range(limit):
         new_s, new_r, info = step(dsos, window_s, window_r)
-        angle_s = _max_principal_angle(window_s.curr, new_s.curr)
-        angle_r = _max_principal_angle(window_r.curr, new_r.curr)
+        new_basis_s, new_basis_r = _orth(new_s.curr), _orth(new_r.curr)
+        angle_s = _max_principal_angle(basis_s, new_basis_s)
+        angle_r = _max_principal_angle(basis_r, new_basis_r)
         diag.append(info, angle_s, angle_r)
         window_s, window_r = new_s, new_r
+        basis_s, basis_r = new_basis_s, new_basis_r
         if angle_mode:
             if angle_s < config.angle_tol and angle_r < config.angle_tol:
                 below_tol_streak += 1

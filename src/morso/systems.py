@@ -16,6 +16,8 @@ for the continuous case and a positive step ``h`` for the difference case.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 import warnings
 
 import numpy as np
@@ -44,6 +46,10 @@ MARGINAL_TOL = 1e-10
 # Condition estimate above which a warning is recorded for the mass matrix.
 COND_WARN_THRESHOLD = 1e12
 
+# Largest share of nonzero entries of M, D and K (of N^2) at which a system
+# also keeps sparse operators for the subspace recursion.
+SPARSE_DENSITY = 0.05
+
 # Reciprocal condition below which a polynomial matrix counts as singular
 # at the evaluation point.
 _RCOND_SINGULAR = 1e-13
@@ -69,46 +75,61 @@ def _freeze(arr):
     return arr
 
 
-def _checked_lu(mat, what):
-    """LU-factorize `mat`, raising SingularMass if it is numerically singular
-    and warning when the condition estimate exceeds COND_WARN_THRESHOLD."""
+def _checked_lu(mat, error, broken, singular, rcond_min=0.0):
+    """LU-factorize `mat` and estimate its reciprocal condition number.
+
+    Raises ``error(broken)`` when the factorization breaks down, and
+    ``error(singular.format(rcond))`` when the estimate is zero, not finite
+    or below ``rcond_min``.  Returns ``((lu, piv), rcond)``.
+    """
     anorm = np.linalg.norm(mat, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
         lu, piv = lu_factor(mat)
     if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
-        raise SingularMass(f"{what} is singular: LU factorization failed")
+        raise error(broken)
     gecon = get_lapack_funcs("gecon", (lu,))
     rcond, _ = gecon(lu, anorm)
-    if rcond == 0.0 or not np.isfinite(rcond):
-        raise SingularMass(f"{what} is numerically singular (rcond={rcond})")
-    cond = 1.0 / rcond
-    if cond > COND_WARN_THRESHOLD:
-        warnings.warn(
-            f"{what} has condition estimate {cond:.2e}; results may be inaccurate",
-            ConditioningWarning,
-            stacklevel=3,
-        )
-    return (lu, piv), cond
+    if rcond == 0.0 or not np.isfinite(rcond) or rcond < rcond_min:
+        raise error(singular.format(rcond))
+    return (lu, piv), rcond
 
 
-def _solve_checked(mat, rhs, point):
+def _solve_at_point(mat, rhs, point):
     """Solve mat @ x = rhs, raising SingularAtPoint if mat is numerically
     singular (the evaluation point is a characteristic frequency)."""
-    anorm = np.linalg.norm(mat, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(mat)
-    if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
-        raise SingularAtPoint(f"characteristic matrix is singular at point {point}")
-    gecon = get_lapack_funcs("gecon", (lu,))
-    rcond, _ = gecon(lu, anorm)
-    if not np.isfinite(rcond) or rcond < _RCOND_SINGULAR:
-        raise SingularAtPoint(
-            f"characteristic matrix is numerically singular at point {point} "
-            f"(rcond={rcond:.2e})"
-        )
-    return lu_solve((lu, piv), rhs)
+    lu_piv, _ = _checked_lu(
+        mat, SingularAtPoint,
+        f"characteristic matrix is singular at point {point}",
+        f"characteristic matrix is numerically singular at point {point} "
+        "(rcond={:.2e})",
+        _RCOND_SINGULAR,
+    )
+    return lu_solve(lu_piv, rhs)
+
+
+class _Operators(NamedTuple):
+    """What the subspace recursion applies on every step: K, D and their
+    transposes as dense arrays or CSR matrices, and a SuperLU factor of M
+    (None on the dense path)."""
+
+    K: object
+    D: object
+    KT: object
+    DT: object
+    mass_splu: object
+
+
+def _operators(M, D, K):
+    N = M.shape[0]
+    if max(np.count_nonzero(a) for a in (M, D, K)) > SPARSE_DENSITY * N * N:
+        return _Operators(K, D, K.T, D.T, None)
+    # Imported here so that dense models never load scipy.sparse.
+    from scipy.sparse import csc_array, csr_array
+    from scipy.sparse.linalg import splu
+
+    return _Operators(csr_array(K), csr_array(D), csr_array(K.T),
+                      csr_array(D.T), splu(csc_array(M)))
 
 
 class SecondOrderSystem:
@@ -131,6 +152,17 @@ class SecondOrderSystem:
     Instances are immutable: the stored arrays are read-only copies, and
     the LU factorization of M is computed once at construction.  They are
     therefore safe to share across concurrent readers.
+
+    ``M``, ``D`` and ``K`` are always dense.  When the largest number of
+    nonzero entries among them is at most ``SPARSE_DENSITY`` (5 %) of
+    ``N^2``, as for a long mass-spring-damper chain, the system also keeps
+    internal sparse operators, built on the first mass solve: CSR copies
+    of ``K``, ``D``, ``K^T`` and ``D^T`` for the subspace recursion, and a
+    SuperLU factor of ``M`` that :meth:`solve_mass` and
+    :meth:`solve_mass_t` then use for real right-hand sides.  The dense LU
+    still checks ``M`` for singularity and conditioning at construction
+    on both paths, and ``scipy.sparse`` is imported only when a system
+    takes the sparse path.
     """
 
     def __init__(self, M, D, K, F, G, h=None):
@@ -164,7 +196,17 @@ class SecondOrderSystem:
         self.F = _freeze(F)
         self.G = _freeze(G)
         self.h = h
-        self._mass_lu, self.mass_condition = _checked_lu(M, "mass matrix M")
+        self._mass_lu, rcond = _checked_lu(
+            M, SingularMass, "mass matrix M is singular: LU factorization failed",
+            "mass matrix M is numerically singular (rcond={})")
+        self.mass_condition = 1.0 / rcond
+        if self.mass_condition > COND_WARN_THRESHOLD:
+            warnings.warn(
+                f"mass matrix M has condition estimate {self.mass_condition:.2e}; "
+                "results may be inaccurate",
+                ConditioningWarning,
+                stacklevel=2,
+            )
 
     # -- basic shape/domain queries --------------------------------------
 
@@ -204,11 +246,25 @@ class SecondOrderSystem:
         Non-finite right-hand sides pass through as non-finite results so
         that iteration divergence can be diagnosed by the caller.
         """
-        return lu_solve(self._mass_lu, rhs, check_finite=False)
+        if self._ops.mass_splu is None or np.iscomplexobj(rhs):
+            return lu_solve(self._mass_lu, rhs, check_finite=False)
+        return self._ops.mass_splu.solve(rhs)
 
     def solve_mass_t(self, rhs):
         """Return M^{-T} @ rhs using the cached LU factorization."""
-        return lu_solve(self._mass_lu, rhs, trans=1, check_finite=False)
+        if self._ops.mass_splu is None or np.iscomplexobj(rhs):
+            return lu_solve(self._mass_lu, rhs, trans=1, check_finite=False)
+        return self._ops.mass_splu.solve(rhs, trans="T")
+
+    @cached_property
+    def _ops(self):
+        """Internal operators, built on the first mass solve."""
+        return _operators(self.M, self.D, self.K)
+
+    @cached_property
+    def _mass_input(self):
+        """Read-only ``M^{-1} F``, solved once for every recursion step."""
+        return _freeze(self.solve_mass(self.F))
 
     # -- transfer function -------------------------------------------------
 
@@ -236,7 +292,7 @@ class SecondOrderSystem:
             For z = 0 on a difference system.
         """
         P = self.characteristic(point).astype(complex)
-        X = _solve_checked(P, self.F.astype(complex), point)
+        X = _solve_at_point(P, self.F.astype(complex), point)
         return self.G @ X
 
 
@@ -289,7 +345,7 @@ class FirstOrderSystem:
         """Transfer matrix ``C (pt I - A)^{-1} B``."""
         pt = complex(point)
         P = pt * np.eye(self.order, dtype=complex) - self.A
-        X = _solve_checked(P, self.B.astype(complex), point)
+        X = _solve_at_point(P, self.B.astype(complex), point)
         return self.C @ X
 
 

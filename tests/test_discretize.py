@@ -1,5 +1,7 @@
 import io
+import warnings
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from morso.errors import (
     UnstableDiscretizationWarning,
 )
 from morso.bench import generate_msd_chain
-from morso.systems import SecondOrderSystem
+from morso.systems import SecondOrderSystem, stability_report
 
 from helpers import random_sos, random_spd_sos
 
@@ -131,6 +133,55 @@ def test_unstable_discretization_warns():
     chain = generate_msd_chain(6, damping=0.3)
     with pytest.warns(UnstableDiscretizationWarning):
         discretize(chain, 5.0, Scheme.FORWARD_VELOCITY)
+
+
+def _warns(sos, h, scheme):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dsos = discretize(sos, h, scheme)
+    warned = any(issubclass(w.category, UnstableDiscretizationWarning)
+                 for w in caught)
+    return warned, dsos
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(["spd", "chain"]),
+    seed=st.integers(0, 10_000),
+    N=st.integers(1, 8),
+    scheme=st.sampled_from(ALL_SCHEMES),
+    log_ratio=st.floats(-3.0, 1.5),
+)
+@example(family="chain", seed=0, N=6, scheme=Scheme.FORWARD_VELOCITY,
+         log_ratio=-2.0)
+@example(family="chain", seed=0, N=6, scheme=Scheme.FORWARD_VELOCITY,
+         log_ratio=1.0)
+def test_warning_matches_spectra(family, seed, N, scheme, log_ratio):
+    """The certificate only skips spectra: the warning fires exactly when
+    the spectra say a stable system became unstable.  The step is drawn
+    around 1/omega_max, the scale of the explicit schemes' stability
+    limit, so that both outcomes occur."""
+    if family == "spd":
+        sos = random_spd_sos(seed, N)
+    else:
+        sos = generate_msd_chain(N + 1, damping=0.05 + (seed % 20) / 10.0,
+                                 seed=seed)
+    omega_max = np.sqrt(np.max(np.abs(np.linalg.eigvals(
+        np.linalg.solve(sos.M, sos.K)))))
+    h = 10.0 ** log_ratio / omega_max
+    warned, dsos = _warns(sos, h, scheme)
+    assert warned == (stability_report(sos).is_stable
+                      and not stability_report(dsos).is_stable)
+
+
+@pytest.mark.parametrize("log_ratio, unstable", [(-2.0, False), (1.0, True)])
+def test_property_sampling_covers_both_outcomes(log_ratio, unstable):
+    sos = generate_msd_chain(7, damping=0.05, seed=0)
+    omega_max = np.sqrt(np.max(np.abs(np.linalg.eigvals(
+        np.linalg.solve(sos.M, sos.K)))))
+    warned, _ = _warns(sos, 10.0 ** log_ratio / omega_max,
+                       Scheme.FORWARD_VELOCITY)
+    assert warned is unstable
 
 
 def test_consistency_zero_at_dc():

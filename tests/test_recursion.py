@@ -16,6 +16,8 @@ from morso.errors import (
 )
 from morso.oracle import stein_gramians, subspace_angles
 from morso.recursion import (
+    _max_principal_angle,
+    _orth,
     RecursionConfig,
     SubspaceWindow,
     assemble_controllability,
@@ -257,3 +259,44 @@ def test_diagnostics_csv():
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) >= float(first[2]) >= 0.0
+
+
+def _angle_cases():
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((30, 4))
+    rank2 = rng.standard_normal((30, 2)) @ rng.standard_normal((2, 4))
+    yield "random", a, rng.standard_normal((30, 4))
+    yield "wider", a, rng.standard_normal((30, 6))
+    yield "narrower", a, rng.standard_normal((30, 2))
+    yield "equal", a, a.copy()
+    yield "nearly equal", a, a + 1e-12 * rng.standard_normal(a.shape)
+    yield "close", a, a + 1e-7 * rng.standard_normal(a.shape)
+    yield "orthogonal", np.eye(30)[:, :4], np.eye(30)[:, 4:8]
+    yield "rank deficient", rank2, a
+    yield "both rank deficient", rank2, rank2 + 1e-9 * a
+    yield "repeated column", np.hstack([a[:, :2], a[:, :2]]), a
+    yield "zero", np.zeros((30, 4)), a
+
+
+@pytest.mark.parametrize("case", list(_angle_cases()), ids=lambda c: c[0])
+def test_cached_basis_angle_matches_subspace_angles(case):
+    _, a, b = case
+    expected = scipy.linalg.subspace_angles(a, b)
+    expected = float(np.max(expected)) if expected.size else 0.0
+    assert _max_principal_angle(_orth(a), _orth(b)) == expected
+
+
+def test_logged_angles_are_subspace_angles_of_consecutive_iterates():
+    dsos = random_stable_discrete(16, 8, m=2, p=2)
+    _, _, diag = run_recursion(dsos, RecursionConfig(n=3, seed=4, tau=6),
+                               "srlrh")
+    rng = np.random.default_rng(4)
+    start = [np.linalg.qr(rng.standard_normal((8, 3)))[0] for _ in range(4)]
+    ws, wr = SubspaceWindow(*start[:2]), SubspaceWindow(*start[2:])
+    for i in range(6):
+        new_s, new_r, _ = srlrh_step(dsos, ws, wr)
+        assert diag.angles_s[i] == np.max(
+            scipy.linalg.subspace_angles(ws.curr, new_s.curr))
+        assert diag.angles_r[i] == np.max(
+            scipy.linalg.subspace_angles(wr.curr, new_r.curr))
+        ws, wr = new_s, new_r
