@@ -29,7 +29,7 @@ import os
 import numpy as np
 
 from .errors import BadParameters, DimensionMismatch, MissingFile, ParseError
-from .mmio import read_matrix, write_matrix
+from .mmio import read_matrix, text_output, write_matrix
 from .systems import SecondOrderSystem
 
 __all__ = [
@@ -256,11 +256,7 @@ class RunConfig:
             ("omega_max", self.omega_max),
             ("rre_mode", self.rre_mode),
         ]
-        if hasattr(path_or_file, "write"):
-            f, close = path_or_file, False
-        else:
-            f, close = open(path_or_file, "w", encoding="utf-8"), True
-        try:
+        with text_output(path_or_file) as f:
             if version is not None:
                 f.write(f"# morso {version}\n")
             for key, value in items:
@@ -270,6 +266,3 @@ class RunConfig:
                     f.write(f"{key}={value!r}\n")
                 else:
                     f.write(f"{key}={value}\n")
-        finally:
-            if close:
-                f.close()

@@ -31,6 +31,7 @@ from .errors import (
     NonPositiveStep,
     UnstableDiscretizationWarning,
 )
+from .mmio import text_output
 from .systems import MARGINAL_TOL, SecondOrderSystem, stability_report
 
 __all__ = [
@@ -222,17 +223,8 @@ def consistency_curve(sos, hs, scheme, s_points):
 def write_consistency_curve(path_or_file, sos, hs, scheme, s_points):
     """Write a ``step,max_relative_deviation`` CSV for documentation plots."""
     rows = consistency_curve(sos, hs, scheme, s_points)
-    if hasattr(path_or_file, "write"):
-        f = path_or_file
-        close = False
-    else:
-        f = open(path_or_file, "w", encoding="utf-8")
-        close = True
-    try:
+    with text_output(path_or_file) as f:
         f.write("step,max_relative_deviation\n")
         for h, err in rows:
             f.write(f"{h!r},{err!r}\n")
-    finally:
-        if close:
-            f.close()
     return rows

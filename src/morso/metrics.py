@@ -16,6 +16,7 @@ import numpy as np
 
 from .discretize import DEFAULT_SCHEME, discretize, inverse_discretize
 from .errors import BadParameters, DimensionMismatch, DomainMismatch
+from .mmio import text_output
 
 __all__ = [
     "FrequencyGrid",
@@ -100,17 +101,10 @@ class FrequencyResponse:
     def to_csv(self, path_or_file):
         """Write ``frequency,sigma_max`` (or ``angle,sigma_max``) rows."""
         label = "angle" if self.grid.is_discrete else "frequency"
-        if hasattr(path_or_file, "write"):
-            f, close = path_or_file, False
-        else:
-            f, close = open(path_or_file, "w", encoding="utf-8"), True
-        try:
+        with text_output(path_or_file) as f:
             f.write(f"{label},sigma_max\n")
             for x, v in zip(self.grid.parameters, self.sigma_max):
                 f.write(f"{float(x)!r},{float(v)!r}\n")
-        finally:
-            if close:
-                f.close()
 
     def summary(self):
         return {
@@ -121,11 +115,8 @@ class FrequencyResponse:
         }
 
     def write_summary(self, path_or_file):
-        if hasattr(path_or_file, "write"):
-            json.dump(self.summary(), path_or_file)
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as f:
-                json.dump(self.summary(), f)
+        with text_output(path_or_file) as f:
+            json.dump(self.summary(), f)
 
 
 def _sigma_max(mat):
@@ -162,6 +153,28 @@ def _refine(fun, grid, values, rounds):
     return x, best_v
 
 
+def _sampled_response(transfer_at, grid, refinement_rounds):
+    """Largest singular value of ``transfer_at(point)`` at every grid point,
+    with the peak refined around the grid argmax (0 rounds disables)."""
+    values = np.array([_sigma_max(transfer_at(pt)) for pt in grid.points])
+
+    def gain(x):
+        return _sigma_max(transfer_at(grid.point_at(x)))
+
+    if refinement_rounds > 0:
+        arg_x, peak = _refine(gain, grid, values, refinement_rounds)
+    else:
+        k = int(np.argmax(values))
+        arg_x, peak = float(grid.parameters[k]), float(values[k])
+    return FrequencyResponse(
+        grid=grid,
+        sigma_max=values,
+        hinf_estimate=peak,
+        argmax_point=complex(grid.point_at(arg_x)),
+        refinement_rounds=refinement_rounds,
+    )
+
+
 def frequency_response(sys, grid=None, refinement_rounds=3):
     """Sample the largest singular value of the transfer matrix on a grid
     and refine the peak.
@@ -184,23 +197,7 @@ def frequency_response(sys, grid=None, refinement_rounds=3):
         raise DomainMismatch(
             f"grid kind {grid.kind!r} does not match the system domain"
         )
-    values = np.array([_sigma_max(sys.transfer(pt)) for pt in grid.points])
-
-    def gain(x):
-        return _sigma_max(sys.transfer(grid.point_at(x)))
-
-    if refinement_rounds > 0:
-        arg_x, peak = _refine(gain, grid, values, refinement_rounds)
-    else:
-        k = int(np.argmax(values))
-        arg_x, peak = float(grid.parameters[k]), float(values[k])
-    return FrequencyResponse(
-        grid=grid,
-        sigma_max=values,
-        hinf_estimate=peak,
-        argmax_point=complex(grid.point_at(arg_x)),
-        refinement_rounds=refinement_rounds,
-    )
+    return _sampled_response(sys.transfer, grid, refinement_rounds)
 
 
 def _align_domains(full, reduced, scheme, mode):
@@ -253,26 +250,10 @@ def error_response(full, reduced, grid=None, *, scheme=DEFAULT_SCHEME,
             f"grid kind {grid.kind!r} does not match the comparison domain"
         )
 
-    err_values = np.array(
-        [_sigma_max(f_sys.transfer(pt) - r_sys.transfer(pt)) for pt in grid.points]
-    )
+    def transfer_difference(pt):
+        return f_sys.transfer(pt) - r_sys.transfer(pt)
 
-    def err_gain(x):
-        pt = grid.point_at(x)
-        return _sigma_max(f_sys.transfer(pt) - r_sys.transfer(pt))
-
-    if refinement_rounds > 0:
-        arg_x, err_peak = _refine(err_gain, grid, err_values, refinement_rounds)
-    else:
-        k = int(np.argmax(err_values))
-        arg_x, err_peak = float(grid.parameters[k]), float(err_values[k])
-    return FrequencyResponse(
-        grid=grid,
-        sigma_max=err_values,
-        hinf_estimate=err_peak,
-        argmax_point=complex(grid.point_at(arg_x)),
-        refinement_rounds=refinement_rounds,
-    )
+    return _sampled_response(transfer_difference, grid, refinement_rounds)
 
 
 def rre(full, reduced, grid=None, *, scheme=DEFAULT_SCHEME, mode="discrete",

@@ -7,6 +7,7 @@ throughout.  The writer emits dense array files with 17 significant
 digits, which round-trips IEEE doubles exactly.
 """
 
+from contextlib import contextmanager
 import os
 
 import numpy as np
@@ -16,6 +17,21 @@ from .errors import MissingFile, ParseError
 __all__ = ["read_matrix", "write_matrix"]
 
 _BANNER = "%%matrixmarket"
+
+
+@contextmanager
+def text_output(path_or_file):
+    """Yield a text file to write to.
+
+    An object with a ``write`` method is yielded as it is and left open.
+    Anything else is taken as a path, opened for writing as UTF-8 and
+    closed on exit.
+    """
+    if hasattr(path_or_file, "write"):
+        yield path_or_file
+    else:
+        with open(path_or_file, "w", encoding="utf-8") as f:
+            yield f
 
 
 def _tokens(line):
@@ -159,11 +175,7 @@ def write_matrix(path_or_file, a, comment=None):
     read-back reproduces the array bit for bit.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if hasattr(path_or_file, "write"):
-        f, close = path_or_file, False
-    else:
-        f, close = open(path_or_file, "w", encoding="utf-8"), True
-    try:
+    with text_output(path_or_file) as f:
         f.write("%%MatrixMarket matrix array real general\n")
         if comment:
             for line in str(comment).splitlines():
@@ -173,6 +185,3 @@ def write_matrix(path_or_file, a, comment=None):
         for j in range(cols):
             for i in range(rows):
                 f.write(f"{a[i, j]:.16e}\n")
-    finally:
-        if close:
-            f.close()

@@ -150,7 +150,6 @@ class StructureReport:
     """
 
     t1_condition: float
-    t2_condition: float
     t1_deviation: float
     e_off_pattern: float
     a_off_pattern: float
@@ -219,7 +218,6 @@ def verify_structure_conditions(proj, sos):
 
     return StructureReport(
         t1_condition=t_cond,
-        t2_condition=t_cond,
         t1_deviation=t1_dev,
         e_off_pattern=e_off,
         a_off_pattern=a_off,

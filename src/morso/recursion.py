@@ -32,6 +32,7 @@ from .errors import (
     RankCollapseWarning,
     SvdFailure,
 )
+from .mmio import text_output
 
 __all__ = [
     "SubspaceWindow",
@@ -156,11 +157,7 @@ class RecursionDiagnostics:
     def to_csv(self, path_or_file):
         """Write one row per step: step index, the n retained singular
         values of the S side, and the (larger of the two) subspace angle."""
-        if hasattr(path_or_file, "write"):
-            f, close = path_or_file, False
-        else:
-            f, close = open(path_or_file, "w", encoding="utf-8"), True
-        try:
+        with text_output(path_or_file) as f:
             n = len(self.sigma_s[0]) if self.sigma_s else 0
             header = ",".join(["step"] + [f"sigma_{k + 1}" for k in range(n)] + ["angle"])
             f.write(header + "\n")
@@ -169,9 +166,6 @@ class RecursionDiagnostics:
                 cells = [str(i + 1)] + [repr(float(v)) for v in self.sigma_s[i]]
                 cells.append(repr(float(angle)))
                 f.write(",".join(cells) + "\n")
-        finally:
-            if close:
-                f.close()
 
 
 def default_step_count(dsos):

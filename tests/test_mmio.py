@@ -1,8 +1,45 @@
+import io
+
 import numpy as np
 import pytest
 
+from morso.bench import RunConfig, generate_msd_chain
+from morso.discretize import Scheme, write_consistency_curve
 from morso.errors import MissingFile, ParseError
+from morso.metrics import FrequencyGrid, frequency_response
 from morso.mmio import read_matrix, write_matrix
+from morso.recursion import RecursionDiagnostics
+
+
+def _response():
+    return frequency_response(generate_msd_chain(3, damping=0.5),
+                              FrequencyGrid.log_continuous(count=5))
+
+
+_WRITERS = {
+    "write_matrix": lambda dest: write_matrix(dest, np.arange(6.0).reshape(2, 3),
+                                              comment=" two\nlines"),
+    "FrequencyResponse.to_csv": lambda dest: _response().to_csv(dest),
+    "FrequencyResponse.write_summary": lambda dest: _response().write_summary(dest),
+    "RunConfig.to_manifest": lambda dest: RunConfig(h=0.5).to_manifest(dest, "1.0"),
+    "RecursionDiagnostics.to_csv": lambda dest: RecursionDiagnostics(
+        steps_taken=2, sigma_s=[[2.0, 1.0], [2.5, 0.5]],
+        angles_s=[0.25, 0.125], angles_r=[0.5, 0.0625]).to_csv(dest),
+    "write_consistency_curve": lambda dest: write_consistency_curve(
+        dest, generate_msd_chain(3, damping=0.5), [0.02, 0.01],
+        Scheme.FORWARD_VELOCITY, [0.05j]),
+}
+
+
+@pytest.mark.parametrize("name", list(_WRITERS))
+def test_writer_path_matches_file_object(tmp_path, name):
+    path = tmp_path / "out.txt"
+    _WRITERS[name](str(path))
+    buf = io.StringIO()
+    _WRITERS[name](buf)
+    assert not buf.closed
+    assert buf.getvalue()
+    assert path.read_text(encoding="utf-8") == buf.getvalue()
 
 
 def test_write_read_roundtrip_bit_exact(tmp_path):

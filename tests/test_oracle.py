@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from morso.bench import generate_msd_chain
+from morso.discretize import default_step, discretize
 from morso.errors import (
     DimensionMismatch,
     DomainMismatch,
@@ -15,9 +17,24 @@ from morso.oracle import (
     stein_gramians,
     subspace_angles,
 )
-from morso.systems import FirstOrderSystem
+from morso.systems import FirstOrderSystem, linearize
 
 from helpers import known_hsv_fos, random_stable_fos
+
+
+def _chain_fos(N, h=None):
+    """First-order form of a discretized MSD chain; ``h=None`` takes the
+    default step, where the spectral radius is closest to one."""
+    sos = generate_msd_chain(N, stiffness=1.0, damping=1.0, seed=1)
+    step = default_step(sos) if h is None else h
+    return linearize(discretize(sos, step, stability_check=False))
+
+
+def _kronecker_stein(A, Q):
+    # Independent reference: the Stein equation as one dense linear system.
+    d = A.shape[0]
+    w = np.linalg.solve(np.eye(d * d) - np.kron(A, A), Q.reshape(-1, order="F"))
+    return w.reshape((d, d), order="F")
 
 
 class TestSteinGramians:
@@ -47,14 +64,31 @@ class TestSteinGramians:
         ref = scipy.linalg.solve_discrete_lyapunov(fos.A, fos.B @ fos.B.T)
         assert np.max(np.abs(pair.Wc - ref)) <= 1e-11 * np.max(np.abs(ref))
 
-    def test_doubling_branch(self):
-        # above the Kronecker cutoff the squared-iteration path is used
+    def test_dimension_80(self):
+        # a larger random system keeps the certificate and semidefiniteness
         fos = random_stable_fos(3, 80, m=2, p=2, rho=0.95)
         pair = stein_gramians(fos)
         qc = np.linalg.norm(fos.B @ fos.B.T, "fro")
         assert pair.residual_c < 1e-12 * qc
         lam = np.linalg.eigvalsh(pair.Wc)
         assert lam.min() >= -1e-10 * lam.max()
+
+    @pytest.mark.parametrize("N", [6, 12])
+    @pytest.mark.parametrize("h", [0.5, None], ids=["h0.5", "default_step"])
+    def test_chain_matches_kronecker(self, N, h):
+        fos = _chain_fos(N, h)
+        pair = stein_gramians(fos)
+        for W, A, Q in ((pair.Wc, fos.A, fos.B @ fos.B.T),
+                        (pair.Wo, fos.A.T, fos.C.T @ fos.C)):
+            ref = _kronecker_stein(A, Q)
+            assert np.linalg.norm(W - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_chain_residual_at_dimension_64(self):
+        # spectral radius 1 - 2.3e-3: the series needs ~2^14 terms
+        fos = _chain_fos(32, 0.5)
+        pair = stein_gramians(fos)
+        assert pair.residual_c <= 1e-10 * np.linalg.norm(fos.B @ fos.B.T, "fro")
+        assert pair.residual_o <= 1e-10 * np.linalg.norm(fos.C.T @ fos.C, "fro")
 
     def test_symmetry_and_semidefiniteness(self):
         fos = random_stable_fos(4, 14, m=1, p=1)

@@ -119,7 +119,6 @@ class TestStructureConditions:
         assert rep.off_pattern_max <= 1e-10
         assert rep.b_zero_block <= 1e-12
         assert rep.t1_condition < 1e3
-        assert rep.t2_condition == rep.t1_condition
 
     def test_reduced_linearization_gap(self):
         dsos, S, R = _pipeline(10, n=4)
