@@ -23,7 +23,7 @@ recovering a mass/damping/stiffness split from them is a modeling choice
 this package does not make.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 import os
 
 import numpy as np
@@ -241,25 +241,11 @@ class RunConfig:
 
     def to_manifest(self, path_or_file, version=None):
         """Write the run configuration as reusable ``key=value`` text."""
-        items = [
-            ("algorithm", self.algorithm),
-            ("order", self.order),
-            ("scheme", self.scheme),
-            ("h", self.h),
-            ("tau", self.tau),
-            ("angle_tol", self.angle_tol),
-            ("max_steps", self.max_steps),
-            ("seed", self.seed),
-            ("rank_tol", self.rank_tol),
-            ("grid_count", self.grid_count),
-            ("omega_min", self.omega_min),
-            ("omega_max", self.omega_max),
-            ("rre_mode", self.rre_mode),
-        ]
         with text_output(path_or_file) as f:
             if version is not None:
                 f.write(f"# morso {version}\n")
-            for key, value in items:
+            for fld in fields(self):
+                key, value = fld.name, getattr(self, fld.name)
                 if value is None:
                     f.write(f"{key}=\n")
                 elif isinstance(value, float):

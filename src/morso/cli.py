@@ -15,6 +15,7 @@ The environment variable ``MORSO_SEED`` overrides the default seed when no
 """
 
 import argparse
+from dataclasses import fields
 import os
 import sys
 
@@ -74,43 +75,43 @@ def _build_parser():
                                          "and peak gain")
     p_info.add_argument("spec", help="benchmark spec file")
 
-    p_red = sub.add_parser("reduce", help="run the reduction pipeline")
-    p_red.add_argument("spec", help="benchmark spec file")
-    p_red.add_argument("--algo", choices=("srlrg", "srlrh"), default=None)
+    # Run flags shared by reduce and compare; every dest but spec, config and
+    # out names a RunConfig field.
+    run = _Parser(add_help=False)
+    run.add_argument("spec", help="benchmark spec file")
+    run.add_argument("--scheme", choices=("forward", "backward", "central"),
+                     default=None)
+    run.add_argument("--h", type=float, default=None,
+                     help="discretization step (continuous models only)")
+    run.add_argument("--tau", type=int, default=None,
+                     help="fixed number of recursion steps")
+    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--rank-tol", type=float, default=None,
+                     help="relative cut on the subspace coupling singular "
+                          "values (pipeline default 1e-7)")
+    run.add_argument("--config", default=None,
+                     help="key=value file with defaults for the run flags")
+    run.add_argument("--out", required=True, help="output directory")
+
+    p_red = sub.add_parser("reduce", parents=[run],
+                           help="run the reduction pipeline")
+    p_red.add_argument("--algo", dest="algorithm",
+                       choices=("srlrg", "srlrh"), default=None)
     p_red.add_argument("--order", type=int, default=None,
                        help="reduced half-order n")
-    p_red.add_argument("--scheme", choices=("forward", "backward", "central"),
-                       default=None)
-    p_red.add_argument("--h", type=float, default=None,
-                       help="discretization step (continuous models only)")
-    p_red.add_argument("--tau", type=int, default=None,
-                       help="fixed number of recursion steps")
     p_red.add_argument("--angle-tol", type=float, default=None,
                        help="subspace-angle stopping tolerance")
     p_red.add_argument("--max-steps", type=int, default=None)
-    p_red.add_argument("--seed", type=int, default=None)
-    p_red.add_argument("--rank-tol", type=float, default=None,
-                       help="relative cut on the subspace coupling singular "
-                            "values (pipeline default 1e-7)")
-    p_red.add_argument("--config", default=None,
-                       help="key=value file with defaults for the flags above")
     p_red.add_argument("--continuous-output", action="store_true",
                        help="map the reduced difference model back to "
                             "continuous form before writing it")
-    p_red.add_argument("--out", required=True, help="output directory")
 
-    p_cmp = sub.add_parser("compare", help="compare methods on one model")
-    p_cmp.add_argument("spec", help="benchmark spec file")
+    p_cmp = sub.add_parser("compare", parents=[run],
+                           help="compare methods on one model")
     p_cmp.add_argument("--orders", required=True,
                        help="comma-separated reduced half-orders")
     p_cmp.add_argument("--methods", default="srlrg,srlrh,bt",
                        help="comma-separated subset of srlrg,srlrh,bt")
-    p_cmp.add_argument("--scheme", choices=("forward", "backward", "central"),
-                       default=None)
-    p_cmp.add_argument("--h", type=float, default=None)
-    p_cmp.add_argument("--tau", type=int, default=None)
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--rank-tol", type=float, default=None)
     p_cmp.add_argument("--rre-mode", choices=("discrete", "continuous"),
                        default=None,
                        help="error evaluation domain for a continuous model: "
@@ -118,8 +119,6 @@ def _build_parser():
                             "(default) or on the imaginary axis against the "
                             "inverse-discretized reduction (bt always uses "
                             "the circle)")
-    p_cmp.add_argument("--config", default=None)
-    p_cmp.add_argument("--out", required=True, help="output directory")
 
     p_gen = sub.add_parser("gen-msd", help="write a synthetic benchmark")
     p_gen.add_argument("--n", type=int, required=True, help="number of masses")
@@ -132,46 +131,56 @@ def _build_parser():
     return parser
 
 
-def _resolve_run_config(args):
-    """Merge CLI flags over an optional config file over environment/default."""
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = RunConfig.from_mapping(read_keyvalue_file(args.config))
-    for flag, attr in (
-        ("algo", "algorithm"),
-        ("order", "order"),
-        ("scheme", "scheme"),
-        ("h", "h"),
-        ("tau", "tau"),
-        ("angle_tol", "angle_tol"),
-        ("max_steps", "max_steps"),
-        ("seed", "seed"),
-        ("rank_tol", "rank_tol"),
-        ("rre_mode", "rre_mode"),
-    ):
-        value = getattr(args, flag, None)
+def _parse_int(name, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise BadParameters(f"{name} must be an integer, got {text!r}") from None
+
+
+def _set_up(args, orders=None):
+    """Resolve the run config (flags over ``--config`` over MORSO_SEED over
+    the defaults), load the model, check the half-orders (default: the
+    config's ``order``) against N and discretize a continuous model."""
+    data = read_keyvalue_file(args.config) if args.config else {}
+    cfg = RunConfig.from_mapping(data)
+    for fld in fields(RunConfig):
+        value = getattr(args, fld.name, None)
         if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "seed", None) is None and "MORSO_SEED" in os.environ:
-        if not (getattr(args, "config", None)
-                and "seed" in read_keyvalue_file(args.config)):
-            cfg.seed = int(os.environ["MORSO_SEED"])
-    return cfg
+            setattr(cfg, fld.name, value)
+    env_seed = os.environ.get("MORSO_SEED")
+    if env_seed is not None and args.seed is None and "seed" not in data:
+        cfg.seed = _parse_int("MORSO_SEED", env_seed)
 
-
-def _prepare_discrete(sos, cfg):
-    """Discretize a continuous model per the run config; pass discrete
-    models through (rejecting a stray --h)."""
+    spec = BenchmarkSpec.read(args.spec)
+    sos = load_matrix_market(spec)
+    for n in orders or [cfg.order]:
+        if n < 1 or n >= sos.order:
+            raise BadParameters(
+                f"half-order {n} must satisfy 1 <= n < N={sos.order}"
+            )
     scheme = Scheme.from_name(cfg.scheme)
     if sos.is_discrete:
         if cfg.h is not None and cfg.h != sos.h:
             raise BadParameters(
                 f"--h {cfg.h} conflicts with the model's own step {sos.h}"
             )
-        return sos, scheme
-    h = cfg.h if cfg.h is not None else default_step(sos)
-    cfg.h = h
-    return discretize(sos, h, scheme), scheme
+        return cfg, spec, sos, sos, scheme
+    if cfg.h is None:
+        cfg.h = default_step(sos)
+    return cfg, spec, sos, discretize(sos, cfg.h, scheme), scheme
+
+
+def _reduce_cell(dsos, method, n, cfg):
+    """Reduce a discrete model to half-order ``n``; returns ``(reduced,
+    diagnostics)``, where bt (order 2n, linearized) has no diagnostics."""
+    if method == "bt":
+        reduced, _ = dense_balanced_truncation(linearize(dsos), 2 * n)
+        return reduced, None
+    rec_cfg = RecursionConfig(n=n, seed=cfg.seed, tau=cfg.tau,
+                              angle_tol=cfg.angle_tol, max_steps=cfg.max_steps)
+    S, R, diag = run_recursion(dsos, rec_cfg, method)
+    return reduce_model(dsos, build_projection(S, R, cfg.rank_tol)), diag
 
 
 def _cmd_info(args):
@@ -192,20 +201,8 @@ def _cmd_info(args):
 
 
 def _cmd_reduce(args):
-    cfg = _resolve_run_config(args)
-    spec = BenchmarkSpec.read(args.spec)
-    sos = load_matrix_market(spec)
-    if cfg.order < 1 or cfg.order >= sos.order:
-        raise BadParameters(
-            f"--order must satisfy 1 <= n < N={sos.order}, got {cfg.order}"
-        )
-    dsos, scheme = _prepare_discrete(sos, cfg)
-
-    rec_cfg = RecursionConfig(n=cfg.order, seed=cfg.seed, tau=cfg.tau,
-                              angle_tol=cfg.angle_tol, max_steps=cfg.max_steps)
-    S, R, diag = run_recursion(dsos, rec_cfg, cfg.algorithm)
-    proj = build_projection(S, R, cfg.rank_tol)
-    reduced = reduce_model(dsos, proj)
+    cfg, spec, _, dsos, scheme = _set_up(args)
+    reduced, diag = _reduce_cell(dsos, cfg.algorithm, cfg.order, cfg)
     if args.continuous_output and reduced.is_discrete:
         reduced = inverse_discretize(reduced, scheme)
 
@@ -215,7 +212,7 @@ def _cmd_reduce(args):
     diag.to_csv(os.path.join(args.out, "diagnostics.csv"))
     cfg.to_manifest(os.path.join(args.out, "manifest.txt"), version=__version__)
     print(f"reduced model:  {spec_path}")
-    print(f"retained order: {proj.order} (requested {cfg.order})")
+    print(f"retained order: {reduced.order} (requested {cfg.order})")
     print(f"steps taken:    {diag.steps_taken} ({diag.termination})")
     return 0
 
@@ -229,28 +226,15 @@ def _format_cell(value):
 
 
 def _cmd_compare(args):
-    cfg = _resolve_run_config(args)
-    spec = BenchmarkSpec.read(args.spec)
-    sos = load_matrix_market(spec)
-
-    orders = []
-    for tok in args.orders.split(","):
-        tok = tok.strip()
-        if tok:
-            orders.append(int(tok))
+    orders = [_parse_int("--orders", tok) for tok in args.orders.split(",")
+              if tok.strip()]
     if not orders:
         raise BadParameters("--orders must name at least one half-order")
     methods = [t.strip() for t in args.methods.split(",") if t.strip()]
     for method in methods:
         if method not in ("srlrg", "srlrh", "bt"):
             raise BadParameters(f"unknown method {method!r}")
-    for n in orders:
-        if n < 1 or n >= sos.order:
-            raise BadParameters(
-                f"half-order {n} must satisfy 1 <= n < N={sos.order}"
-            )
-
-    dsos, scheme = _prepare_discrete(sos, cfg)
+    cfg, spec, sos, dsos, scheme = _set_up(args, orders)
     circle_grid = FrequencyGrid.unit_circle(cfg.grid_count)
     continuous_cells = cfg.rre_mode == "continuous" and sos.is_continuous
 
@@ -271,13 +255,7 @@ def _cmd_compare(args):
     for n in orders:
         for method in methods:
             try:
-                if method == "bt":
-                    fos = linearize(dsos)
-                    red, _ = dense_balanced_truncation(fos, 2 * n)
-                else:
-                    rec_cfg = RecursionConfig(n=n, seed=cfg.seed, tau=cfg.tau)
-                    S, R, _ = run_recursion(dsos, rec_cfg, method)
-                    red = reduce_model(dsos, build_projection(S, R, cfg.rank_tol))
+                red, _ = _reduce_cell(dsos, method, n, cfg)
                 if continuous_cells and method != "bt":
                     # imaginary-axis comparison against the back-mapped model
                     err = error_response(sos, red, table_grid, scheme=scheme,
@@ -290,6 +268,8 @@ def _cmd_compare(args):
                 err.to_csv(os.path.join(args.out, f"sigma_error_{method}_{n}.csv"))
                 rows.append((method, n, full_resp.hinf_estimate, rre_val,
                              stable, None))
+            except _VALIDATION_ERRORS:
+                raise  # a bad run parameter fails the run (exit 1), not a cell
             except MorsoError as exc:
                 rows.append((method, n, full_resp.hinf_estimate, None, None,
                              type(exc).__name__))
@@ -348,11 +328,3 @@ def cli_main(argv=None):
     except MorsoError as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None):
-    return cli_main(argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

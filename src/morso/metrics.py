@@ -273,8 +273,7 @@ def rre(full, reduced, grid=None, *, scheme=DEFAULT_SCHEME, mode="discrete",
     same grid with the same refinement, so identical models give exactly 0
     and a zero reduction gives exactly 1.
     """
-    err = error_response(full, reduced, grid, scheme=scheme, mode=mode,
-                         refinement_rounds=refinement_rounds)
-    f_sys, _ = _align_domains(full, reduced, scheme, mode)
+    f_sys, r_sys = _align_domains(full, reduced, scheme, mode)
+    err = error_response(f_sys, r_sys, grid, refinement_rounds=refinement_rounds)
     full_resp = frequency_response(f_sys, err.grid, refinement_rounds)
     return err.hinf_estimate / full_resp.hinf_estimate

@@ -1,3 +1,6 @@
+from dataclasses import fields
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -112,3 +115,30 @@ class TestRunConfig:
         cfg.to_manifest(path)
         cfg2 = RunConfig.from_mapping(read_keyvalue_file(path))
         assert cfg2.tau is None and cfg2.h is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_manifest_roundtrip_property(self, tmp_path_factory, data):
+        # NaN is the one float the manifest cannot round-trip by equality.
+        floats = st.floats(allow_nan=False)
+        strategies = {
+            "algorithm": st.sampled_from(["srlrg", "srlrh"]),
+            "order": st.integers(),
+            "scheme": st.sampled_from(["forward", "backward", "central"]),
+            "h": st.none() | floats,
+            "tau": st.none() | st.integers(),
+            "angle_tol": st.none() | floats,
+            "max_steps": st.none() | st.integers(),
+            "seed": st.none() | st.integers(),
+            "rank_tol": floats,
+            "grid_count": st.integers(),
+            "omega_min": floats,
+            "omega_max": floats,
+            "rre_mode": st.sampled_from(["discrete", "continuous"]),
+        }
+        assert set(strategies) == {f.name for f in fields(RunConfig)}
+        cfg = RunConfig(**{key: data.draw(strategy, label=key)
+                           for key, strategy in strategies.items()})
+        path = tmp_path_factory.mktemp("manifest") / "manifest.txt"
+        cfg.to_manifest(path, version="0.1.0")
+        assert RunConfig.from_mapping(read_keyvalue_file(path)) == cfg

@@ -123,6 +123,44 @@ def test_env_seed_override(chain_spec, tmp_path, monkeypatch):
     assert "seed=77" in (out / "manifest.txt").read_text()
 
 
+def test_env_seed_not_integer_exit_1(chain_spec, tmp_path, monkeypatch,
+                                    capsys):
+    monkeypatch.setenv("MORSO_SEED", "abc")
+    assert cli_main(["reduce", chain_spec, "--h", "0.5",
+                     "--out", str(tmp_path / "x")]) == 1
+    assert "error: MORSO_SEED must be an integer" in capsys.readouterr().err
+
+
+def test_compare_bad_orders_exit_1(chain_spec, tmp_path, capsys):
+    assert cli_main(["compare", chain_spec, "--orders", "2,x", "--h", "0.5",
+                     "--out", str(tmp_path / "x")]) == 1
+    assert "error: --orders must be an integer" in capsys.readouterr().err
+
+
+def test_compare_honours_config_recursion_settings(chain_spec, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("angle_tol=1e-12\nmax_steps=3\n")
+    out = tmp_path / "cmp"
+    assert cli_main(["compare", chain_spec, "--orders", "2", "--h", "0.5",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "comparison.csv").read_text().splitlines()[1:]]
+    errors = {row[1]: row[6] for row in rows}
+    assert errors == {"srlrg": "MaxStepsExceeded",
+                      "srlrh": "MaxStepsExceeded", "bt": ""}
+
+
+def test_compare_tau_with_config_angle_tol_exit_1(chain_spec, tmp_path,
+                                                  capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("angle_tol=1e-6\n")
+    assert cli_main(["compare", chain_spec, "--orders", "2", "--h", "0.5",
+                     "--tau", "5", "--config", str(cfg),
+                     "--out", str(tmp_path / "cmp")]) == 1
+    assert ("give either tau or angle_tol, not both"
+            in capsys.readouterr().err)
+
+
 def test_config_file_defaults(chain_spec, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("algorithm=srlrh\norder=2\nh=0.5\nseed=11\n")

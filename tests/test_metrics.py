@@ -7,6 +7,7 @@ import pytest
 from morso.bench import generate_msd_chain
 from morso.discretize import Scheme, discretize
 from morso.errors import BadParameters, DimensionMismatch, DomainMismatch
+from morso import metrics
 from morso.metrics import (
     FrequencyGrid,
     error_response,
@@ -155,6 +156,26 @@ class TestRre:
         red = reduce_model(dsos, build_projection(S, R))
         val = rre(chain, red, scheme=Scheme.FORWARD_VELOCITY, mode="continuous")
         assert 0.0 <= val < 2.0
+
+    def test_mixed_domain_discretizes_full_model_once(self, monkeypatch):
+        chain = generate_msd_chain(8, damping=1.0)
+        dsos = discretize(chain, 0.5, Scheme.FORWARD_VELOCITY)
+        S, R, _ = run_recursion(dsos, RecursionConfig(n=3, seed=0), "srlrh")
+        red = reduce_model(dsos, build_projection(S, R))
+        calls = []
+
+        def counting_discretize(*args, **kwargs):
+            calls.append(args)
+            return discretize(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "discretize", counting_discretize)
+        val = rre(chain, red, scheme=Scheme.FORWARD_VELOCITY)
+        assert len(calls) == 1
+        err = error_response(chain, red, scheme=Scheme.FORWARD_VELOCITY)
+        f_sys = discretize(chain, 0.5, Scheme.FORWARD_VELOCITY,
+                           stability_check=False)
+        assert val == (err.hinf_estimate
+                       / frequency_response(f_sys, err.grid).hinf_estimate)
 
     def test_reversed_mismatch_rejected(self):
         chain = generate_msd_chain(6, damping=1.0)
