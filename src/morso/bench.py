@@ -28,8 +28,8 @@ import os
 
 import numpy as np
 
-from .errors import BadParameters, DimensionMismatch, MissingFile, ParseError
-from .mmio import read_matrix, text_output, write_matrix
+from .errors import BadParameters, DimensionMismatch, ParseError
+from .mmio import read_lines, read_matrix, text_output, write_matrix
 from .systems import SecondOrderSystem
 
 __all__ = [
@@ -50,19 +50,23 @@ _EXPECTED_KEYS = {"expected_2N": "2N", "expected_m": "m", "expected_p": "p",
 
 def read_keyvalue_file(path):
     """Parse a ``key=value`` text file into a dict (comments start with #)."""
-    if not os.path.isfile(path):
-        raise MissingFile(f"no such file: {path}")
     out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(path, lineno, f"expected 'key=value', got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(path, lineno, f"expected 'key=value', got {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
+
+
+def _spec_value(path, data, key, parse):
+    try:
+        return parse(data[key])
+    except ValueError:
+        raise ParseError(path, 0, f"bad value for {key!r}: {data[key]!r}") from None
 
 
 @dataclass
@@ -89,11 +93,11 @@ class BenchmarkSpec:
                 raise ParseError(path, 0, f"missing role {role!r} in spec")
             p = data[role]
             paths[role] = p if os.path.isabs(p) else os.path.join(base, p)
-        h = float(data["h"]) if "h" in data else None
+        h = _spec_value(path, data, "h", float) if "h" in data else None
         expected = {}
         for key, short in _EXPECTED_KEYS.items():
             if key in data:
-                expected[short] = int(data[key])
+                expected[short] = _spec_value(path, data, key, int)
         return cls(name=data.get("name", os.path.basename(path)), paths=paths,
                    h=h, expected=expected)
 

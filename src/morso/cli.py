@@ -18,6 +18,7 @@ import argparse
 from dataclasses import fields
 import os
 import sys
+from typing import get_args
 
 from . import __version__
 from .bench import (
@@ -148,6 +149,12 @@ def _set_up(args, orders=None):
         value = getattr(args, fld.name, None)
         if value is not None:
             setattr(cfg, fld.name, value)
+        elif getattr(cfg, fld.name) is None and type(None) not in get_args(fld.type):
+            raise BadParameters(f"configuration key {fld.name!r} needs a value")
+    if cfg.rre_mode not in ("discrete", "continuous"):
+        raise BadParameters(
+            f"rre_mode must be 'discrete' or 'continuous', got {cfg.rre_mode!r}"
+        )
     env_seed = os.environ.get("MORSO_SEED")
     if env_seed is not None and args.seed is None and "seed" not in data:
         cfg.seed = _parse_int("MORSO_SEED", env_seed)
@@ -265,19 +272,20 @@ def _cmd_compare(args):
                     err = error_response(dsos, red, circle_grid, scheme=scheme)
                     rre_val = err.hinf_estimate / circle_full.hinf_estimate
                 stable = stability_report(red).is_stable
+                retained = red.order // 2 if method == "bt" else red.order
                 err.to_csv(os.path.join(args.out, f"sigma_error_{method}_{n}.csv"))
                 rows.append((method, n, full_resp.hinf_estimate, rre_val,
-                             stable, None))
+                             stable, retained, None))
             except _VALIDATION_ERRORS:
                 raise  # a bad run parameter fails the run (exit 1), not a cell
             except MorsoError as exc:
                 rows.append((method, n, full_resp.hinf_estimate, None, None,
-                             type(exc).__name__))
+                             None, type(exc).__name__))
 
     csv_path = os.path.join(args.out, "comparison.csv")
     with open(csv_path, "w", encoding="utf-8") as f:
         f.write("model,method,order,hinf_full,rre,stable_reduced,error\n")
-        for method, n, hinf, rre_val, stable, err_name in rows:
+        for method, n, hinf, rre_val, stable, _, err_name in rows:
             cells = [spec.name, method, str(n), _format_cell(hinf),
                      _format_cell(rre_val),
                      "" if stable is None else str(bool(stable)).lower(),
@@ -286,10 +294,12 @@ def _cmd_compare(args):
     cfg.to_manifest(os.path.join(args.out, "manifest.txt"), version=__version__)
 
     print(f"comparison table: {csv_path}")
-    for method, n, _, rre_val, stable, err_name in rows:
+    for method, n, _, rre_val, stable, retained, err_name in rows:
         status = err_name if err_name else (
             f"rre={rre_val:.4e} stable={str(bool(stable)).lower()}"
         )
+        if retained is not None and retained < n:
+            status += f" retained={retained}"
         print(f"  {method:6s} n={n:<4d} {status}")
     print(f"hinf_full = {full_resp.hinf_estimate:.6e}")
     return 0

@@ -9,6 +9,7 @@ digits, which round-trips IEEE doubles exactly.
 
 from contextlib import contextmanager
 import os
+import re
 
 import numpy as np
 
@@ -34,6 +35,28 @@ def text_output(path_or_file):
             yield f
 
 
+def read_lines(path):
+    """The lines of a UTF-8 text file, as ``readlines`` returns them.
+
+    Raises MissingFile if the path does not exist, and ParseError at the
+    line of the first byte that is not UTF-8.
+    """
+    if not os.path.isfile(path):
+        raise MissingFile(f"no such file: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.readlines()
+    except UnicodeDecodeError:
+        pass
+    # Read again with each undecodable byte b as the lone surrogate 0xDC00 + b.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            bad = re.search("[\udc80-\udcff]", line)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                raise ParseError(path, lineno, f"byte {byte:#04x} is not UTF-8")
+
+
 def _tokens(line):
     return line.strip().split()
 
@@ -48,10 +71,7 @@ def read_matrix(path):
     ParseError
         On malformed content; the message carries the line number.
     """
-    if not os.path.isfile(path):
-        raise MissingFile(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.readlines()
+    lines = read_lines(path)
     if not lines:
         raise ParseError(path, 1, "empty file")
 
@@ -79,22 +99,18 @@ def read_matrix(path):
 
     size_line = _tokens(lines[idx])
     lineno = idx + 1
-    if fmt == "coordinate":
-        if len(size_line) != 3:
-            raise ParseError(path, lineno, "coordinate size line needs 'rows cols nnz'")
-        try:
-            rows, cols, nnz = (int(t) for t in size_line)
-        except ValueError:
-            raise ParseError(path, lineno, f"bad size line {lines[idx].strip()!r}")
-        return _read_coordinate(path, lines, idx + 1, rows, cols, nnz, sym)
-
-    if len(size_line) != 2:
-        raise ParseError(path, lineno, "array size line needs 'rows cols'")
+    names = ("rows", "cols", "nnz") if fmt == "coordinate" else ("rows", "cols")
+    if len(size_line) != len(names):
+        raise ParseError(path, lineno, f"{fmt} size line needs '{' '.join(names)}'")
     try:
-        rows, cols = (int(t) for t in size_line)
+        sizes = [int(t) for t in size_line]
     except ValueError:
         raise ParseError(path, lineno, f"bad size line {lines[idx].strip()!r}")
-    return _read_array(path, lines, idx + 1, rows, cols, sym)
+    if min(sizes) < 0:
+        raise ParseError(path, lineno, f"negative size in {lines[idx].strip()!r}")
+    if fmt == "coordinate":
+        return _read_coordinate(path, lines, idx + 1, *sizes, sym)
+    return _read_array(path, lines, idx + 1, *sizes, sym)
 
 
 def _data_lines(lines, start):

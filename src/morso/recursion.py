@@ -80,9 +80,6 @@ class SubspaceWindow:
         """The 2N-by-n first-order iterate ``[prev; curr]``."""
         return np.vstack([self.prev, self.curr])
 
-    def is_finite(self):
-        return bool(np.all(np.isfinite(self.prev)) and np.all(np.isfinite(self.curr)))
-
 
 @dataclass(frozen=True)
 class RecursionConfig:
@@ -216,18 +213,22 @@ def assemble_observability(dsos, window):
     ops = dsos._ops
     mt_curr = dsos.solve_mass_t(window.curr)
     out = np.zeros((2 * N, n + p))
-    out[:N, :n] = -(ops.KT @ mt_curr)
-    out[N:, :n] = window.prev - ops.DT @ mt_curr
+    out[:N, :n] = -(ops.K.T @ mt_curr)
+    out[N:, :n] = window.prev - ops.D.T @ mt_curr
     out[N:, n:] = dsos.G.T
     return out
 
 
-def _svd(mat):
-    if not np.all(np.isfinite(mat)):
+def _require_finite(*arrays):
+    if not all(np.all(np.isfinite(a)) for a in arrays):
         raise NonFiniteIterate(
             "subspace iterate diverged to NaN/Inf; the difference system is "
             "most likely unstable (check the discretization step size)"
         )
+
+
+def _svd(mat):
+    _require_finite(mat)
     try:
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -247,11 +248,35 @@ def _normalize_signs(u, s, vt):
     return u, s, vt
 
 
-def _split_update(mat, v_cols, N):
-    """Apply the truncated right factor: new window halves are the top and
-    bottom N rows of ``mat @ v_cols``."""
-    z = mat @ v_cols
-    return SubspaceWindow(z[:N], z[N:])
+def _step(dsos, window_s, window_r, hankel):
+    """Assemble both update matrices, truncate them to the windows' width n
+    (two SVDs, or with ``hankel`` one SVD of their cross product) and split
+    the updated iterates into new window halves."""
+    n = window_s.n_columns
+    if window_r.n_columns != n:
+        raise DimensionMismatch("S and R windows must have the same width")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1 = assemble_controllability(dsos, window_s)
+        m2 = assemble_observability(dsos, window_r)
+        if hankel:
+            u, s, vt = _svd(m2.T @ m1)
+            if s[0] == 0.0 or s[min(n, len(s)) - 1] / s[0] < 1e-14:
+                warnings.warn(
+                    "cross-product singular values span more than 14 decades; "
+                    "trailing subspace directions are numerically meaningless",
+                    RankCollapseWarning,
+                    stacklevel=3,  # the caller of srlrh_step
+                )
+            sigma_s, sigma_r, v_s, v_r = s, s, vt[:n].T, u[:, :n]
+        else:
+            _, sigma_s, vst = _svd(m1)
+            _, sigma_r, vrt = _svd(m2)
+            v_s, v_r = vst[:n].T, vrt[:n].T
+        z_s, z_r = m1 @ v_s, m2 @ v_r
+    _require_finite(z_s, z_r)
+    N = dsos.order
+    info = StepDiagnostics(sigma_s=sigma_s[:n].copy(), sigma_r=sigma_r[:n].copy())
+    return SubspaceWindow(z_s[:N], z_s[N:]), SubspaceWindow(z_r[:N], z_r[N:]), info
 
 
 def srlrg_step(dsos, window_s, window_r):
@@ -273,20 +298,7 @@ def srlrg_step(dsos, window_s, window_r):
     (SubspaceWindow, SubspaceWindow, StepDiagnostics)
         Updated S window, updated R window, retained singular values.
     """
-    n = window_s.n_columns
-    if window_r.n_columns != n:
-        raise DimensionMismatch("S and R windows must have the same width")
-    with np.errstate(over="ignore", invalid="ignore"):
-        m1 = assemble_controllability(dsos, window_s)
-        m2 = assemble_observability(dsos, window_r)
-        _, sc, vct = _svd(m1)
-        _, so, vot = _svd(m2)
-        N = dsos.order
-        new_s = _split_update(m1, vct[:n].T, N)
-        new_r = _split_update(m2, vot[:n].T, N)
-    info = StepDiagnostics(sigma_s=sc[:n].copy(), sigma_r=so[:n].copy())
-    _check_finite(new_s, new_r)
-    return new_s, new_r, info
+    return _step(dsos, window_s, window_r, hankel=False)
 
 
 def srlrh_step(dsos, window_s, window_r):
@@ -297,34 +309,7 @@ def srlrh_step(dsos, window_s, window_r):
     vectors update the S window and the left ones update the R window,
     with the same split as :func:`srlrg_step`.
     """
-    n = window_s.n_columns
-    if window_r.n_columns != n:
-        raise DimensionMismatch("S and R windows must have the same width")
-    with np.errstate(over="ignore", invalid="ignore"):
-        m1 = assemble_controllability(dsos, window_s)
-        m2 = assemble_observability(dsos, window_r)
-        u, s, vt = _svd(m2.T @ m1)
-        if s[0] == 0.0 or s[min(n, len(s)) - 1] / s[0] < 1e-14:
-            warnings.warn(
-                "cross-product singular values span more than 14 decades; "
-                "trailing subspace directions are numerically meaningless",
-                RankCollapseWarning,
-                stacklevel=2,
-            )
-        N = dsos.order
-        new_s = _split_update(m1, vt[:n].T, N)
-        new_r = _split_update(m2, u[:, :n], N)
-    info = StepDiagnostics(sigma_s=s[:n].copy(), sigma_r=s[:n].copy())
-    _check_finite(new_s, new_r)
-    return new_s, new_r, info
-
-
-def _check_finite(window_s, window_r):
-    if not (window_s.is_finite() and window_r.is_finite()):
-        raise NonFiniteIterate(
-            "subspace iterate diverged to NaN/Inf; the difference system is "
-            "most likely unstable (check the discretization step size)"
-        )
+    return _step(dsos, window_s, window_r, hankel=True)
 
 
 def _orthonormal(rng, N, n):
@@ -409,10 +394,7 @@ def run_recursion(dsos, config, algorithm="srlrg"):
     window_r = SubspaceWindow(_orthonormal(rng, N, n), _orthonormal(rng, N, n))
 
     angle_mode = config.angle_tol is not None
-    if angle_mode:
-        limit = config.max_steps or default_step_count(dsos)
-    else:
-        limit = config.tau or default_step_count(dsos)
+    limit = (config.max_steps if angle_mode else config.tau) or default_step_count(dsos)
 
     diag = RecursionDiagnostics()
     below_tol_streak = 0
@@ -433,15 +415,13 @@ def run_recursion(dsos, config, algorithm="srlrg"):
                 below_tol_streak = 0
             if below_tol_streak >= 2:
                 diag.termination = "angle-converged"
-                diag.final_window_s = window_s
-                diag.final_window_r = window_r
-                return window_s.curr, window_r.curr, diag
-    if angle_mode:
-        raise MaxStepsExceeded(
-            f"principal angles did not settle below {config.angle_tol} within "
-            f"{limit} steps"
-        )
-    diag.termination = "fixed-steps"
-    diag.final_window_s = window_s
-    diag.final_window_r = window_r
+                break
+    else:
+        if angle_mode:
+            raise MaxStepsExceeded(
+                f"principal angles did not settle below {config.angle_tol} within "
+                f"{limit} steps"
+            )
+        diag.termination = "fixed-steps"
+    diag.final_window_s, diag.final_window_r = window_s, window_r
     return window_s.curr, window_r.curr, diag

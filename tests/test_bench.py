@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from morso.bench import (
+    ROLES,
     BenchmarkSpec,
     RunConfig,
     generate_msd_chain,
@@ -16,6 +17,21 @@ from morso.errors import BadParameters, DimensionMismatch, ParseError
 from morso.systems import stability_report
 
 from helpers import random_stable_discrete
+
+
+_SPEC_LINES = [f"{role}={role}.mtx" for role in ROLES] + [
+    "name=x", "h=0.5", "expected_2N=8", "expected_m=1", "suggested_2n=2"]
+
+
+@st.composite
+def _edited_spec(draw):
+    lines = list(_SPEC_LINES)
+    i = draw(st.integers(0, len(lines) - 1))
+    if draw(st.booleans()):
+        del lines[i]
+    else:
+        lines[i] = lines[i].partition("=")[0] + "=" + draw(st.text(max_size=8))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 class TestMsdChain:
@@ -92,6 +108,34 @@ class TestBenchmarkRoundtrip:
         bad.write_text("name=x\nM broken line\n")
         with pytest.raises(ParseError):
             read_keyvalue_file(bad)
+
+    @pytest.mark.parametrize("key,value", [("h", "abc"), ("expected_2N", "x")])
+    def test_bad_spec_value_is_parse_error(self, tmp_path, key, value):
+        path = tmp_path / "s.spec"
+        path.write_text("".join(line + "\n" for line in _SPEC_LINES)
+                        + f"{key}={value}\n")
+        with pytest.raises(ParseError, match=f"'{key}': '{value}'"):
+            BenchmarkSpec.read(path)
+
+    def test_non_utf8_spec_is_parse_error(self, tmp_path):
+        path = tmp_path / "s.spec"
+        path.write_bytes(b"name=x\nM=\xff.mtx\n")
+        with pytest.raises(ParseError, match="0xff") as exc:
+            BenchmarkSpec.read(path)
+        assert exc.value.lineno == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=st.binary(max_size=200) | _edited_spec())
+    def test_spec_fuzz(self, tmp_path_factory, raw):
+        """Arbitrary bytes, or a valid spec with one line deleted or one
+        value replaced, either read or raise ParseError."""
+        path = tmp_path_factory.getbasetemp() / "fuzz.spec"
+        path.write_bytes(raw)
+        try:
+            spec = BenchmarkSpec.read(path)
+        except ParseError:
+            return
+        assert isinstance(spec, BenchmarkSpec)
 
 
 class TestRunConfig:

@@ -5,6 +5,7 @@ import pytest
 
 from morso.bench import BenchmarkSpec, load_matrix_market
 from morso.cli import cli_main
+from morso.errors import ShrunkRankWarning
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,21 @@ def test_compare_has_failure_rows_not_omissions(tmp_path):
     assert lines[1].split(",")[6] != ""
 
 
+def test_compare_reports_shrunk_order(tmp_path, capsys):
+    # on this chain the srlrh n=6 cell keeps only 5 directions
+    bench = tmp_path / "bench"
+    assert cli_main(["gen-msd", "--n", "32", "--damping", "1.0", "--seed", "1",
+                     "--out", str(bench)]) == 0
+    capsys.readouterr()
+    with pytest.warns(ShrunkRankWarning):
+        assert cli_main(["compare", str(bench / "msd_chain.spec"), "--h", "0.5",
+                         "--seed", "1", "--orders", "6", "--methods", "srlrh",
+                         "--out", str(tmp_path / "cmp")]) == 0
+    status = capsys.readouterr().out.splitlines()[1]
+    assert status.startswith("  srlrh  n=6 ")
+    assert status.endswith(" retained=5")
+
+
 def test_order_validation_exit_1(chain_spec, tmp_path):
     code = cli_main(["reduce", chain_spec, "--algo", "srlrg", "--order", "10",
                      "--out", str(tmp_path / "x")])
@@ -159,6 +175,20 @@ def test_compare_tau_with_config_angle_tol_exit_1(chain_spec, tmp_path,
                      "--out", str(tmp_path / "cmp")]) == 1
     assert ("give either tau or angle_tol, not both"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("order=", "configuration key 'order' needs a value"),
+    ("seed=", "configuration key 'seed' needs a value"),
+    ("rre_mode=bogus", "rre_mode must be 'discrete' or 'continuous'"),
+])
+def test_config_leaving_a_setting_empty_exit_1(chain_spec, tmp_path, capsys,
+                                               entry, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    assert cli_main(["reduce", chain_spec, "--h", "0.5", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_config_file_defaults(chain_spec, tmp_path):

@@ -1,5 +1,6 @@
 import io
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -180,3 +181,89 @@ def test_bad_banner(tmp_path):
     with pytest.raises(ParseError) as exc:
         read_matrix(path)
     assert exc.value.lineno == 1
+
+
+@pytest.mark.parametrize("header,body", [
+    ("coordinate real general", "-1 6 0\n"),
+    ("array real symmetric", "-1 -1\n"),
+    ("array real general", "-1 -1\n1.0\n"),
+])
+def test_negative_size_is_parse_error(tmp_path, header, body):
+    path = tmp_path / "n.mtx"
+    path.write_text(f"%%MatrixMarket matrix {header}\n% sizes\n{body}")
+    with pytest.raises(ParseError, match="negative size") as exc:
+        read_matrix(path)
+    assert exc.value.lineno == 3
+
+
+def test_non_utf8_is_parse_error(tmp_path):
+    path = tmp_path / "u.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix array real general\n"
+                     b"% caf\xe9\n1 1\n1.0\n")
+    with pytest.raises(ParseError, match="0xe9") as exc:
+        read_matrix(path)
+    assert exc.value.lineno == 2
+
+
+def _parses_or_rejects(path):
+    try:
+        out = read_matrix(path)
+    except ParseError:
+        return
+    assert isinstance(out, np.ndarray)
+
+
+_HEADERS = st.builds(
+    "%%MatrixMarket matrix {} {} {}".format,
+    st.sampled_from(["array", "coordinate", "dense"]),
+    st.sampled_from(["real", "integer", "complex"]),
+    st.sampled_from(["general", "symmetric", "skew-symmetric", "hermitian"]))
+_SIZES = st.lists(st.integers(-3, 50), min_size=2, max_size=3).map(
+    lambda sizes: " ".join(map(str, sizes)))
+_TOKENS = (st.integers(-3, 50).map(str)
+           | st.sampled_from(["", "x", "1.5", "-0.0", "nan", "-inf", "1e999",
+                              "0x10", "%", "1 2"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.binary(max_size=200))
+def test_read_matrix_fuzz_bytes(tmp_path_factory, data):
+    """Arbitrary bytes either parse or raise ParseError."""
+    path = tmp_path_factory.getbasetemp() / "fuzz_bytes.mtx"
+    path.write_bytes(data)
+    _parses_or_rejects(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_matrix_fuzz_mutations(tmp_path_factory, data):
+    """A ``write_matrix`` file with up to three edits (a line deleted, a
+    token replaced, the header or the size line rewritten) either parses or
+    raises ParseError.
+
+    Sizes stay in [-3, 50]: a declared size too large to allocate, such as
+    the legal sparse header ``1000000 1000000 0``, fails to store the dense
+    result, which is a storage limit rather than a parse error.
+    """
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    buf = io.StringIO()
+    write_matrix(buf, np.arange(rows * cols, dtype=float).reshape(rows, cols),
+                 comment="fuzz")
+    lines = buf.getvalue().splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit = data.draw(st.sampled_from(["delete", "replace", "header", "size"]))
+        if edit == "header":
+            lines[:1] = [data.draw(_HEADERS)]
+        elif edit == "size":
+            lines[2:3] = [data.draw(_SIZES)]  # header, comment, size line
+        elif lines:
+            i = data.draw(st.integers(0, len(lines) - 1))
+            if edit == "delete":
+                del lines[i]
+            else:
+                tokens = lines[i].split() or [""]
+                tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(_TOKENS)
+                lines[i] = " ".join(tokens)
+    path = tmp_path_factory.getbasetemp() / "fuzz_edit.mtx"
+    path.write_text("".join(line + "\n" for line in lines))
+    _parses_or_rejects(path)

@@ -13,6 +13,7 @@ from morso.errors import (
     DomainMismatch,
     MaxStepsExceeded,
     NonFiniteIterate,
+    RankCollapseWarning,
 )
 from morso.oracle import stein_gramians, subspace_angles
 from morso.recursion import (
@@ -118,6 +119,15 @@ class TestSteps:
         with pytest.raises(NonFiniteIterate):
             for _ in range(4000):
                 ws, wr, _ = step(dsos, ws, wr)
+
+
+def test_rank_collapse_warning_points_at_caller():
+    # zero windows leave one nonzero block, G M^{-1} F, in the cross product
+    dsos = random_stable_discrete(0, 3)
+    w = SubspaceWindow(np.zeros((3, 2)), np.zeros((3, 2)))
+    with pytest.warns(RankCollapseWarning) as record:
+        srlrh_step(dsos, w, w)
+    assert [r.filename for r in record] == [__file__]
 
 
 def test_zero_input_side_stays_zero():
