@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
 )
 from .metrics import FrequencyGrid, error_response, frequency_response
-from .oracle import dense_balanced_truncation
+from .oracle import balancing_factors
 from .projection import build_projection, reduce_model
 from .recursion import RecursionConfig, run_recursion
 from .systems import linearize, stability_report
@@ -179,11 +179,8 @@ def _set_up(args, orders=None):
 
 
 def _reduce_cell(dsos, method, n, cfg):
-    """Reduce a discrete model to half-order ``n``; returns ``(reduced,
-    diagnostics)``, where bt (order 2n, linearized) has no diagnostics."""
-    if method == "bt":
-        reduced, _ = dense_balanced_truncation(linearize(dsos), 2 * n)
-        return reduced, None
+    """Reduce a discrete model to half-order ``n`` with srlrg or srlrh;
+    returns ``(reduced, diagnostics)``."""
     rec_cfg = RecursionConfig(n=n, seed=cfg.seed, tau=cfg.tau,
                               angle_tol=cfg.angle_tol, max_steps=cfg.max_steps)
     S, R, diag = run_recursion(dsos, rec_cfg, method)
@@ -259,10 +256,16 @@ def _cmd_compare(args):
         full_resp.to_csv(os.path.join(args.out, "sigma_full_continuous.csv"))
 
     rows = []
+    bt_factors = None  # built on the first bt cell, shared by the others
     for n in orders:
         for method in methods:
             try:
-                red, _ = _reduce_cell(dsos, method, n, cfg)
+                if method == "bt":  # linearized, order 2n
+                    if bt_factors is None:
+                        bt_factors = balancing_factors(linearize(dsos))
+                    red, _ = bt_factors.truncate(2 * n)
+                else:
+                    red, _ = _reduce_cell(dsos, method, n, cfg)
                 if continuous_cells and method != "bt":
                     # imaginary-axis comparison against the back-mapped model
                     err = error_response(sos, red, table_grid, scheme=scheme,

@@ -23,7 +23,9 @@ from .systems import FirstOrderSystem
 
 __all__ = [
     "GramianPair",
+    "BalancingFactors",
     "stein_gramians",
+    "balancing_factors",
     "dense_balanced_truncation",
     "subspace_angles",
 ]
@@ -113,6 +115,62 @@ def _psd_sqrt_factor(W):
     return V * np.sqrt(lam)
 
 
+def _check_order(full, order):
+    if not 1 <= order <= full:
+        raise OrderTooLarge(f"order must lie in [1, {full}], got {order}")
+
+
+@dataclass(frozen=True)
+class BalancingFactors:
+    """Square-root factors ``Lc``, ``Lo`` of both Gramians of a stable
+    difference system and the SVD ``U diag(hsv) Vt`` of their cross factor
+    ``Lo^T Lc``, whose singular values are the Hankel singular values.
+
+    Built once by :func:`balancing_factors`, they truncate the system to
+    any order without solving the Stein equations again.
+    """
+
+    fos: FirstOrderSystem
+    Lc: np.ndarray
+    Lo: np.ndarray
+    U: np.ndarray
+    hsv: np.ndarray
+    Vt: np.ndarray
+
+    def truncate(self, order):
+        """Balanced truncation to ``order``: the reduced system and all 2N
+        Hankel singular values, as :func:`dense_balanced_truncation`."""
+        fos, hsv = self.fos, self.hsv
+        _check_order(fos.order, order)
+        if hsv[order - 1] <= 1e-14 * hsv[0]:
+            raise OrderTooLarge(
+                f"requested order {order} exceeds the numerical Hankel rank"
+            )
+        scale = hsv[:order] ** -0.5
+        Xp = self.Lc @ (self.Vt[:order].T * scale)
+        Yp = self.Lo @ (self.U[:, :order] * scale)
+        reduced = FirstOrderSystem(
+            Yp.T @ fos.A @ Xp, Yp.T @ fos.B, fos.C @ Xp, h=fos.h
+        )
+        return reduced, hsv
+
+
+def balancing_factors(fos):
+    """Factor both Gramians of a stable difference system and take the SVD
+    of the cross factor.
+
+    Raises
+    ------
+    UnstableSystem
+        As :func:`stein_gramians`.
+    """
+    pair = stein_gramians(fos)
+    Lc = _psd_sqrt_factor(pair.Wc)
+    Lo = _psd_sqrt_factor(pair.Wo)
+    U, hsv, Vt = np.linalg.svd(Lo.T @ Lc)
+    return BalancingFactors(fos, Lc, Lo, U, hsv, Vt)
+
+
 def dense_balanced_truncation(fos, order):
     """Square-root balanced truncation of a stable difference system.
 
@@ -133,24 +191,8 @@ def dense_balanced_truncation(fos, order):
     (FirstOrderSystem, ndarray)
         The reduced system and all 2N Hankel singular values.
     """
-    full = fos.order
-    if not 1 <= order <= full:
-        raise OrderTooLarge(f"order must lie in [1, {full}], got {order}")
-    pair = stein_gramians(fos)
-    Lc = _psd_sqrt_factor(pair.Wc)
-    Lo = _psd_sqrt_factor(pair.Wo)
-    U, hsv, Vt = np.linalg.svd(Lo.T @ Lc)
-    if hsv[order - 1] <= 1e-14 * hsv[0]:
-        raise OrderTooLarge(
-            f"requested order {order} exceeds the numerical Hankel rank"
-        )
-    scale = hsv[:order] ** -0.5
-    Xp = Lc @ (Vt[:order].T * scale)
-    Yp = Lo @ (U[:, :order] * scale)
-    reduced = FirstOrderSystem(
-        Yp.T @ fos.A @ Xp, Yp.T @ fos.B, fos.C @ Xp, h=fos.h
-    )
-    return reduced, hsv
+    _check_order(fos.order, order)
+    return balancing_factors(fos).truncate(order)
 
 
 def subspace_angles(P, Q):

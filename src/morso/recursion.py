@@ -18,6 +18,7 @@ suite enforces.
 """
 
 from dataclasses import dataclass, field
+import functools
 import warnings
 
 import numpy as np
@@ -317,13 +318,51 @@ def _orthonormal(rng, N, n):
     return q
 
 
+_GESDD, _GESDD_LWORK = scipy.linalg.get_lapack_funcs(("gesdd", "gesdd_lwork"),
+                                                     dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=64)
+def _gesdd_workspace(m, n, compute_uv):
+    """Optimal LAPACK workspace for :func:`_gesdd` on an m-by-n matrix."""
+    work, info = _GESDD_LWORK(m, n, compute_uv=compute_uv,
+                              full_matrices=not compute_uv)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"gesdd workspace query failed ({info})")
+    return int(work.real)
+
+
+def _gesdd(a, compute_uv):
+    """Thin left singular vectors and singular values ``(u, s)`` of a real
+    matrix, or with ``compute_uv`` false its singular values alone.
+
+    Calls LAPACK ``gesdd`` with the arguments and workspace that
+    ``scipy.linalg.orth`` (through ``svd``) and ``scipy.linalg.svdvals``
+    pass it, so the results are bit-identical to theirs, without their
+    per-call validation.  Raises LinAlgError when gesdd fails.
+    """
+    m, n = a.shape
+    if a.size == 0:
+        s = np.empty(0)
+        return (np.empty((m, 0)), s) if compute_uv else s
+    u, s, _, info = _GESDD(a, compute_uv=compute_uv,
+                           lwork=_gesdd_workspace(m, n, compute_uv),
+                           full_matrices=not compute_uv)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"gesdd failed ({info})")
+    return (u, s) if compute_uv else s
+
+
 def _orth(a):
-    """Orthonormal basis of the range of `a` (step 1 of
-    ``scipy.linalg.subspace_angles``), or None if its SVD fails."""
+    """Orthonormal basis of the range of `a`, as ``scipy.linalg.orth``
+    returns it (step 1 of ``scipy.linalg.subspace_angles``), or None if its
+    SVD fails."""
     try:
-        return scipy.linalg.orth(a)
+        u, s = _gesdd(a, compute_uv=True)
     except np.linalg.LinAlgError:
         return None
+    rcond = np.finfo(s.dtype).eps * max(a.shape)
+    return u[:, :np.sum(s > np.amax(s, initial=0.0) * rcond, dtype=int)]
 
 
 def _max_principal_angle(qa, qb):
@@ -337,7 +376,7 @@ def _max_principal_angle(qa, qb):
         return np.pi / 2
     try:
         cross = qa.T @ qb
-        sigma = scipy.linalg.svdvals(cross)
+        sigma = _gesdd(cross, compute_uv=False)
         if qa.shape[1] >= qb.shape[1]:
             resid = qb - qa @ cross
         else:
@@ -345,7 +384,7 @@ def _max_principal_angle(qa, qb):
         mask = sigma ** 2 >= 0.5
         if mask.any():
             mu_arcsin = np.arcsin(np.clip(
-                scipy.linalg.svdvals(resid, overwrite_a=True), -1.0, 1.0))
+                _gesdd(resid, compute_uv=False), -1.0, 1.0))
         else:
             mu_arcsin = 0.0
         angles = np.where(mask, mu_arcsin,

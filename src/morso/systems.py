@@ -21,7 +21,7 @@ from typing import NamedTuple
 import warnings
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConditioningWarning,
@@ -76,28 +76,42 @@ def _freeze(arr):
 
 
 def _checked_lu(mat, error, broken, singular, rcond_min=0.0):
-    """LU-factorize `mat` and estimate its reciprocal condition number.
+    """LU-factorize `mat` with LAPACK ``getrf`` and estimate its reciprocal
+    condition number with ``gecon``.
 
     Raises ``error(broken)`` when the factorization breaks down, and
     ``error(singular.format(rcond))`` when the estimate is zero, not finite
-    or below ``rcond_min``.  Returns ``((lu, piv), rcond)``.
+    or below ``rcond_min``.  Returns ``((lu, piv), rcond)``, where the
+    factor is what ``scipy.linalg.lu_factor`` returns for `mat`.
     """
     anorm = np.linalg.norm(mat, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
-        lu, piv = lu_factor(mat)
+    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (mat,))
+    lu, piv, _ = getrf(mat)
     if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
         raise error(broken)
-    gecon = get_lapack_funcs("gecon", (lu,))
     rcond, _ = gecon(lu, anorm)
     if rcond == 0.0 or not np.isfinite(rcond) or rcond < rcond_min:
         raise error(singular.format(rcond))
     return (lu, piv), rcond
 
 
+def _lu_solve(lu_piv, rhs, trans=0):
+    """Solve with a :func:`_checked_lu` factor by LAPACK ``getrs``: the
+    result of ``scipy.linalg.lu_solve(lu_piv, rhs, trans)`` without its
+    finiteness check, so non-finite right-hand sides pass through."""
+    lu, piv = lu_piv
+    getrs = get_lapack_funcs("getrs", (lu, rhs))
+    x, _ = getrs(lu, piv, rhs, trans=trans)
+    return x
+
+
 def _solve_at_point(mat, rhs, point):
-    """Solve mat @ x = rhs, raising SingularAtPoint if mat is numerically
-    singular (the evaluation point is a characteristic frequency)."""
+    """Solve mat @ x = rhs, raising SingularAtPoint if mat is not finite or
+    numerically singular (the evaluation point is a characteristic
+    frequency)."""
+    if not np.all(np.isfinite(mat)):
+        raise SingularAtPoint(
+            f"characteristic matrix is not finite at point {point}")
     lu_piv, _ = _checked_lu(
         mat, SingularAtPoint,
         f"characteristic matrix is singular at point {point}",
@@ -105,7 +119,7 @@ def _solve_at_point(mat, rhs, point):
         "(rcond={:.2e})",
         _RCOND_SINGULAR,
     )
-    return lu_solve(lu_piv, rhs)
+    return _lu_solve(lu_piv, rhs)
 
 
 class _Operators(NamedTuple):
@@ -150,6 +164,11 @@ class SecondOrderSystem:
     the LU factorization of M is computed once at construction.  They are
     therefore safe to share across concurrent readers.
 
+    :meth:`transfer` keeps the transfer matrix of every distinct point it
+    has solved, one ``p x m`` complex matrix each, for the life of the
+    instance, so that sampling the same grid again costs no solves.  A
+    CLI command builds its systems afresh and drops them when it ends.
+
     ``M``, ``D`` and ``K`` are always dense.  When the largest number of
     nonzero entries among them is at most ``SPARSE_DENSITY`` (5 %) of
     ``N^2``, as for a long mass-spring-damper chain, the system also keeps
@@ -184,8 +203,9 @@ class SecondOrderSystem:
 
         if h is not None:
             h = float(h)
-            if not h > 0:
-                raise DimensionMismatch(f"discrete step h must be positive, got {h}")
+            if not 0 < h < np.inf:
+                raise DimensionMismatch(
+                    f"discrete step h must be positive and finite, got {h}")
 
         self.M = _freeze(M)
         self.D = _freeze(D)
@@ -244,13 +264,13 @@ class SecondOrderSystem:
         that iteration divergence can be diagnosed by the caller.
         """
         if self._ops.mass_splu is None or np.iscomplexobj(rhs):
-            return lu_solve(self._mass_lu, rhs, check_finite=False)
+            return _lu_solve(self._mass_lu, rhs)
         return self._ops.mass_splu.solve(rhs)
 
     def solve_mass_t(self, rhs):
         """Return M^{-T} @ rhs using the cached LU factorization."""
         if self._ops.mass_splu is None or np.iscomplexobj(rhs):
-            return lu_solve(self._mass_lu, rhs, trans=1, check_finite=False)
+            return _lu_solve(self._mass_lu, rhs, trans=1)
         return self._ops.mass_splu.solve(rhs, trans="T")
 
     @cached_property
@@ -281,6 +301,9 @@ class SecondOrderSystem:
     def transfer(self, point):
         """Transfer matrix ``G P(.)^{-1} F`` at a complex point.
 
+        Each distinct point is solved once per instance; a repeated point
+        returns a fresh copy of the stored matrix.
+
         Raises
         ------
         SingularAtPoint
@@ -288,9 +311,18 @@ class SecondOrderSystem:
         ZeroPoint
             For z = 0 on a difference system.
         """
-        P = self.characteristic(point).astype(complex)
-        X = _solve_at_point(P, self.F.astype(complex), point)
-        return self.G @ X
+        key = complex(point)
+        value = self._transfers.get(key)
+        if value is None:
+            P = self.characteristic(point).astype(complex)
+            X = _solve_at_point(P, self.F.astype(complex), point)
+            value = self._transfers[key] = self.G @ X
+        return value.copy()
+
+    @cached_property
+    def _transfers(self):
+        """Transfer matrices solved so far, keyed by ``complex(point)``."""
+        return {}
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,23 @@ same systems.
 
 import numpy as np
 
+from morso import systems
 from morso.systems import FirstOrderSystem, SecondOrderSystem
+
+
+def count_solves(monkeypatch, order):
+    """Record the point of every solve of an order-``order`` system, by
+    wrapping the point-solve helper behind ``transfer``."""
+    points = []
+    solve = systems._solve_at_point
+
+    def counting_solve(mat, rhs, point):
+        if mat.shape[0] == order:
+            points.append(complex(point))
+        return solve(mat, rhs, point)
+
+    monkeypatch.setattr(systems, "_solve_at_point", counting_solve)
+    return points
 
 
 def random_sos(seed, N, m=1, p=1):

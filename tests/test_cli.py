@@ -3,9 +3,12 @@ import os
 import numpy as np
 import pytest
 
+from morso import oracle
 from morso.bench import BenchmarkSpec, load_matrix_market
 from morso.cli import cli_main
 from morso.errors import ShrunkRankWarning
+
+from helpers import count_solves
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +103,58 @@ def test_compare_has_failure_rows_not_omissions(tmp_path):
     lines = (out / "comparison.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[6] != ""
+
+
+def test_compare_failed_bt_factors_give_a_row_per_cell(tmp_path):
+    out_b = tmp_path / "bench"
+    assert cli_main(["gen-msd", "--n", "6", "--damping", "0.0", "--out",
+                     str(out_b)]) == 0
+    out = tmp_path / "cmp"
+    assert cli_main(["compare", str(out_b / "msd_chain.spec"), "--orders",
+                     "1,2", "--methods", "bt", "--h", "0.3",
+                     "--out", str(out)]) == 0
+    rows = (out / "comparison.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[6] for row in rows] == ["UnstableSystem"] * 2
+
+
+def test_compare_builds_bt_factors_once(chain_spec, tmp_path, monkeypatch):
+    calls = []
+    stein = oracle.stein_gramians
+
+    def counting_stein(fos):
+        calls.append(fos)
+        return stein(fos)
+
+    monkeypatch.setattr(oracle, "stein_gramians", counting_stein)
+    assert cli_main(["compare", chain_spec, "--orders", "2,4,6", "--methods",
+                     "bt", "--h", "0.5", "--out", str(tmp_path / "cmp")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("ignore::morso.errors.ShrunkRankWarning")
+def test_compare_solves_full_model_once_per_point(tmp_path, monkeypatch):
+    bench = tmp_path / "bench"
+    assert cli_main(["gen-msd", "--n", "32", "--damping", "1.0", "--seed", "1",
+                     "--out", str(bench)]) == 0
+    solved = count_solves(monkeypatch, 32)
+    assert cli_main(["compare", str(bench / "msd_chain.spec"), "--h", "0.5",
+                     "--seed", "1", "--orders", "2,4,6",
+                     "--out", str(tmp_path / "cmp")]) == 0
+    # the continuous model on its table grid, the discretized one on the
+    # circle, and the refinement points of every peak
+    assert len(solved) > 800
+    assert len(solved) == len(set(solved))
+
+
+def test_info_rejects_infinite_step(tmp_path, capsys):
+    bench = tmp_path / "bench"
+    assert cli_main(["gen-msd", "--n", "4", "--out", str(bench)]) == 0
+    spec = bench / "msd_chain.spec"
+    spec.write_text(spec.read_text() + "h=inf\n")
+    capsys.readouterr()
+    assert cli_main(["info", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
 
 
 def test_compare_reports_shrunk_order(tmp_path, capsys):

@@ -83,6 +83,31 @@ def test_roundtrip(scheme, h):
     assert back.is_continuous
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    N=st.integers(1, 6),
+    io=st.integers(1, 2),
+    scheme=st.sampled_from(ALL_SCHEMES),
+    log_h=st.floats(-3.0, 0.0),
+)
+def test_roundtrip_property(seed, N, io, scheme, log_h):
+    """inverse_discretize undoes discretize up to round-off: a difference
+    matrix is ~scale/h^2, so the recovered M, D and K carry errors of
+    eps*scale, eps*scale/h and eps*scale/h^2."""
+    s = random_spd_sos(seed, N, m=io, p=io)
+    h = 10.0 ** log_h
+    back = inverse_discretize(discretize(s, h, scheme, stability_check=False),
+                              scheme)
+    scale = max(np.max(np.abs(getattr(s, name))) for name in "MDK")
+    tol = 50 * np.finfo(float).eps * scale
+    assert np.max(np.abs(back.M - s.M)) <= tol
+    assert np.max(np.abs(back.D - s.D)) <= tol * (1 + 1 / h)
+    assert np.max(np.abs(back.K - s.K)) <= tol * (1 + 1 / h) ** 2
+    assert np.array_equal(back.F, s.F) and np.array_equal(back.G, s.G)
+    assert back.is_continuous
+
+
 def test_roundtrip_strict_at_default_scale():
     # at h = 0.1 the full quintuplet round-trips to 1e-12 relative
     s = random_sos(5, 6, m=1, p=1)

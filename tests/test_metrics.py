@@ -18,7 +18,7 @@ from morso.projection import build_projection, reduce_model
 from morso.recursion import RecursionConfig, run_recursion
 from morso.systems import SecondOrderSystem
 
-from helpers import random_stable_discrete
+from helpers import count_solves, random_stable_discrete
 
 
 class TestGrid:
@@ -194,3 +194,11 @@ def test_error_response_curve_matches_pointwise():
                             compute_uv=False)[0]
         assert err.sigma_max[i] == pytest.approx(ref, rel=1e-12)
     assert err.hinf_estimate >= np.max(err.sigma_max) - 1e-15
+
+
+def test_rre_solves_full_model_once_per_point(monkeypatch):
+    dsos, red = _reduced_pair(3)
+    solved = count_solves(monkeypatch, dsos.order)
+    rre(dsos, red, FrequencyGrid.unit_circle(64))
+    assert len(solved) >= 64
+    assert len(solved) == len(set(solved))

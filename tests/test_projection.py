@@ -1,3 +1,6 @@
+import warnings
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from morso.projection import (
     verify_structure_conditions,
 )
 from morso.recursion import RecursionConfig, run_recursion
-from morso.systems import linearize
+from morso.systems import SecondOrderSystem, linearize
 
 from helpers import random_stable_discrete, random_sos
 
@@ -181,3 +184,32 @@ def test_projection_equivalence_with_block_first_order():
         t_block = Cr @ np.linalg.solve(z * Er - Ar, Br)
         t_red = red.transfer(z)
         assert np.max(np.abs(t_block - t_red)) <= 1e-8 * np.max(np.abs(t_red))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    N=st.integers(3, 10),
+    n=st.integers(1, 3),
+    io=st.integers(1, 2),
+    algo=st.sampled_from(["srlrg", "srlrh"]),
+)
+def test_projection_properties(seed, N, n, io, algo):
+    """On random stable systems the pair is biorthogonal and the reduced
+    model is a second-order system whose transfer is the projected one,
+    ``G X (Y^T P(z) X)^{-1} Y^T F``."""
+    dsos = random_stable_discrete(seed, N, m=io, p=io)
+    S, R, _ = run_recursion(dsos, RecursionConfig(n=n, seed=seed), algo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShrunkRankWarning)
+        proj = build_projection(S, R)
+    assert proj.biorthogonality_deviation() <= 1e-8
+    red = reduce_model(dsos, proj)
+    assert isinstance(red, SecondOrderSystem)
+    assert red.order == proj.order and red.h == dsos.h
+    X, Y = proj.X, proj.Y
+    for z in np.exp(1j * np.array([0.3, 1.7, np.pi])):
+        Pr = Y.T @ dsos.characteristic(z) @ X
+        projected = (dsos.G @ X) @ np.linalg.solve(Pr, Y.T @ dsos.F)
+        bound = 1e-12 * np.linalg.cond(Pr) * np.max(np.abs(projected))
+        assert np.max(np.abs(red.transfer(z) - projected)) <= bound

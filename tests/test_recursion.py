@@ -17,6 +17,7 @@ from morso.errors import (
 )
 from morso.oracle import stein_gramians, subspace_angles
 from morso.recursion import (
+    _gesdd,
     _max_principal_angle,
     _orth,
     RecursionConfig,
@@ -294,6 +295,31 @@ def test_cached_basis_angle_matches_subspace_angles(case):
     expected = scipy.linalg.subspace_angles(a, b)
     expected = float(np.max(expected)) if expected.size else 0.0
     assert _max_principal_angle(_orth(a), _orth(b)) == expected
+
+
+def _svd_cases():
+    rng = np.random.default_rng(5)
+    yield "tall", rng.standard_normal((30, 4))
+    yield "wide", rng.standard_normal((4, 30))
+    yield "square", rng.standard_normal((6, 6))
+    yield "rank deficient", (rng.standard_normal((30, 2))
+                             @ rng.standard_normal((2, 5)))
+    yield "wide rank deficient", (rng.standard_normal((3, 1))
+                                  @ rng.standard_normal((1, 8)))
+    yield "no columns", np.zeros((30, 0))
+    yield "no rows", np.zeros((0, 4))
+
+
+@pytest.mark.parametrize("case", list(_svd_cases()), ids=lambda c: c[0])
+def test_direct_gesdd_matches_scipy(case):
+    _, a = case
+    basis = _orth(a)
+    expected = scipy.linalg.orth(a)
+    assert basis.shape == expected.shape
+    assert np.array_equal(basis, expected)
+    values = _gesdd(a, compute_uv=False)
+    assert values.shape == (min(a.shape),)
+    assert np.array_equal(values, scipy.linalg.svdvals(a))
 
 
 def test_logged_angles_are_subspace_angles_of_consecutive_iterates():

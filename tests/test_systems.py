@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from morso.errors import (
     ConditioningWarning,
@@ -9,6 +10,8 @@ from morso.errors import (
     ZeroPoint,
 )
 from morso.systems import (
+    _checked_lu,
+    _lu_solve,
     FirstOrderSystem,
     SecondOrderSystem,
     linearize,
@@ -54,6 +57,31 @@ class TestConstruction:
     def test_discrete_step_positive(self):
         with pytest.raises(DimensionMismatch):
             SecondOrderSystem(1, 0, 1, 1, 1, h=-0.1)
+
+    @pytest.mark.parametrize("h", [np.inf, np.nan])
+    def test_discrete_step_finite(self, h):
+        with pytest.raises(DimensionMismatch, match="positive and finite"):
+            SecondOrderSystem(1, 0, 1, 1, 1, h=h)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "real factor, complex rhs"])
+def test_lu_helper_matches_scipy(kind):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((7, 7))
+    b = rng.standard_normal((7, 3))
+    if kind != "real":
+        b = b + 1j * rng.standard_normal((7, 3))
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal((7, 7))
+    (lu, piv), rcond = _checked_lu(a, SingularMass, "broken", "singular {}")
+    ref_lu, ref_piv = scipy.linalg.lu_factor(a)
+    assert np.array_equal(lu, ref_lu)
+    assert np.array_equal(piv, ref_piv)
+    assert 0.0 < rcond <= 1.0
+    for trans in (0, 1):
+        assert np.array_equal(
+            _lu_solve((lu, piv), b, trans),
+            scipy.linalg.lu_solve((ref_lu, ref_piv), b, trans=trans))
 
 
 class TestLinearize:
@@ -123,6 +151,31 @@ class TestTransfer:
         s = SecondOrderSystem(1, 0, 1, 1, 1)  # undamped: poles at +-i
         with pytest.raises(SingularAtPoint):
             s.transfer(1j)
+
+    def test_characteristic_frequency_message(self):
+        s = SecondOrderSystem(np.diag([1.0, 2.0]), np.zeros((2, 2)),
+                              np.diag([4.0, 2.0]), np.ones((2, 1)),
+                              np.ones((1, 2)))  # poles at +-i and +-2i
+        for _ in range(2):  # a failed point is not stored
+            with pytest.raises(SingularAtPoint, match=r"^characteristic "
+                               r"matrix is singular at point 2j$"):
+                s.transfer(2j)
+
+    def test_overflow_is_not_finite_error(self):
+        s = SecondOrderSystem(1e305, 1, 1, 1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularAtPoint, match="not finite at point"):
+                s.transfer(1e4j)
+
+    def test_repeated_point_returns_fresh_copy(self):
+        s = random_stable_discrete(1, 5, m=2, p=2)
+        z = np.exp(0.3j)
+        first = s.transfer(z)
+        expected = first.copy()
+        first[:] = 0.0
+        again = s.transfer(z)
+        assert again is not first
+        assert np.array_equal(again, expected)
 
     def test_module_level_delegation(self):
         s = SecondOrderSystem(1, 1, 1, 1, 1)
