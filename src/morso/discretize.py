@@ -32,7 +32,12 @@ from .errors import (
     UnstableDiscretizationWarning,
 )
 from .mmio import text_output
-from .systems import MARGINAL_TOL, SecondOrderSystem, stability_report
+from .systems import (
+    MARGINAL_TOL,
+    SecondOrderSystem,
+    _checked_step,
+    stability_report,
+)
 
 __all__ = [
     "Scheme",
@@ -73,7 +78,7 @@ def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):
     sos : SecondOrderSystem
         Continuous system.
     h : float
-        Positive step size.
+        Positive finite step size.
     scheme : Scheme, optional
         Velocity difference to use (default: forward).
     stability_check : bool, optional
@@ -97,9 +102,7 @@ def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):
     """
     if sos.is_discrete:
         raise DomainMismatch("discretize expects a continuous system")
-    h = float(h)
-    if not h > 0:
-        raise NonPositiveStep(f"step size must be positive, got {h}")
+    h = _checked_step(h, NonPositiveStep)
 
     M, D, K = sos.M, sos.D, sos.K
     h2 = h * h

@@ -4,13 +4,15 @@ truncation, and principal angles between subspaces.
 These routines are deliberately straightforward dense algorithms.  They
 serve as trusted references for the low-rank machinery in the rest of the
 package and as a baseline reduction method in benchmark comparisons.  The
-Stein equations are solved by one method at every size, the doubling
-(squared Smith) iteration, whose residuals :func:`stein_gramians` reports.
+principal angles are scipy's.  The Stein equations are solved by one
+method at every size, the doubling (squared Smith) iteration, whose
+residuals :func:`stein_gramians` reports.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -196,12 +198,9 @@ def dense_balanced_truncation(fos, order):
 
 
 def subspace_angles(P, Q):
-    """Principal angles between the column spaces of P and Q.
-
-    Both inputs are orthonormalized by thin QR; the angles are the
-    arccosines of the singular values of the overlap matrix, clipped to
-    [-1, 1], returned nondecreasing.  The number of angles is the smaller
-    column count.
+    """Principal angles between the column spaces of P and Q, computed by
+    ``scipy.linalg.subspace_angles`` and returned nondecreasing.  The
+    number of angles is the smaller column count.
 
     Raises
     ------
@@ -218,7 +217,4 @@ def subspace_angles(P, Q):
         sv = np.linalg.svd(mat, compute_uv=False)
         if sv[0] == 0.0 or sv[-1] < max(mat.shape) * np.finfo(float).eps * sv[0]:
             raise RankDeficient(f"{name} does not have full column rank")
-    Qp, _ = np.linalg.qr(P)
-    Qq, _ = np.linalg.qr(Q)
-    s = np.linalg.svd(Qp.T @ Qq, compute_uv=False)
-    return np.arccos(np.clip(s, -1.0, 1.0))
+    return np.sort(scipy.linalg.subspace_angles(P, Q))

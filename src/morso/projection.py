@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    BadParameters,
     BiorthogonalityError,
     DimensionMismatch,
     RankCollapse,
@@ -69,6 +70,9 @@ def build_projection(S, R, rank_tol=1e-12):
 
     Raises
     ------
+    BadParameters
+        If ``rank_tol`` is NaN or above 1, which would discard every
+        direction.
     RankCollapse
         If ``S^T R`` is numerically zero (the subspaces are orthogonal,
         which signals a failed recursion).
@@ -82,6 +86,8 @@ def build_projection(S, R, rank_tol=1e-12):
         raise DimensionMismatch(
             f"S and R must be equal-shaped matrices, got {S.shape} and {R.shape}"
         )
+    if not rank_tol <= 1:
+        raise BadParameters(f"rank_tol must be at most 1, got {rank_tol}")
     n = S.shape[1]
 
     u, sigma, vt = np.linalg.svd(S.T @ R)

@@ -231,21 +231,15 @@ def _require_finite(*arrays):
 def _svd(mat):
     _require_finite(mat)
     try:
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        u, s, vt = _gesdd(mat, compute_uv=True)
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(f"SVD did not converge on a {mat.shape} matrix") from exc
-    return _normalize_signs(u, s, vt)
-
-
-def _normalize_signs(u, s, vt):
     # Fix each right singular vector's sign by its largest-magnitude entry
-    # so that runs are comparable across algebraically equivalent assembly
-    # orders; the matching left vector flips with it.
-    for j in range(vt.shape[0]):
-        k = int(np.argmax(np.abs(vt[j])))
-        if vt[j, k] < 0.0:
-            vt[j] = -vt[j]
-            u[:, j] = -u[:, j]
+    # (the first on ties) so that runs are comparable across algebraically
+    # equivalent assembly orders; the matching left vector flips with it.
+    flip = vt[np.arange(len(s)), np.argmax(np.abs(vt), axis=1)] < 0.0
+    vt[flip] = -vt[flip]
+    u[:, flip] = -u[:, flip]
     return u, s, vt
 
 
@@ -333,24 +327,25 @@ def _gesdd_workspace(m, n, compute_uv):
 
 
 def _gesdd(a, compute_uv):
-    """Thin left singular vectors and singular values ``(u, s)`` of a real
-    matrix, or with ``compute_uv`` false its singular values alone.
+    """Thin singular value decomposition ``(u, s, vt)`` of a real matrix,
+    or with ``compute_uv`` false its singular values alone.
 
     Calls LAPACK ``gesdd`` with the arguments and workspace that
-    ``scipy.linalg.orth`` (through ``svd``) and ``scipy.linalg.svdvals``
-    pass it, so the results are bit-identical to theirs, without their
-    per-call validation.  Raises LinAlgError when gesdd fails.
+    ``scipy.linalg.svd(a, full_matrices=False)`` and
+    ``scipy.linalg.svdvals`` pass it, so the results are bit-identical to
+    theirs, without their per-call validation.  Raises LinAlgError when
+    gesdd fails.
     """
     m, n = a.shape
     if a.size == 0:
         s = np.empty(0)
-        return (np.empty((m, 0)), s) if compute_uv else s
-    u, s, _, info = _GESDD(a, compute_uv=compute_uv,
-                           lwork=_gesdd_workspace(m, n, compute_uv),
-                           full_matrices=not compute_uv)
+        return (np.empty((m, 0)), s, np.empty((0, n))) if compute_uv else s
+    u, s, vt, info = _GESDD(a, compute_uv=compute_uv,
+                            lwork=_gesdd_workspace(m, n, compute_uv),
+                            full_matrices=not compute_uv)
     if info != 0:
         raise np.linalg.LinAlgError(f"gesdd failed ({info})")
-    return (u, s) if compute_uv else s
+    return (u, s, vt) if compute_uv else s
 
 
 def _orth(a):
@@ -358,7 +353,7 @@ def _orth(a):
     returns it (step 1 of ``scipy.linalg.subspace_angles``), or None if its
     SVD fails."""
     try:
-        u, s = _gesdd(a, compute_uv=True)
+        u, s, _ = _gesdd(a, compute_uv=True)
     except np.linalg.LinAlgError:
         return None
     rcond = np.finfo(s.dtype).eps * max(a.shape)

@@ -70,6 +70,14 @@ def _as_matrix(a, name, allow_empty=False):
     return arr
 
 
+def _checked_step(h, error):
+    """``float(h)``, raising ``error`` unless it is a positive finite step."""
+    h = float(h)
+    if not 0 < h < np.inf:
+        raise error(f"discrete step h must be positive and finite, got {h}")
+    return h
+
+
 def _freeze(arr):
     arr.setflags(write=False)
     return arr
@@ -202,10 +210,7 @@ class SecondOrderSystem:
             raise DimensionMismatch(f"G must have {N} columns, got {G.shape}")
 
         if h is not None:
-            h = float(h)
-            if not 0 < h < np.inf:
-                raise DimensionMismatch(
-                    f"discrete step h must be positive and finite, got {h}")
+            h = _checked_step(h, DimensionMismatch)
 
         self.M = _freeze(M)
         self.D = _freeze(D)
@@ -349,6 +354,8 @@ class FirstOrderSystem:
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "B", _freeze(B))
         object.__setattr__(self, "C", _freeze(C))
+        if self.h is not None:
+            object.__setattr__(self, "h", _checked_step(self.h, DimensionMismatch))
 
     @property
     def order(self):

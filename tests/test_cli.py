@@ -157,6 +157,18 @@ def test_info_rejects_infinite_step(tmp_path, capsys):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--h", "inf"], "error: discrete step h must be positive and finite"),
+    (["--h", "0.5", "--rank-tol", "nan"], "error: rank_tol must be at most 1"),
+], ids=["h-inf", "rank-tol-nan"])
+def test_reduce_bad_step_or_rank_tol_exit_1(chain_spec, tmp_path, capsys,
+                                            flags, message):
+    capsys.readouterr()
+    assert cli_main(["reduce", chain_spec, *flags,
+                     "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_compare_reports_shrunk_order(tmp_path, capsys):
     # on this chain the srlrh n=6 cell keeps only 5 directions
     bench = tmp_path / "bench"

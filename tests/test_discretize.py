@@ -154,6 +154,15 @@ def test_domain_guards():
         discretize(s, 0.0)
 
 
+@pytest.mark.parametrize("h", [np.inf, np.nan])
+def test_non_finite_step_rejected_before_any_matrix(h):
+    chain = generate_msd_chain(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveStep, match="positive and finite"):
+            discretize(chain, h)
+
+
 def test_unstable_discretization_warns():
     chain = generate_msd_chain(6, damping=0.3)
     with pytest.warns(UnstableDiscretizationWarning):

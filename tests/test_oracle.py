@@ -183,6 +183,12 @@ class TestSubspaceAngles:
         assert np.all(np.diff(ang) >= 0)
         assert abs(ang.max() - theta) <= 1e-12
 
+    def test_tiny_angle_resolved(self):
+        theta = 1e-10
+        P = np.array([[1.0], [0.0]])
+        Q = np.array([[np.cos(theta)], [np.sin(theta)]])
+        assert abs(subspace_angles(P, Q)[0] - theta) <= 1e-12 * theta
+
     def test_symmetric_and_rotation_invariant(self):
         rng = np.random.default_rng(1)
         P = rng.standard_normal((10, 3))

@@ -4,7 +4,12 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from morso.errors import DimensionMismatch, RankCollapse, ShrunkRankWarning
+from morso.errors import (
+    BadParameters,
+    DimensionMismatch,
+    RankCollapse,
+    ShrunkRankWarning,
+)
 from morso.projection import (
     build_projection,
     reduce_model,
@@ -58,6 +63,18 @@ class TestBuildProjection:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             build_projection(np.zeros((5, 2)), np.zeros((6, 2)))
+
+    @pytest.mark.parametrize("rank_tol", [np.nan, np.inf, 2.0])
+    def test_rank_tol_above_one_rejected(self, rank_tol):
+        S = np.eye(6)[:, :3]
+        with pytest.raises(BadParameters, match="rank_tol"):
+            build_projection(S, S, rank_tol)
+
+    def test_rank_tol_one_keeps_largest_direction(self):
+        S = np.eye(6)[:, :3] * [3.0, 2.0, 1.0]
+        with pytest.warns(ShrunkRankWarning):
+            proj = build_projection(S, S, 1.0)
+        assert proj.order == 1
 
     def test_sigma_positive_nonincreasing(self):
         _, S, R = _pipeline(3)

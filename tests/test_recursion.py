@@ -14,12 +14,15 @@ from morso.errors import (
     MaxStepsExceeded,
     NonFiniteIterate,
     RankCollapseWarning,
+    SvdFailure,
 )
+from morso import recursion
 from morso.oracle import stein_gramians, subspace_angles
 from morso.recursion import (
     _gesdd,
     _max_principal_angle,
     _orth,
+    _svd,
     RecursionConfig,
     SubspaceWindow,
     assemble_controllability,
@@ -320,6 +323,38 @@ def test_direct_gesdd_matches_scipy(case):
     values = _gesdd(a, compute_uv=False)
     assert values.shape == (min(a.shape),)
     assert np.array_equal(values, scipy.linalg.svdvals(a))
+
+
+def _sign_fixed_cases():
+    rng = np.random.default_rng(6)
+    yield "tall", rng.standard_normal((800, 7))
+    yield "square", rng.standard_normal((7, 7))
+    yield "wide", rng.standard_normal((5, 9))
+    a = rng.standard_normal((30, 4))
+    yield "repeated column", np.hstack([a, a[:, 1:2]])
+    yield "equal magnitudes", np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+@pytest.mark.parametrize("case", list(_sign_fixed_cases()), ids=lambda c: c[0])
+def test_svd_is_scipy_gesdd_with_per_vector_sign_fix(case):
+    _, a = case
+    u, s, vt = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesdd",
+                                check_finite=False)
+    for j in range(vt.shape[0]):
+        k = int(np.argmax(np.abs(vt[j])))
+        if vt[j, k] < 0.0:
+            vt[j] = -vt[j]
+            u[:, j] = -u[:, j]
+    got = _svd(a)
+    assert all(np.array_equal(x, y) for x, y in zip(got, (u, s, vt)))
+
+
+def test_svd_failure_is_svd_failure(monkeypatch):
+    def fail(a, compute_uv):
+        raise np.linalg.LinAlgError("gesdd failed (1)")
+    monkeypatch.setattr(recursion, "_gesdd", fail)
+    with pytest.raises(SvdFailure, match="did not converge"):
+        _svd(np.eye(3))
 
 
 def test_logged_angles_are_subspace_angles_of_consecutive_iterates():

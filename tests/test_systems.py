@@ -63,6 +63,11 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch, match="positive and finite"):
             SecondOrderSystem(1, 0, 1, 1, 1, h=h)
 
+    @pytest.mark.parametrize("h", [-1.0, 0.0, np.inf, np.nan])
+    def test_first_order_step_positive_and_finite(self, h):
+        with pytest.raises(DimensionMismatch, match="positive and finite"):
+            FirstOrderSystem([[0.5]], [[1.0]], [[1.0]], h=h)
+
 
 @pytest.mark.parametrize("kind", ["real", "complex", "real factor, complex rhs"])
 def test_lu_helper_matches_scipy(kind):
