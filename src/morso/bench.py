@@ -25,10 +25,13 @@ this package does not make.
 
 from dataclasses import dataclass, field, fields
 import os
+from typing import get_args
 
 import numpy as np
 
+from .discretize import DEFAULT_SCHEME
 from .errors import BadParameters, DimensionMismatch, ParseError
+from .metrics import DEFAULT_GRID_COUNT, DEFAULT_OMEGA_MAX, DEFAULT_OMEGA_MIN
 from .mmio import read_lines, read_matrix, text_output, write_matrix
 from .systems import SecondOrderSystem
 
@@ -153,12 +156,14 @@ def generate_msd_chain(N, stiffness=1.0, damping=0.1, mass=1.0, seed=None):
     """
     if N < 2:
         raise BadParameters(f"chain needs at least 2 masses, got {N}")
-    if stiffness <= 0:
-        raise BadParameters(f"stiffness must be positive, got {stiffness}")
-    if damping < 0:
-        raise BadParameters(f"damping must be nonnegative, got {damping}")
-    if mass <= 0:
-        raise BadParameters(f"mass must be positive, got {mass}")
+    if not 0 < stiffness < np.inf:
+        raise BadParameters(f"stiffness must be positive and finite, got {stiffness}")
+    if not 0 <= damping < np.inf:
+        raise BadParameters(f"damping must be nonnegative and finite, got {damping}")
+    if not 0 < mass < np.inf:
+        raise BadParameters(f"mass must be positive and finite, got {mass}")
+    if seed is not None and seed < 0:
+        raise BadParameters(f"seed must be >= 0, got {seed}")
 
     masses = np.full(N, float(mass))
     if seed is not None:
@@ -208,36 +213,35 @@ class RunConfig:
 
     algorithm: str = "srlrg"
     order: int = 1
-    scheme: str = "forward"
+    scheme: str = DEFAULT_SCHEME.value
     h: float | None = None
     tau: int | None = None
     angle_tol: float | None = None
     max_steps: int | None = None
     seed: int = 0
     rank_tol: float = 1e-7
-    grid_count: int = 400
-    omega_min: float = 1e-2
-    omega_max: float = 1e4
+    grid_count: int = DEFAULT_GRID_COUNT
+    omega_min: float = DEFAULT_OMEGA_MIN
+    omega_max: float = DEFAULT_OMEGA_MAX
     rre_mode: str = "discrete"
-
-    _FLOATS = ("h", "angle_tol", "rank_tol", "omega_min", "omega_max")
-    _INTS = ("order", "tau", "max_steps", "seed", "grid_count")
 
     @classmethod
     def from_mapping(cls, data):
+        """Config from ``key=value`` strings: each key names a field, whose
+        type parses the value (``float | None`` as float); an empty value or
+        ``none`` is None."""
+        types = {fld.name: fld.type for fld in fields(cls)}
         cfg = cls()
         for key, value in data.items():
-            if not hasattr(cfg, key) or key.startswith("_"):
+            if key not in types:
                 raise BadParameters(f"unknown configuration key {key!r}")
+            parse = next(t for t in get_args(types[key]) or (types[key],)
+                         if t is not type(None))
             try:
                 if value == "" or value.lower() == "none":
                     parsed = None
-                elif key in cls._FLOATS:
-                    parsed = float(value)
-                elif key in cls._INTS:
-                    parsed = int(value)
                 else:
-                    parsed = value
+                    parsed = parse(value)
             except ValueError:
                 raise BadParameters(f"bad value for {key!r}: {value!r}")
             setattr(cfg, key, parsed)

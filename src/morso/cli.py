@@ -30,32 +30,17 @@ from .bench import (
     write_benchmark,
 )
 from .discretize import Scheme, default_step, discretize, inverse_discretize
-from .errors import (
-    BadParameters,
-    DimensionMismatch,
-    DomainMismatch,
-    MissingFile,
-    MorsoError,
-    NonPositiveStep,
-    ParseError,
-)
-from .metrics import FrequencyGrid, error_response, frequency_response
+from .errors import BadParameters, MorsoError, ValidationError
+from .metrics import default_grid, error_response, frequency_response
 from .oracle import balancing_factors
 from .projection import build_projection, reduce_model
-from .recursion import RecursionConfig, run_recursion
+from .recursion import ALGORITHMS, RecursionConfig, run_recursion
 from .systems import linearize, stability_report
 
-_VALIDATION_ERRORS = (
-    BadParameters,
-    DimensionMismatch,
-    DomainMismatch,
-    MissingFile,
-    NonPositiveStep,
-    ParseError,
-)
+_METHODS = (*ALGORITHMS, "bt")
 
 
-class _UsageError(Exception):
+class _UsageError(ValidationError):
     pass
 
 
@@ -80,7 +65,7 @@ def _build_parser():
     # out names a RunConfig field.
     run = _Parser(add_help=False)
     run.add_argument("spec", help="benchmark spec file")
-    run.add_argument("--scheme", choices=("forward", "backward", "central"),
+    run.add_argument("--scheme", choices=[s.value for s in Scheme],
                      default=None)
     run.add_argument("--h", type=float, default=None,
                      help="discretization step (continuous models only)")
@@ -97,7 +82,7 @@ def _build_parser():
     p_red = sub.add_parser("reduce", parents=[run],
                            help="run the reduction pipeline")
     p_red.add_argument("--algo", dest="algorithm",
-                       choices=("srlrg", "srlrh"), default=None)
+                       choices=ALGORITHMS, default=None)
     p_red.add_argument("--order", type=int, default=None,
                        help="reduced half-order n")
     p_red.add_argument("--angle-tol", type=float, default=None,
@@ -111,8 +96,8 @@ def _build_parser():
                            help="compare methods on one model")
     p_cmp.add_argument("--orders", required=True,
                        help="comma-separated reduced half-orders")
-    p_cmp.add_argument("--methods", default="srlrg,srlrh,bt",
-                       help="comma-separated subset of srlrg,srlrh,bt")
+    p_cmp.add_argument("--methods", default=",".join(_METHODS),
+                       help=f"comma-separated subset of {','.join(_METHODS)}")
     p_cmp.add_argument("--rre-mode", choices=("discrete", "continuous"),
                        default=None,
                        help="error evaluation domain for a continuous model: "
@@ -236,18 +221,14 @@ def _cmd_compare(args):
         raise BadParameters("--orders must name at least one half-order")
     methods = [t.strip() for t in args.methods.split(",") if t.strip()]
     for method in methods:
-        if method not in ("srlrg", "srlrh", "bt"):
+        if method not in _METHODS:
             raise BadParameters(f"unknown method {method!r}")
     cfg, spec, sos, dsos, scheme = _set_up(args, orders)
-    circle_grid = FrequencyGrid.unit_circle(cfg.grid_count)
+    table_grid = default_grid(sos, cfg.grid_count, cfg.omega_min, cfg.omega_max)
+    circle_grid = default_grid(dsos, cfg.grid_count, cfg.omega_min, cfg.omega_max)
     continuous_cells = cfg.rre_mode == "continuous" and sos.is_continuous
 
     os.makedirs(args.out, exist_ok=True)
-    if sos.is_continuous:
-        table_grid = FrequencyGrid.log_continuous(cfg.omega_min, cfg.omega_max,
-                                                  cfg.grid_count)
-    else:
-        table_grid = circle_grid
     full_resp = frequency_response(sos, table_grid)  # original domain, table
     full_resp.write_summary(os.path.join(args.out, "hinf_full.json"))
     circle_full = frequency_response(dsos, circle_grid)
@@ -279,7 +260,7 @@ def _cmd_compare(args):
                 err.to_csv(os.path.join(args.out, f"sigma_error_{method}_{n}.csv"))
                 rows.append((method, n, full_resp.hinf_estimate, rre_val,
                              stable, retained, None))
-            except _VALIDATION_ERRORS:
+            except ValidationError:
                 raise  # a bad run parameter fails the run (exit 1), not a cell
             except MorsoError as exc:
                 rows.append((method, n, full_resp.hinf_estimate, None, None,
@@ -327,15 +308,10 @@ _COMMANDS = {
 
 def cli_main(argv=None):
     """Run the CLI; returns the process exit code instead of raising."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _VALIDATION_ERRORS as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MorsoError as exc:

@@ -5,6 +5,10 @@ class MorsoError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ValidationError(MorsoError):
+    """Input from outside is malformed or out of range; the CLI exits 1."""
+
+
 class SingularMass(MorsoError):
     """The mass matrix (or a reduced mass matrix) is numerically singular."""
 
@@ -18,16 +22,16 @@ class ZeroPoint(MorsoError):
     """z = 0 is not admissible for the discrete transfer function."""
 
 
-class DomainMismatch(MorsoError):
+class DomainMismatch(ValidationError):
     """A continuous system was supplied where a discrete one was required,
     or vice versa."""
 
 
-class NonPositiveStep(MorsoError):
+class NonPositiveStep(ValidationError):
     """The discretization step must be strictly positive."""
 
 
-class DimensionMismatch(MorsoError):
+class DimensionMismatch(ValidationError):
     """Matrix dimensions are inconsistent with each other or with the
     declared/expected sizes."""
 
@@ -68,11 +72,11 @@ class RankDeficient(MorsoError):
     """A matrix that must have full column rank does not."""
 
 
-class BadParameters(MorsoError):
+class BadParameters(ValidationError):
     """Invalid scalar parameters (sizes, tolerances, physical constants)."""
 
 
-class ParseError(MorsoError):
+class ParseError(ValidationError):
     """A file could not be parsed.  Carries the path and line number."""
 
     def __init__(self, path, lineno, reason):
@@ -82,7 +86,7 @@ class ParseError(MorsoError):
         super().__init__(f"{path}:{lineno}: {reason}")
 
 
-class MissingFile(MorsoError):
+class MissingFile(ValidationError):
     """A required input file does not exist."""
 
 

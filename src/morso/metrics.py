@@ -52,9 +52,10 @@ class FrequencyGrid:
                        count=DEFAULT_GRID_COUNT):
         if count < 2:
             raise BadParameters(f"grid needs at least 2 points, got {count}")
-        if not 0 < omega_min < omega_max:
+        if not 0 < omega_min < omega_max < np.inf:
             raise BadParameters(
-                f"need 0 < omega_min < omega_max, got [{omega_min}, {omega_max}]"
+                f"need 0 < omega_min < omega_max < inf, got "
+                f"[{omega_min}, {omega_max}]"
             )
         omegas = np.geomspace(omega_min, omega_max, count)
         return cls(kind="log", parameters=omegas, points=1j * omegas)
@@ -76,11 +77,14 @@ class FrequencyGrid:
         return np.exp(1j * x) if self.kind == "circle" else 1j * x
 
 
-def default_grid(sys):
-    """Domain-appropriate default grid for a system."""
+def default_grid(sys, count=DEFAULT_GRID_COUNT, omega_min=DEFAULT_OMEGA_MIN,
+                 omega_max=DEFAULT_OMEGA_MAX):
+    """Domain-appropriate grid of ``count`` points for a system: the unit
+    circle for a discrete one, the band ``[omega_min, omega_max]`` of the
+    imaginary axis for a continuous one."""
     if sys.is_discrete:
-        return FrequencyGrid.unit_circle(DEFAULT_GRID_COUNT)
-    return FrequencyGrid.log_continuous()
+        return FrequencyGrid.unit_circle(count)
+    return FrequencyGrid.log_continuous(omega_min, omega_max, count)
 
 
 @dataclass(frozen=True)

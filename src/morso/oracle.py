@@ -21,7 +21,7 @@ from .errors import (
     RankDeficient,
     UnstableSystem,
 )
-from .systems import FirstOrderSystem
+from .systems import FirstOrderSystem, stability_report
 
 __all__ = [
     "GramianPair",
@@ -50,10 +50,6 @@ class GramianPair:
     Wo: np.ndarray
     residual_c: float
     residual_o: float
-
-
-def _spectral_radius(A):
-    return float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
 
 
 def _solve_stein(A, Q):
@@ -91,12 +87,15 @@ def stein_gramians(fos):
     Raises
     ------
     UnstableSystem
-        If the spectral radius is within 1e-10 of (or beyond) one.
+        If :func:`~morso.systems.stability_report` does not call the system
+        stable: its spectral radius is within ``MARGINAL_TOL`` of (or
+        beyond) one.
     """
     if not fos.is_discrete:
         raise DomainMismatch("Stein Gramians are defined for difference systems")
-    rho = _spectral_radius(fos.A)
-    if rho >= 1.0 - 1e-10:
+    report = stability_report(fos)
+    if not report.is_stable:
+        rho = float(np.max(np.abs(report.spectrum)))
         raise UnstableSystem(
             f"spectral radius {rho:.12f} is not strictly inside the unit disk"
         )

@@ -101,6 +101,8 @@ class RecursionConfig:
     def __post_init__(self):
         if self.n < 1:
             raise BadParameters(f"reduced half-order must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise BadParameters(f"seed must be >= 0, got {self.seed}")
         if self.tau is not None:
             if self.angle_tol is not None:
                 raise BadParameters("give either tau or angle_tol, not both")
@@ -214,8 +216,8 @@ def assemble_observability(dsos, window):
     ops = dsos._ops
     mt_curr = dsos.solve_mass_t(window.curr)
     out = np.zeros((2 * N, n + p))
-    out[:N, :n] = -(ops.K.T @ mt_curr)
-    out[N:, :n] = window.prev - ops.D.T @ mt_curr
+    out[:N, :n] = -(ops.Kt @ mt_curr)
+    out[N:, :n] = window.prev - ops.Dt @ mt_curr
     out[N:, n:] = dsos.G.T
     return out
 

@@ -131,24 +131,28 @@ def _solve_at_point(mat, rhs, point):
 
 
 class _Operators(NamedTuple):
-    """What the subspace recursion applies on every step: K and D as dense
-    arrays or CSR matrices (their ``.T`` is a view either way), and a
-    SuperLU factor of M (None on the dense path)."""
+    """What the subspace recursion applies on every step: K, D and their
+    transposes as dense arrays (the transposes are views) or CSR matrices
+    (each built once), and a SuperLU factor of M (None on the dense
+    path)."""
 
     K: object
     D: object
+    Kt: object
+    Dt: object
     mass_splu: object
 
 
 def _operators(M, D, K):
     N = M.shape[0]
     if max(np.count_nonzero(a) for a in (M, D, K)) > SPARSE_DENSITY * N * N:
-        return _Operators(K, D, None)
+        return _Operators(K, D, K.T, D.T, None)
     # Imported here so that dense models never load scipy.sparse.
     from scipy.sparse import csc_array, csr_array
     from scipy.sparse.linalg import splu
 
-    return _Operators(csr_array(K), csr_array(D), splu(csc_array(M)))
+    return _Operators(csr_array(K), csr_array(D), csr_array(K.T),
+                      csr_array(D.T), splu(csc_array(M)))
 
 
 class SecondOrderSystem:

@@ -3,10 +3,15 @@ import os
 import numpy as np
 import pytest
 
-from morso import oracle
+from morso import cli, oracle
 from morso.bench import BenchmarkSpec, load_matrix_market
 from morso.cli import cli_main
-from morso.errors import ShrunkRankWarning
+from morso.errors import (
+    MorsoError,
+    ParseError,
+    ShrunkRankWarning,
+    ValidationError,
+)
 
 from helpers import count_solves
 
@@ -169,6 +174,37 @@ def test_reduce_bad_step_or_rank_tol_exit_1(chain_spec, tmp_path, capsys,
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize("argv, env_seed, config, message", [
+    (["reduce", "--seed", "-1"], None, "", "seed must be >= 0, got -1"),
+    (["reduce"], "-1", "", "seed must be >= 0, got -1"),
+    (["compare", "--orders", "2"], None, "omega_max=inf\n",
+     "need 0 < omega_min < omega_max < inf, got [0.01, inf]"),
+], ids=["seed-flag", "seed-env", "omega-max-inf"])
+def test_run_out_of_range_input_exit_1(chain_spec, tmp_path, monkeypatch,
+                                       capsys, argv, env_seed, config,
+                                       message):
+    if env_seed is not None:
+        monkeypatch.setenv("MORSO_SEED", env_seed)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    capsys.readouterr()
+    assert cli_main([argv[0], chain_spec, *argv[1:], "--h", "0.5", "--config",
+                     str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--stiffness", "inf"], "stiffness must be positive and finite, got inf"),
+    (["--damping", "nan"], "damping must be nonnegative and finite, got nan"),
+    (["--mass", "inf"], "mass must be positive and finite, got inf"),
+], ids=["seed", "stiffness", "damping", "mass"])
+def test_gen_msd_out_of_range_input_exit_1(tmp_path, capsys, flags, message):
+    assert cli_main(["gen-msd", "--n", "8", *flags,
+                     "--out", str(tmp_path / "g")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_compare_reports_shrunk_order(tmp_path, capsys):
     # on this chain the srlrh n=6 cell keeps only 5 directions
     bench = tmp_path / "bench"
@@ -196,6 +232,31 @@ def test_missing_spec_exit_1(tmp_path):
 
 def test_bad_usage_exit_1():
     assert cli_main(["frobnicate"]) == 1
+
+
+def _error_classes(cls=MorsoError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", list(_error_classes()),
+                         ids=lambda c: c.__name__)
+def test_exit_code_follows_error_class(error, monkeypatch, capsys):
+    def fail(args):
+        if issubclass(error, ParseError):
+            raise error("model.spec", 3, "boom")
+        raise error("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "info", fail)
+    code = cli_main(["info", "model.spec"])
+    err = capsys.readouterr().err
+    if issubclass(error, ValidationError):
+        assert code == 1
+        assert err.startswith("error: ")
+    else:
+        assert code == 2
+        assert err.startswith(f"numerical failure ({error.__name__}): ")
 
 
 def test_env_seed_override(chain_spec, tmp_path, monkeypatch):
@@ -248,6 +309,8 @@ def test_compare_tau_with_config_angle_tol_exit_1(chain_spec, tmp_path,
     ("order=", "configuration key 'order' needs a value"),
     ("seed=", "configuration key 'seed' needs a value"),
     ("rre_mode=bogus", "rre_mode must be 'discrete' or 'continuous'"),
+    ("to_manifest=x", "unknown configuration key 'to_manifest'"),
+    ("from_mapping=1", "unknown configuration key 'from_mapping'"),
 ])
 def test_config_leaving_a_setting_empty_exit_1(chain_spec, tmp_path, capsys,
                                                entry, message):

@@ -17,7 +17,7 @@ from morso.oracle import (
     stein_gramians,
     subspace_angles,
 )
-from morso.systems import FirstOrderSystem, linearize
+from morso.systems import FirstOrderSystem, linearize, stability_report
 
 from helpers import known_hsv_fos, random_stable_fos
 
@@ -107,6 +107,21 @@ class TestSteinGramians:
         fos = FirstOrderSystem([[-0.5]], [[1.0]], [[1.0]], h=None)
         with pytest.raises(DomainMismatch):
             stein_gramians(fos)
+
+    def test_rejects_what_stability_report_calls_unstable(self):
+        # spectral radii 1 - k 1e-11 straddle the marginal band's edge
+        verdicts = set()
+        for k in range(21):
+            A = np.diag([0.5, 1.0 - k * 1e-11])
+            fos = FirstOrderSystem(A, [[1.0], [1.0]], [[1.0, 1.0]], h=1.0)
+            stable = stability_report(fos).is_stable
+            verdicts.add(stable)
+            if stable:
+                stein_gramians(fos)
+            else:
+                with pytest.raises(UnstableSystem, match="spectral radius"):
+                    stein_gramians(fos)
+        assert verdicts == {False, True}
 
 
 class TestBalancedTruncation:

@@ -40,6 +40,13 @@ def test_chain_takes_sparse_path(N):
     assert dsos._ops.mass_splu is not None
 
 
+def test_sparse_transposes_are_csr():
+    ops = _chain(80)._ops
+    for op, op_t in ((ops.K, ops.Kt), (ops.D, ops.Dt)):
+        assert op_t.format == "csr"
+        assert np.array_equal(op_t.toarray(), op.T.toarray())
+
+
 def test_small_chain_stays_dense():
     dsos = _chain(32)
     assert dsos._ops.mass_splu is None
