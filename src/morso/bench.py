@@ -188,9 +188,12 @@ def generate_msd_chain(N, stiffness=1.0, damping=0.1, mass=1.0, seed=None):
 def write_benchmark(directory, name, sos, suggested_halforder=None):
     """Write a system's quintuplet plus a spec file into ``directory``.
 
-    Returns the path of the spec file.  The matrices are written as dense
-    array files with full precision, so a reload reproduces the system bit
-    for bit.
+    Returns the path of the spec file.  Each matrix is written by
+    ``write_matrix``: as a coordinate file when at most ``SPARSE_DENSITY``
+    of its entries are nonzero and none is -0.0 (so a chain's ``M``, ``D``,
+    ``K``, ``F`` and ``G`` take O(N) lines), else as a dense array file.
+    Both carry full precision, so a reload reproduces the system bit for
+    bit.
     """
     os.makedirs(directory, exist_ok=True)
     paths = {}

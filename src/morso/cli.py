@@ -15,7 +15,7 @@ The environment variable ``MORSO_SEED`` overrides the default seed when no
 """
 
 import argparse
-from dataclasses import fields
+from dataclasses import fields, replace
 import os
 import sys
 from typing import get_args
@@ -127,7 +127,12 @@ def _parse_int(name, text):
 def _set_up(args, orders=None):
     """Resolve the run config (flags over ``--config`` over MORSO_SEED over
     the defaults), load the model, check the half-orders (default: the
-    config's ``order``) against N and discretize a continuous model."""
+    config's ``order``) against N and the recursion settings, and
+    discretize a continuous model.
+
+    Returns ``(cfg, spec, sos, dsos, scheme, rec_cfg)``, where ``rec_cfg``
+    is the recursion config for the first half-order.
+    """
     data = read_keyvalue_file(args.config) if args.config else {}
     cfg = RunConfig.from_mapping(data)
     for fld in fields(RunConfig):
@@ -146,30 +151,31 @@ def _set_up(args, orders=None):
 
     spec = BenchmarkSpec.read(args.spec)
     sos = load_matrix_market(spec)
-    for n in orders or [cfg.order]:
+    orders = orders or [cfg.order]
+    for n in orders:
         if n < 1 or n >= sos.order:
             raise BadParameters(
                 f"half-order {n} must satisfy 1 <= n < N={sos.order}"
             )
+    rec_cfg = RecursionConfig(n=orders[0], seed=cfg.seed, tau=cfg.tau,
+                              angle_tol=cfg.angle_tol, max_steps=cfg.max_steps)
     scheme = Scheme.from_name(cfg.scheme)
     if sos.is_discrete:
         if cfg.h is not None and cfg.h != sos.h:
             raise BadParameters(
                 f"--h {cfg.h} conflicts with the model's own step {sos.h}"
             )
-        return cfg, spec, sos, sos, scheme
+        return cfg, spec, sos, sos, scheme, rec_cfg
     if cfg.h is None:
         cfg.h = default_step(sos)
-    return cfg, spec, sos, discretize(sos, cfg.h, scheme), scheme
+    return cfg, spec, sos, discretize(sos, cfg.h, scheme), scheme, rec_cfg
 
 
-def _reduce_cell(dsos, method, n, cfg):
-    """Reduce a discrete model to half-order ``n`` with srlrg or srlrh;
+def _reduce_cell(dsos, method, rec_cfg, rank_tol):
+    """Reduce a discrete model with srlrg or srlrh under ``rec_cfg``;
     returns ``(reduced, diagnostics)``."""
-    rec_cfg = RecursionConfig(n=n, seed=cfg.seed, tau=cfg.tau,
-                              angle_tol=cfg.angle_tol, max_steps=cfg.max_steps)
     S, R, diag = run_recursion(dsos, rec_cfg, method)
-    return reduce_model(dsos, build_projection(S, R, cfg.rank_tol)), diag
+    return reduce_model(dsos, build_projection(S, R, rank_tol)), diag
 
 
 def _cmd_info(args):
@@ -190,8 +196,8 @@ def _cmd_info(args):
 
 
 def _cmd_reduce(args):
-    cfg, spec, _, dsos, scheme = _set_up(args)
-    reduced, diag = _reduce_cell(dsos, cfg.algorithm, cfg.order, cfg)
+    cfg, spec, _, dsos, scheme, rec_cfg = _set_up(args)
+    reduced, diag = _reduce_cell(dsos, cfg.algorithm, rec_cfg, cfg.rank_tol)
     if args.continuous_output and reduced.is_discrete:
         reduced = inverse_discretize(reduced, scheme)
 
@@ -223,7 +229,7 @@ def _cmd_compare(args):
     for method in methods:
         if method not in _METHODS:
             raise BadParameters(f"unknown method {method!r}")
-    cfg, spec, sos, dsos, scheme = _set_up(args, orders)
+    cfg, spec, sos, dsos, scheme, rec_cfg = _set_up(args, orders)
     table_grid = default_grid(sos, cfg.grid_count, cfg.omega_min, cfg.omega_max)
     circle_grid = default_grid(dsos, cfg.grid_count, cfg.omega_min, cfg.omega_max)
     continuous_cells = cfg.rre_mode == "continuous" and sos.is_continuous
@@ -246,7 +252,8 @@ def _cmd_compare(args):
                         bt_factors = balancing_factors(linearize(dsos))
                     red, _ = bt_factors.truncate(2 * n)
                 else:
-                    red, _ = _reduce_cell(dsos, method, n, cfg)
+                    red, _ = _reduce_cell(dsos, method, replace(rec_cfg, n=n),
+                                          cfg.rank_tol)
                 if continuous_cells and method != "bt":
                     # imaginary-axis comparison against the back-mapped model
                     err = error_response(sos, red, table_grid, scheme=scheme,

@@ -3,8 +3,14 @@
 Supports the coordinate format (general, symmetric, skew-symmetric) and
 the array format (general, symmetric), real or integer valued.  Complex,
 pattern and hermitian files are rejected: the benchmark pipeline is real
-throughout.  The writer emits dense array files with 17 significant
-digits, which round-trips IEEE doubles exactly.
+throughout.  Array files are parsed by numpy in blocks of whole lines, so
+reading costs one pass over the text, not one Python call per value.
+
+The writer emits a coordinate file for a matrix with at most
+``systems.SPARSE_DENSITY`` of its entries nonzero and no negative zero
+(``symmetric``, lower triangle, when it equals its transpose), and a dense
+array file otherwise.  Values carry 17 significant digits, so a read-back
+reproduces the matrix bit for bit in either format.
 """
 
 from contextlib import contextmanager
@@ -14,10 +20,14 @@ import re
 import numpy as np
 
 from .errors import MissingFile, ParseError
+from .systems import SPARSE_DENSITY
 
 __all__ = ["read_matrix", "write_matrix"]
 
 _BANNER = "%%matrixmarket"
+
+# Characters of an array file's data section read and parsed at a time.
+_BLOCK_CHARS = 1 << 20
 
 
 @contextmanager
@@ -35,30 +45,39 @@ def text_output(path_or_file):
             yield f
 
 
+@contextmanager
+def _text_input(path):
+    """Yield a UTF-8 text file opened for reading.
+
+    Raises MissingFile if the path is not a file.  A byte that is not UTF-8,
+    met while reading, raises ParseError at that byte's line.
+    """
+    if not os.path.isfile(path):
+        raise MissingFile(f"no such file: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError:
+        # Read again with each undecodable byte b as the lone surrogate
+        # 0xDC00 + b.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+            for lineno, line in enumerate(f, start=1):
+                bad = re.search("[\udc80-\udcff]", line)
+                if bad:
+                    byte = ord(bad.group()) - 0xDC00
+                    raise ParseError(path, lineno,
+                                     f"byte {byte:#04x} is not UTF-8") from None
+        raise
+
+
 def read_lines(path):
     """The lines of a UTF-8 text file, as ``readlines`` returns them.
 
     Raises MissingFile if the path does not exist, and ParseError at the
     line of the first byte that is not UTF-8.
     """
-    if not os.path.isfile(path):
-        raise MissingFile(f"no such file: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.readlines()
-    except UnicodeDecodeError:
-        pass
-    # Read again with each undecodable byte b as the lone surrogate 0xDC00 + b.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
-            bad = re.search("[\udc80-\udcff]", line)
-            if bad:
-                byte = ord(bad.group()) - 0xDC00
-                raise ParseError(path, lineno, f"byte {byte:#04x} is not UTF-8")
-
-
-def _tokens(line):
-    return line.strip().split()
+    with _text_input(path) as f:
+        return f.readlines()
 
 
 def read_matrix(path):
@@ -71,60 +90,59 @@ def read_matrix(path):
     ParseError
         On malformed content; the message carries the line number.
     """
-    lines = read_lines(path)
-    if not lines:
-        raise ParseError(path, 1, "empty file")
+    with _text_input(path) as f:
+        first = f.readline()
+        if not first:
+            raise ParseError(path, 1, "empty file")
 
-    header = _tokens(lines[0].lower())
-    if len(header) != 5 or header[0] != _BANNER or header[1] != "matrix":
-        raise ParseError(path, 1, "expected '%%MatrixMarket matrix <fmt> <field> <sym>'")
-    fmt, field, sym = header[2], header[3], header[4]
-    if fmt not in ("coordinate", "array"):
-        raise ParseError(path, 1, f"unsupported format {fmt!r}")
-    if field not in ("real", "integer"):
-        raise ParseError(path, 1, f"real-valued required, got field {field!r}")
-    if sym not in ("general", "symmetric", "skew-symmetric"):
-        raise ParseError(path, 1, f"unsupported symmetry {sym!r}")
-    if fmt == "array" and sym == "skew-symmetric":
-        raise ParseError(path, 1, "skew-symmetric array files are not supported")
+        header = first.lower().split()
+        if len(header) != 5 or header[0] != _BANNER or header[1] != "matrix":
+            raise ParseError(path, 1, "expected '%%MatrixMarket matrix <fmt> <field> <sym>'")
+        fmt, field, sym = header[2], header[3], header[4]
+        if fmt not in ("coordinate", "array"):
+            raise ParseError(path, 1, f"unsupported format {fmt!r}")
+        if field not in ("real", "integer"):
+            raise ParseError(path, 1, f"real-valued required, got field {field!r}")
+        if sym not in ("general", "symmetric", "skew-symmetric"):
+            raise ParseError(path, 1, f"unsupported symmetry {sym!r}")
+        if fmt == "array" and sym == "skew-symmetric":
+            raise ParseError(path, 1, "skew-symmetric array files are not supported")
 
-    # Skip comment lines to the size line.
-    idx = 1
-    while idx < len(lines) and lines[idx].lstrip().startswith("%"):
-        idx += 1
-    while idx < len(lines) and not lines[idx].strip():
-        idx += 1
-    if idx >= len(lines):
-        raise ParseError(path, len(lines), "missing size line")
+        # Skip comment lines, then blank lines, to the size line.
+        lineno, line = 2, f.readline()
+        while line.lstrip().startswith("%"):
+            lineno, line = lineno + 1, f.readline()
+        while line and not line.strip():
+            lineno, line = lineno + 1, f.readline()
+        if not line:
+            raise ParseError(path, lineno - 1, "missing size line")
 
-    size_line = _tokens(lines[idx])
-    lineno = idx + 1
-    names = ("rows", "cols", "nnz") if fmt == "coordinate" else ("rows", "cols")
-    if len(size_line) != len(names):
-        raise ParseError(path, lineno, f"{fmt} size line needs '{' '.join(names)}'")
-    try:
-        sizes = [int(t) for t in size_line]
-    except ValueError:
-        raise ParseError(path, lineno, f"bad size line {lines[idx].strip()!r}")
-    if min(sizes) < 0:
-        raise ParseError(path, lineno, f"negative size in {lines[idx].strip()!r}")
-    if fmt == "coordinate":
-        return _read_coordinate(path, lines, idx + 1, *sizes, sym)
-    return _read_array(path, lines, idx + 1, *sizes, sym)
+        size_line = line.split()
+        names = ("rows", "cols", "nnz") if fmt == "coordinate" else ("rows", "cols")
+        if len(size_line) != len(names):
+            raise ParseError(path, lineno, f"{fmt} size line needs '{' '.join(names)}'")
+        try:
+            sizes = [int(t) for t in size_line]
+        except ValueError:
+            raise ParseError(path, lineno, f"bad size line {line.strip()!r}")
+        if min(sizes) < 0:
+            raise ParseError(path, lineno, f"negative size in {line.strip()!r}")
+        if fmt == "coordinate":
+            return _read_coordinate(path, f, lineno, *sizes, sym)
+        return _read_array(path, f, lineno, *sizes, sym)
 
 
-def _data_lines(lines, start):
-    for offset, raw in enumerate(lines[start:]):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
+def _read_coordinate(path, f, lineno, rows, cols, nnz, sym):
+    """The entries after the size line (line ``lineno``) of ``f``.
+
+    Every entry is checked and counted before the result is allocated; the
+    entries, and then their mirror images, are summed in file order.
+    """
+    ii, jj, vv = [], [], []
+    for lineno, raw in enumerate(f, start=lineno + 1):
+        text = raw.strip()
+        if not text or text.startswith("%"):
             continue
-        yield start + offset + 1, stripped
-
-
-def _read_coordinate(path, lines, start, rows, cols, nnz, sym):
-    a = np.zeros((rows, cols))
-    seen = 0
-    for lineno, text in _data_lines(lines, start):
         parts = text.split()
         if len(parts) != 3:
             raise ParseError(path, lineno, f"expected 'i j value', got {text!r}")
@@ -141,63 +159,127 @@ def _read_coordinate(path, lines, start, rows, cols, nnz, sym):
             raise ParseError(
                 path, lineno, "skew-symmetric file stores strict lower triangle only"
             )
-        a[i - 1, j - 1] += v
-        if sym == "symmetric" and i != j:
-            a[j - 1, i - 1] += v
-        elif sym == "skew-symmetric":
-            a[j - 1, i - 1] -= v
-        seen += 1
-    if seen != nnz:
-        raise ParseError(
-            path, len(lines), f"declared {nnz} entries but found {seen}"
-        )
+        ii.append(i - 1)
+        jj.append(j - 1)
+        vv.append(v)
+    if len(vv) != nnz:
+        raise ParseError(path, lineno, f"declared {nnz} entries but found {len(vv)}")
+
+    ii, jj, vv = (np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp),
+                  np.array(vv, dtype=float))
+    if sym != "general":
+        # Mirrors land in the strict upper triangle, which no stored entry
+        # touches, so each element still sums in file order.
+        off = ii != jj
+        sign = 1.0 if sym == "symmetric" else -1.0
+        ii, jj, vv = (np.concatenate([ii, jj[off]]), np.concatenate([jj, ii[off]]),
+                      np.concatenate([vv, sign * vv[off]]))
+    a = np.zeros((rows, cols))
+    np.add.at(a, (ii, jj), vv)
     return a
 
 
-def _read_array(path, lines, start, rows, cols, sym):
-    values = []
-    for lineno, text in _data_lines(lines, start):
-        for token in text.split():
+def _line_blocks(f):
+    """The rest of ``f`` in blocks of whole lines of about _BLOCK_CHARS
+    characters; only the last block may lack its closing newline."""
+    pending = []
+    while block := f.read(_BLOCK_CHARS):
+        cut = block.rfind("\n") + 1
+        if cut:
+            pending.append(block[:cut])
+            yield "".join(pending)
+            pending = [block[cut:]]
+        else:
+            pending.append(block)
+    tail = "".join(pending)
+    if tail:
+        yield tail
+
+
+def _parse_block(path, text, lineno):
+    """The values of a block of lines whose first line is ``lineno``,
+    skipping comment lines."""
+    data = text
+    if "%" in text:
+        data = "\n".join(line for line in text.split("\n")
+                         if not line.strip().startswith("%"))
+    try:
+        return np.array(data.split(), dtype=float)
+    except ValueError:
+        pass
+    for offset, line in enumerate(text.split("\n")):
+        stripped = line.strip()
+        if stripped.startswith("%"):
+            continue
+        for token in stripped.split():
             try:
-                values.append(float(token))
+                float(token)
             except ValueError:
-                raise ParseError(path, lineno, f"bad value {token!r}")
+                raise ParseError(path, lineno + offset,
+                                 f"bad value {token!r}") from None
+    raise AssertionError("numpy rejected a block that float() accepts")
+
+
+def _read_array(path, f, lineno, rows, cols, sym):
+    """The values after the size line (line ``lineno``) of ``f``."""
+    size_lineno = lineno
+    parts = [np.empty(0)]
+    for text in _line_blocks(f):
+        parts.append(_parse_block(path, text, lineno + 1))
+        lineno += text.count("\n") + (not text.endswith("\n"))
+    values = np.concatenate(parts)
     if sym == "general":
         expected = rows * cols
     else:
         if rows != cols:
-            raise ParseError(path, start, "symmetric array file must be square")
+            raise ParseError(path, size_lineno, "symmetric array file must be square")
         expected = rows * (rows + 1) // 2
     if len(values) != expected:
         raise ParseError(
-            path, len(lines), f"expected {expected} values, found {len(values)}"
+            path, lineno, f"expected {expected} values, found {len(values)}"
         )
     if sym == "general":
-        return np.array(values).reshape((rows, cols), order="F")
+        return values.reshape((rows, cols), order="F")
+    # Column-major lower triangle: row r, column c of the upper one.
+    r, c = np.triu_indices(rows)
     a = np.zeros((rows, cols))
-    it = iter(values)
-    for j in range(cols):
-        for i in range(j, rows):
-            v = next(it)
-            a[i, j] = v
-            a[j, i] = v
+    a[c, r] = values
+    a[r, c] = values
     return a
 
 
 def write_matrix(path_or_file, a, comment=None):
-    """Write a dense real matrix as a general array file.
+    """Write a real matrix as a Matrix Market file.
 
-    Values are written column-major with 17 significant digits, so a
-    read-back reproduces the array bit for bit.
+    A matrix with at most ``SPARSE_DENSITY`` of its entries nonzero and no
+    negative zero is written as a coordinate file: ``symmetric`` with its
+    lower triangle if it equals its transpose, else ``general``.  (The
+    reader sums entries into zeros, so a stored -0.0 would read back as
+    +0.0.)  Any other matrix is written as a general array file.  Values are written column-major with 17
+    significant digits, so a read-back reproduces the array bit for bit.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
+    rows, cols = a.shape
+    coordinate = (np.count_nonzero(a) <= SPARSE_DENSITY * a.size
+                  and not np.signbit(a[a == 0]).any())
+    symmetric = coordinate and rows == cols and np.array_equal(a, a.T)
     with text_output(path_or_file) as f:
-        f.write("%%MatrixMarket matrix array real general\n")
+        if coordinate:
+            f.write("%%MatrixMarket matrix coordinate real "
+                    f"{'symmetric' if symmetric else 'general'}\n")
+        else:
+            f.write("%%MatrixMarket matrix array real general\n")
         if comment:
             for line in str(comment).splitlines():
                 f.write(f"%{line}\n")
-        rows, cols = a.shape
-        f.write(f"{rows} {cols}\n")
-        for j in range(cols):
-            for i in range(rows):
-                f.write(f"{a[i, j]:.16e}\n")
+        if not coordinate:
+            f.write(f"{rows} {cols}\n")
+            for j in range(cols):
+                f.write("".join(map("{:.16e}\n".format, a[:, j].tolist())))
+            return
+        j, i = np.nonzero(a.T)  # column-major order
+        if symmetric:
+            j, i = j[i >= j], i[i >= j]
+        f.write(f"{rows} {cols} {len(i)}\n")
+        f.write("".join(map("{} {} {:.16e}\n".format, (i + 1).tolist(),
+                            (j + 1).tolist(), a[i, j].tolist())))

@@ -305,6 +305,19 @@ def test_compare_tau_with_config_angle_tol_exit_1(chain_spec, tmp_path,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("methods", ["bt", "srlrg,bt"])
+def test_compare_checks_recursion_settings_before_writing(chain_spec, tmp_path,
+                                                          capsys, methods):
+    """A bad recursion setting fails compare before ``--out`` is created,
+    whichever methods run."""
+    out = tmp_path / "cmp"
+    assert cli_main(["compare", chain_spec, "--orders", "2", "--h", "0.5",
+                     "--methods", methods, "--seed", "-1",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entry,message", [
     ("order=", "configuration key 'order' needs a value"),
     ("seed=", "configuration key 'seed' needs a value"),

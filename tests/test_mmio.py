@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from morso import mmio
 from morso.bench import RunConfig, generate_msd_chain
 from morso.discretize import Scheme, write_consistency_curve
 from morso.errors import MissingFile, ParseError
@@ -50,6 +51,144 @@ def test_write_read_roundtrip_bit_exact(tmp_path):
     write_matrix(path, a, comment=" test matrix")
     b = read_matrix(path)
     assert np.array_equal(a, b)
+
+
+def _written(a):
+    buf = io.StringIO()
+    write_matrix(buf, a, comment=" kind")
+    return buf.getvalue().splitlines()
+
+
+# Finite values from the subnormals to +-1.8e308, and the infinities.
+_VALUES = st.floats(allow_nan=False, allow_subnormal=True)
+_NONZERO = _VALUES.filter(bool)
+
+
+@st.composite
+def _matrices(draw):
+    """Dense, sparse, symmetric sparse and sparse-with-negative-zero
+    matrices of up to 12 x 12."""
+    kind = draw(st.sampled_from(["dense", "sparse", "symmetric", "negzero"]))
+    rows = draw(st.integers(1, 12))
+    cols = rows if kind == "symmetric" else draw(st.integers(1, 12))
+    if kind == "dense":
+        values = draw(st.lists(_VALUES, min_size=rows * cols,
+                               max_size=rows * cols))
+        return np.array(values).reshape(rows, cols)
+    a = np.zeros((rows, cols))
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    for i, j in draw(st.lists(cells, max_size=rows * cols // 20)):
+        a[i, j] = draw(_NONZERO)
+        if kind == "symmetric":
+            a[j, i] = a[i, j]
+    if kind == "negzero":
+        a[draw(cells)] = -0.0
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_matrices())
+def test_write_read_roundtrip_hypothesis(tmp_path_factory, a):
+    path = tmp_path_factory.getbasetemp() / "roundtrip.mtx"
+    write_matrix(path, a)
+    b = read_matrix(path)
+    assert b.shape == a.shape
+    assert b.tobytes() == a.tobytes()
+
+
+def test_sparse_chain_stiffness_written_as_symmetric_coordinate():
+    lines = _written(generate_msd_chain(400, damping=1.0).K)
+    assert lines[0] == "%%MatrixMarket matrix coordinate real symmetric"
+    assert lines[2] == "400 400 799"
+    assert len(lines) == 3 + 799
+    assert lines[3:5] == ["1 1 2.0000000000000000e+00",
+                          "2 1 -1.0000000000000000e+00"]
+
+
+def test_written_kind():
+    sparse = np.zeros((6, 6))
+    sparse[4, 1] = 3.0
+    assert _written(sparse)[0] == "%%MatrixMarket matrix coordinate real general"
+    assert _written(sparse)[2:] == ["6 6 1", "5 2 3.0000000000000000e+00"]
+    with_negative_zero = sparse.copy()
+    with_negative_zero[0, 0] = -0.0
+    assert _written(with_negative_zero)[0] == (
+        "%%MatrixMarket matrix array real general")
+    assert _written(np.arange(1.0, 37.0).reshape(6, 6))[0] == (
+        "%%MatrixMarket matrix array real general")
+
+
+def _big_array_file(path, edit):
+    """Write a general array file of more than two read blocks, after
+    ``edit(data, k)`` has changed its data lines, where ``data[k]`` is the
+    first to start past one and a half blocks.  Returns the unedited matrix
+    and the line number of ``data[k]``.  A lone surrogate 0xDC00 + b in a
+    line is written as the raw byte b."""
+    a = np.random.default_rng(3).uniform(1.0, 2.0, (500, 200))
+    data = [f"{v:.16e}" for v in a.ravel(order="F")]
+    head = ["%%MatrixMarket matrix array real general", "% big", "500 200"]
+    starts = np.cumsum([0] + [len(line) + 1 for line in head + data])
+    k = int(np.searchsorted(starts, 1.5 * mmio._BLOCK_CHARS)) - len(head)
+    assert starts[-1] > 2 * mmio._BLOCK_CHARS
+    edit(data, k)
+    path.write_bytes("".join(line + "\n" for line in head + data).encode(
+        "utf-8", "surrogateescape"))
+    return a, k + len(head) + 1
+
+
+def test_array_reader_bad_value_in_second_block(tmp_path):
+    def bad(data, k):
+        data[k] = "1.0x"
+    _, lineno = _big_array_file(tmp_path / "b.mtx", bad)
+    with pytest.raises(ParseError, match="bad value '1.0x'") as exc:
+        read_matrix(tmp_path / "b.mtx")
+    assert exc.value.lineno == lineno
+
+
+def test_array_reader_comments_blanks_and_rows_across_blocks(tmp_path):
+    def reshape(data, k):
+        data[k:k + 3] = [" ".join(data[k:k + 3])]
+        data[k + 1:k + 1] = ["  % note 50%", ""]
+        data[k - 9000:k - 8998] = [data[k - 9000] + "\t" + data[k - 8999]]
+    a, _ = _big_array_file(tmp_path / "c.mtx", reshape)
+    assert read_matrix(tmp_path / "c.mtx").tobytes() == a.tobytes()
+
+
+def test_array_reader_non_utf8_past_first_block(tmp_path):
+    def latin1(data, k):
+        data[k] = "% caf\udce9"
+    path = tmp_path / "u.mtx"
+    _, lineno = _big_array_file(path, latin1)
+    with pytest.raises(ParseError, match="0xe9") as exc:
+        read_matrix(path)
+    assert exc.value.lineno == lineno
+
+
+def test_coordinate_count_checked_before_allocating(tmp_path):
+    path = tmp_path / "t.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "1000000 1000000 2\n"
+        "1 1 1.0\n"
+    )
+    with pytest.raises(ParseError, match="declared 2 entries but found 1") as exc:
+        read_matrix(path)
+    assert exc.value.lineno == 3
+
+
+def test_coordinate_duplicates_sum_in_file_order(tmp_path):
+    path = tmp_path / "d.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "2 2 4\n"
+        "2 1 1e16\n"
+        "2 1 1.0\n"
+        "2 1 -1e16\n"
+        "2 2 -0.0\n"
+    )
+    a = read_matrix(path)
+    assert a[1, 0] == a[0, 1] == (1e16 + 1.0) - 1e16
+    assert np.signbit(a[1, 1]) == np.signbit(0.0 + -0.0)
 
 
 def test_coordinate_general(tmp_path):
@@ -237,19 +376,24 @@ def test_read_matrix_fuzz_bytes(tmp_path_factory, data):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_read_matrix_fuzz_mutations(tmp_path_factory, data):
-    """A ``write_matrix`` file with up to three edits (a line deleted, a
-    token replaced, the header or the size line rewritten) either parses or
-    raises ParseError.
+    """A ``write_matrix`` file, array or coordinate, with up to three edits
+    (a line deleted, a token replaced, the header or the size line
+    rewritten) either parses or raises ParseError.
 
     Sizes stay in [-3, 50]: a declared size too large to allocate, such as
     the legal sparse header ``1000000 1000000 0``, fails to store the dense
     result, which is a storage limit rather than a parse error.
     """
-    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-    buf = io.StringIO()
-    write_matrix(buf, np.arange(rows * cols, dtype=float).reshape(rows, cols),
-                 comment="fuzz")
-    lines = buf.getvalue().splitlines()
+    kind = data.draw(st.sampled_from(["dense", "sparse", "sparse symmetric"]))
+    if kind == "dense":
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        a = np.arange(rows * cols, dtype=float).reshape(rows, cols)
+    else:  # one nonzero per row, at most 5 % full
+        n = data.draw(st.integers(20, 24))
+        shift = 0 if kind == "sparse symmetric" else 1
+        a = np.zeros((n, n))
+        a[np.arange(n), (np.arange(n) + shift) % n] = np.arange(1.0, n + 1)
+    lines = _written(a)
     for _ in range(data.draw(st.integers(1, 3))):
         edit = data.draw(st.sampled_from(["delete", "replace", "header", "size"]))
         if edit == "header":
