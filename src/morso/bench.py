@@ -152,6 +152,8 @@ def generate_msd_chain(N, stiffness=1.0, damping=0.1, mass=1.0, seed=None):
     mass's position.  A seed perturbs the masses by up to +-10% so the
     spectrum is simple; ``seed=None`` keeps the uniform chain.
 
+    M, D and K are built sparse, and the system stores them as its
+    storage rule decides: sparse from N = 60 on, dense below.
     Returns a continuous system; it is stable whenever ``damping > 0``.
     """
     if N < 2:
@@ -169,13 +171,11 @@ def generate_msd_chain(N, stiffness=1.0, damping=0.1, mass=1.0, seed=None):
     if seed is not None:
         rng = np.random.default_rng(seed)
         masses *= 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=N)
-    M = np.diag(masses)
+    from scipy.sparse import diags_array
 
-    K = np.zeros((N, N))
-    idx = np.arange(N)
-    K[idx, idx] = 2.0 * stiffness
-    K[idx[:-1], idx[:-1] + 1] = -stiffness
-    K[idx[:-1] + 1, idx[:-1]] = -stiffness
+    M = diags_array(masses)
+    off = np.full(N - 1, -stiffness)
+    K = diags_array([off, np.full(N, 2.0 * stiffness), off], offsets=[-1, 0, 1])
     D = (damping / stiffness) * K
 
     F = np.zeros((N, 1))

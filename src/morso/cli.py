@@ -33,7 +33,7 @@ from .discretize import Scheme, default_step, discretize, inverse_discretize
 from .errors import BadParameters, MorsoError, ValidationError
 from .metrics import default_grid, error_response, frequency_response
 from .oracle import balancing_factors
-from .projection import build_projection, reduce_model
+from .projection import build_projection, check_rank_tol, reduce_model
 from .recursion import ALGORITHMS, RecursionConfig, run_recursion
 from .systems import linearize, stability_report
 
@@ -127,8 +127,8 @@ def _parse_int(name, text):
 def _set_up(args, orders=None):
     """Resolve the run config (flags over ``--config`` over MORSO_SEED over
     the defaults), load the model, check the half-orders (default: the
-    config's ``order``) against N and the recursion settings, and
-    discretize a continuous model.
+    config's ``order``) against N, the recursion settings and ``rank_tol``,
+    and discretize a continuous model.
 
     Returns ``(cfg, spec, sos, dsos, scheme, rec_cfg)``, where ``rec_cfg``
     is the recursion config for the first half-order.
@@ -159,6 +159,7 @@ def _set_up(args, orders=None):
             )
     rec_cfg = RecursionConfig(n=orders[0], seed=cfg.seed, tau=cfg.tau,
                               angle_tol=cfg.angle_tol, max_steps=cfg.max_steps)
+    check_rank_tol(cfg.rank_tol)
     scheme = Scheme.from_name(cfg.scheme)
     if sos.is_discrete:
         if cfg.h is not None and cfg.h != sos.h:
@@ -233,6 +234,9 @@ def _cmd_compare(args):
     table_grid = default_grid(sos, cfg.grid_count, cfg.omega_min, cfg.omega_max)
     circle_grid = default_grid(dsos, cfg.grid_count, cfg.omega_min, cfg.omega_max)
     continuous_cells = cfg.rre_mode == "continuous" and sos.is_continuous
+    # Linearized for bt before anything is written: it refuses a sparse
+    # model above DENSE_ORDER_LIMIT.
+    bt_model = linearize(dsos) if "bt" in methods else None
 
     os.makedirs(args.out, exist_ok=True)
     full_resp = frequency_response(sos, table_grid)  # original domain, table
@@ -249,7 +253,7 @@ def _cmd_compare(args):
             try:
                 if method == "bt":  # linearized, order 2n
                     if bt_factors is None:
-                        bt_factors = balancing_factors(linearize(dsos))
+                        bt_factors = balancing_factors(bt_model)
                     red, _ = bt_factors.truncate(2 * n)
                 else:
                     red, _ = _reduce_cell(dsos, method, replace(rec_cfg, n=n),

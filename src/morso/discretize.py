@@ -21,6 +21,7 @@ stable system with too large a step yields an unstable difference system
 """
 
 import enum
+import math
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import (
     BadParameters,
     DomainMismatch,
+    MorsoWarning,
     NonPositiveStep,
     UnstableDiscretizationWarning,
 )
@@ -36,6 +38,8 @@ from .systems import (
     MARGINAL_TOL,
     SecondOrderSystem,
     _checked_step,
+    _dense,
+    _issparse,
     stability_report,
 )
 
@@ -69,6 +73,33 @@ class Scheme(enum.Enum):
 
 DEFAULT_SCHEME = Scheme.FORWARD_VELOCITY
 
+# Entries of K that default_step densifies at a time from sparse storage
+# (8 MB of float64).
+_STEP_BLOCK_ENTRIES = 1 << 20
+
+
+def _entrywise(linear_map, mats):
+    """``linear_map(M, D, K)`` applied entry by entry: to dense matrices as
+    they are, or to sparse ones through their values on the union of their
+    patterns (zero where a matrix has no entry), so that every entry takes
+    the same arithmetic as in the dense matrices."""
+    if not _issparse(mats[0]):
+        return linear_map(*mats)
+    from scipy.sparse import csr_array
+
+    shape = mats[0].shape
+    coo = [m.tocoo() for m in mats]
+    keys = [c.row.astype(np.int64) * shape[1] + c.col for c in coo]
+    union = np.unique(np.concatenate(keys))
+    values = []
+    for c, k in zip(coo, keys):
+        v = np.zeros(union.size)
+        v[np.searchsorted(union, k)] = c.data
+        values.append(v)
+    rows, cols = np.divmod(union, shape[1])
+    return tuple(csr_array((v, (rows, cols)), shape=shape)
+                 for v in linear_map(*values))
+
 
 def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):
     """Convert a continuous system to difference form with step ``h``.
@@ -85,46 +116,50 @@ def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):
         When True (default), emit UnstableDiscretizationWarning if the
         continuous system is stable but the difference system is not.
         The check first tries an energy certificate: when ``Mb``, ``Db``
-        and ``Kb`` are symmetric, Cholesky factorizations of
-        ``Mb - Kb``, ``Mb + Db + Kb`` and ``Mb - Db + Kb`` (the Jury
-        conditions), taken on the pencil scaled so that they prove a
-        stability margin above ``MARGINAL_TOL``, show that no warning is
-        due without computing a spectrum.  Only when that certificate
-        fails does it fall back to :func:`stability_report` on both
-        systems (the continuous one is certified by Cholesky
-        factorizations of its shifted ``M``, ``D`` and ``K`` where it can
-        be), so the warning fires in the same cases either way.
+        and ``Kb`` are symmetric, positive definiteness of ``Mb - Kb``,
+        ``Mb + Db + Kb`` and ``Mb - Db + Kb`` (the Jury conditions), taken
+        on the pencil scaled so that they prove a stability margin above
+        ``MARGINAL_TOL``, shows that no warning is due without computing a
+        spectrum.  Only when that certificate fails does it fall back to
+        :func:`stability_report` on both systems (the continuous one is
+        certified the same way where it can be), so the warning fires in
+        the same cases either way.  A sparse system above
+        ``DENSE_ORDER_LIMIT`` skips that fallback with a ``MorsoWarning``.
 
     Returns
     -------
     SecondOrderSystem
-        Difference system tagged with the step ``h``.
+        Difference system tagged with the step ``h``, stored as ``sos`` is
+        when the difference matrices keep its sparsity.  Each entry of
+        ``Mb``, ``Db`` and ``Kb`` is the same arithmetic on the same
+        entries of ``M``, ``D`` and ``K`` for either storage.
     """
     if sos.is_discrete:
         raise DomainMismatch("discretize expects a continuous system")
     h = _checked_step(h, NonPositiveStep)
-
-    M, D, K = sos.M, sos.D, sos.K
     h2 = h * h
-    if scheme is Scheme.FORWARD_VELOCITY:
-        Mb = (M + h * D) / h2
-        Db = (h2 * K - 2.0 * M - h * D) / h2
-        Kb = M / h2
-    elif scheme is Scheme.BACKWARD_VELOCITY:
-        Mb = M / h2
-        Db = (h2 * K - 2.0 * M + h * D) / h2
-        Kb = (M - h * D) / h2
-    elif scheme is Scheme.CENTRAL_VELOCITY:
-        Mb = (2.0 * M + h * D) / (2.0 * h2)
-        Db = (h2 * K - 2.0 * M) / h2
-        Kb = (2.0 * M - h * D) / (2.0 * h2)
-    else:
+
+    def scheme_map(M, D, K):
+        if scheme is Scheme.FORWARD_VELOCITY:
+            return (M + h * D) / h2, (h2 * K - 2.0 * M - h * D) / h2, M / h2
+        if scheme is Scheme.BACKWARD_VELOCITY:
+            return M / h2, (h2 * K - 2.0 * M + h * D) / h2, (M - h * D) / h2
+        if scheme is Scheme.CENTRAL_VELOCITY:
+            return ((2.0 * M + h * D) / (2.0 * h2), (h2 * K - 2.0 * M) / h2,
+                    (2.0 * M - h * D) / (2.0 * h2))
         raise ValueError(f"unknown scheme {scheme!r}")
 
+    Mb, Db, Kb = _entrywise(scheme_map, (sos.M, sos.D, sos.K))
     dsos = SecondOrderSystem(Mb, Db, Kb, sos.F, sos.G, h=h)
     if stability_check and not _certified_stable(dsos):
-        sos_stable = _certified_stable(sos) or stability_report(sos).is_stable
-        if sos_stable and not stability_report(dsos).is_stable:
+        try:
+            sos_stable = _certified_stable(sos) or stability_report(sos).is_stable
+            unstable = sos_stable and not stability_report(dsos).is_stable
+        except BadParameters as exc:  # above DENSE_ORDER_LIMIT
+            warnings.warn(f"stability of the discretization with h={h} not "
+                          f"checked: {exc}", MorsoWarning, stacklevel=2)
+            unstable = False
+        if unstable:
             warnings.warn(
                 f"discretization with h={h} ({scheme.value} scheme) made a "
                 "stable system unstable; reduce the step size",
@@ -148,7 +183,7 @@ def _certified_stable(sos):
     scaled (``z -> (1 - t) z``) by ``t = MARGINAL_TOL``.
     """
     P2, P1, P0 = sos.M, sos.D, sos.K
-    if not all(np.array_equal(P, P.T) for P in (P2, P1, P0)):
+    if not all(_symmetric(P) for P in (P2, P1, P0)):
         return False
     t = MARGINAL_TOL
     if sos.is_continuous:
@@ -157,12 +192,35 @@ def _certified_stable(sos):
         r = 1.0 - t
         tests = (r * r * P2 - P0, r * r * P2 + r * P1 + P0,
                  r * r * P2 - r * P1 + P0)
-    for P in tests:
+    return all(_positive_definite(P) for P in tests)
+
+
+def _symmetric(P):
+    if _issparse(P):
+        return (P != P.T).nnz == 0
+    return np.array_equal(P, P.T)
+
+
+def _positive_definite(P):
+    """Whether a symmetric `P` is positive definite: a dense one by a
+    Cholesky factorization, a sparse one by a SuperLU factorization without
+    pivoting, which for a symmetric matrix is ``L D L^T`` with positive
+    pivots exactly when it is."""
+    if not _issparse(P):
         try:
             np.linalg.cholesky(P)
         except np.linalg.LinAlgError:
             return False
-    return True
+        return True
+    from scipy.sparse.linalg import splu
+
+    try:
+        lu = splu(P.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0)
+    except RuntimeError:  # a zero pivot
+        return False
+    # Equal row and column orders make the factorization symmetric.
+    return (np.array_equal(lu.perm_r, lu.perm_c)
+            and bool(np.all(lu.U.diagonal() > 0)))
 
 
 def inverse_discretize(dsos, scheme=DEFAULT_SCHEME):
@@ -174,18 +232,20 @@ def inverse_discretize(dsos, scheme=DEFAULT_SCHEME):
     if dsos.is_continuous:
         raise DomainMismatch("inverse_discretize expects a discrete system")
     h = dsos.h
-    Mb, Db, Kb = dsos.M, dsos.D, dsos.K
     h2 = h * h
-    K = Mb + Db + Kb
-    D = h * (Mb - Kb)
-    if scheme is Scheme.FORWARD_VELOCITY:
-        M = h2 * Kb
-    elif scheme is Scheme.BACKWARD_VELOCITY:
-        M = h2 * Mb
-    elif scheme is Scheme.CENTRAL_VELOCITY:
-        M = h2 * (Mb + Kb) / 2.0
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+
+    def inverse_map(Mb, Db, Kb):
+        if scheme is Scheme.FORWARD_VELOCITY:
+            M = h2 * Kb
+        elif scheme is Scheme.BACKWARD_VELOCITY:
+            M = h2 * Mb
+        elif scheme is Scheme.CENTRAL_VELOCITY:
+            M = h2 * (Mb + Kb) / 2.0
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        return M, h * (Mb - Kb), Mb + Db + Kb
+
+    M, D, K = _entrywise(inverse_map, (dsos.M, dsos.D, dsos.K))
     return SecondOrderSystem(M, D, K, dsos.F, dsos.G, h=None)
 
 
@@ -194,9 +254,19 @@ def default_step(sos):
 
     The spectral-radius proxy keeps the fastest structural frequency well
     inside the schemes' conditional stability region for typical damped
-    systems; it is a default, not a guarantee.
+    systems; it is a default, not a guarantee.  Sparse storage is solved
+    in blocks of columns of K, each densified to at most
+    ``_STEP_BLOCK_ENTRIES`` entries.
     """
-    rho = max(1.0, np.linalg.norm(sos.solve_mass(sos.K), "fro") ** 0.5)
+    N = sos.order
+    K = sos.K
+    width = N
+    if sos.is_sparse:
+        K = K.tocsc()
+        width = max(1, _STEP_BLOCK_ENTRIES // N)
+    norms = [np.linalg.norm(sos.solve_mass(_dense(K[:, j:j + width])), "fro")
+             for j in range(0, N, width)]
+    rho = max(1.0, math.hypot(*norms) ** 0.5)
     return 0.1 / rho
 
 

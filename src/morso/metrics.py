@@ -31,7 +31,19 @@ DEFAULT_GRID_COUNT = 400
 DEFAULT_OMEGA_MIN = 1e-2
 DEFAULT_OMEGA_MAX = 1e4
 
+# Most points a frequency grid may have.  Each point costs a solve of the
+# full model; 10^6 of them take 16 MB as complex numbers.
+MAX_GRID_COUNT = 10**6
+
 _REFINE_SAMPLES = 10
+
+
+def _check_count(count):
+    """Raise BadParameters unless a grid of ``count`` points has at least 2
+    and at most MAX_GRID_COUNT, before anything is allocated."""
+    if not 2 <= count <= MAX_GRID_COUNT:
+        raise BadParameters(
+            f"grid needs 2 to {MAX_GRID_COUNT} points, got {count}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +62,7 @@ class FrequencyGrid:
     @classmethod
     def log_continuous(cls, omega_min=DEFAULT_OMEGA_MIN, omega_max=DEFAULT_OMEGA_MAX,
                        count=DEFAULT_GRID_COUNT):
-        if count < 2:
-            raise BadParameters(f"grid needs at least 2 points, got {count}")
+        _check_count(count)
         if not 0 < omega_min < omega_max < np.inf:
             raise BadParameters(
                 f"need 0 < omega_min < omega_max < inf, got "
@@ -62,8 +73,7 @@ class FrequencyGrid:
 
     @classmethod
     def unit_circle(cls, count=DEFAULT_GRID_COUNT):
-        if count < 2:
-            raise BadParameters(f"grid needs at least 2 points, got {count}")
+        _check_count(count)
         # Real systems are conjugate-symmetric, so (0, pi] covers the circle.
         thetas = np.pi * np.arange(1, count + 1) / count
         return cls(kind="circle", parameters=thetas, points=np.exp(1j * thetas))

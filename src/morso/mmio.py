@@ -3,14 +3,17 @@
 Supports the coordinate format (general, symmetric, skew-symmetric) and
 the array format (general, symmetric), real or integer valued.  Complex,
 pattern and hermitian files are rejected: the benchmark pipeline is real
-throughout.  Array files are parsed by numpy in blocks of whole lines, so
-reading costs one pass over the text, not one Python call per value.
+throughout.  A coordinate file is read into a ``scipy.sparse.csr_array``,
+in memory proportional to its entries whatever its declared size; an
+array file into a dense ndarray, parsed by numpy in blocks of whole lines,
+so reading costs one pass over the text, not one Python call per value.
 
-The writer emits a coordinate file for a matrix with at most
-``systems.SPARSE_DENSITY`` of its entries nonzero and no negative zero
-(``symmetric``, lower triangle, when it equals its transpose), and a dense
-array file otherwise.  Values carry 17 significant digits, so a read-back
-reproduces the matrix bit for bit in either format.
+The writer takes a dense or a scipy.sparse matrix.  It emits a coordinate
+file for a matrix with at most ``systems.SPARSE_DENSITY`` of its entries
+nonzero and no negative zero (``symmetric``, lower triangle, when it equals
+its transpose), and a dense array file otherwise.  Values carry 17
+significant digits, so a read-back reproduces the matrix bit for bit in
+either format.
 """
 
 from contextlib import contextmanager
@@ -20,7 +23,7 @@ import re
 import numpy as np
 
 from .errors import MissingFile, ParseError
-from .systems import SPARSE_DENSITY
+from .systems import SPARSE_DENSITY, _issparse
 
 __all__ = ["read_matrix", "write_matrix"]
 
@@ -81,7 +84,13 @@ def read_lines(path):
 
 
 def read_matrix(path):
-    """Read one Matrix Market file into a dense float array.
+    """Read one Matrix Market file.
+
+    A coordinate file gives a canonical ``scipy.sparse.csr_array`` (sorted
+    indices, no stored zeros): entries at the same position sum in file
+    order, as they would into a dense array of zeros, and the mirror
+    entries of a symmetric or skew-symmetric file are added after them.
+    An array file gives a dense float ndarray.
 
     Raises
     ------
@@ -133,11 +142,14 @@ def read_matrix(path):
 
 
 def _read_coordinate(path, f, lineno, rows, cols, nnz, sym):
-    """The entries after the size line (line ``lineno``) of ``f``.
+    """The entries after the size line (line ``lineno``) of ``f``, as a
+    CSR array.
 
     Every entry is checked and counted before the result is allocated; the
     entries, and then their mirror images, are summed in file order.
     """
+    from scipy.sparse import csr_array
+
     ii, jj, vv = [], [], []
     for lineno, raw in enumerate(f, start=lineno + 1):
         text = raw.strip()
@@ -174,9 +186,17 @@ def _read_coordinate(path, f, lineno, rows, cols, nnz, sym):
         sign = 1.0 if sym == "symmetric" else -1.0
         ii, jj, vv = (np.concatenate([ii, jj[off]]), np.concatenate([jj, ii[off]]),
                       np.concatenate([vv, sign * vv[off]]))
-    a = np.zeros((rows, cols))
-    np.add.at(a, (ii, jj), vv)
-    return a
+    # A stable sort by position keeps file order among duplicates; each
+    # position's entries then sum from zero in that order.
+    order = np.lexsort((jj, ii))
+    ii, jj, vv = ii[order], jj[order], vv[order]
+    first = np.ones(len(vv), dtype=bool)
+    first[1:] = (ii[1:] != ii[:-1]) | (jj[1:] != jj[:-1])
+    sums = np.zeros(np.count_nonzero(first))
+    np.add.at(sums, np.cumsum(first) - 1, vv)
+    keep = sums != 0
+    return csr_array((sums[keep], (ii[first][keep], jj[first][keep])),
+                     shape=(rows, cols))
 
 
 def _line_blocks(f):
@@ -249,20 +269,35 @@ def _read_array(path, f, lineno, rows, cols, sym):
 
 
 def write_matrix(path_or_file, a, comment=None):
-    """Write a real matrix as a Matrix Market file.
+    """Write a real matrix, dense or scipy.sparse, as a Matrix Market file.
 
     A matrix with at most ``SPARSE_DENSITY`` of its entries nonzero and no
     negative zero is written as a coordinate file: ``symmetric`` with its
     lower triangle if it equals its transpose, else ``general``.  (The
     reader sums entries into zeros, so a stored -0.0 would read back as
-    +0.0.)  Any other matrix is written as a general array file.  Values are written column-major with 17
-    significant digits, so a read-back reproduces the array bit for bit.
+    +0.0.)  Any other matrix is written as a general array file.  Values
+    are written column-major with 17 significant digits, so a read-back
+    reproduces the matrix bit for bit.  A sparse matrix is written in the
+    same bytes as its dense twin, and is densified only for an array file.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    sparse = _issparse(a)
+    if sparse:
+        a = a.tocsc(copy=True).astype(float, copy=False)
+        a.sum_duplicates()
+        values = a.data
+    else:
+        a = values = np.atleast_2d(np.asarray(a, dtype=float))
     rows, cols = a.shape
-    coordinate = (np.count_nonzero(a) <= SPARSE_DENSITY * a.size
-                  and not np.signbit(a[a == 0]).any())
-    symmetric = coordinate and rows == cols and np.array_equal(a, a.T)
+    coordinate = (np.count_nonzero(values) <= SPARSE_DENSITY * rows * cols
+                  and not np.signbit(values[values == 0]).any())
+    if coordinate:
+        from scipy.sparse import csc_array
+
+        a = csc_array(a)
+        a.eliminate_zeros()
+        symmetric = rows == cols and (a != a.T).nnz == 0
+    elif sparse:
+        a = a.toarray()
     with text_output(path_or_file) as f:
         if coordinate:
             f.write("%%MatrixMarket matrix coordinate real "
@@ -277,9 +312,11 @@ def write_matrix(path_or_file, a, comment=None):
             for j in range(cols):
                 f.write("".join(map("{:.16e}\n".format, a[:, j].tolist())))
             return
-        j, i = np.nonzero(a.T)  # column-major order
+        # Column-major order: the columns of the CSC form, rows ascending.
+        i, v = a.indices, a.data
+        j = np.repeat(np.arange(cols), np.diff(a.indptr))
         if symmetric:
-            j, i = j[i >= j], i[i >= j]
+            i, j, v = i[i >= j], j[i >= j], v[i >= j]
         f.write(f"{rows} {cols} {len(i)}\n")
         f.write("".join(map("{} {} {:.16e}\n".format, (i + 1).tolist(),
-                            (j + 1).tolist(), a[i, j].tolist())))
+                            (j + 1).tolist(), v.tolist())))

@@ -27,11 +27,12 @@ from .errors import (
     RankCollapse,
     ShrunkRankWarning,
 )
-from .systems import SecondOrderSystem, linearize
+from .systems import SecondOrderSystem, _densified, linearize
 
 __all__ = [
     "ProjectionPair",
     "StructureReport",
+    "check_rank_tol",
     "build_projection",
     "reduce_model",
     "verify_structure_conditions",
@@ -60,6 +61,13 @@ class ProjectionPair:
         return float(np.max(np.abs(self.Y.T @ self.X - np.eye(k))))
 
 
+def check_rank_tol(rank_tol):
+    """Raise BadParameters if ``rank_tol`` is NaN or above 1, which would
+    discard every direction of :func:`build_projection`."""
+    if not rank_tol <= 1:
+        raise BadParameters(f"rank_tol must be at most 1, got {rank_tol}")
+
+
 def build_projection(S, R, rank_tol=1e-12):
     """Construct the biorthogonal pair from two N-by-n subspace matrices.
 
@@ -86,8 +94,7 @@ def build_projection(S, R, rank_tol=1e-12):
         raise DimensionMismatch(
             f"S and R must be equal-shaped matrices, got {S.shape} and {R.shape}"
         )
-    if not rank_tol <= 1:
-        raise BadParameters(f"rank_tol must be at most 1, got {rank_tol}")
+    check_rank_tol(rank_tol)
     n = S.shape[1]
 
     u, sigma, vt = np.linalg.svd(S.T @ R)
@@ -125,8 +132,9 @@ def reduce_model(sos, proj):
     """Project a quintuplet onto a biorthogonal pair.
 
     Works for continuous and difference systems alike; the domain tag (and
-    step size) carries over.  A singular reduced mass matrix is reported by
-    the constructor rather than silently accepted.
+    step size) carries over.  Sparse ``M``, ``D`` and ``K`` are applied as
+    they are stored, without densifying.  A singular reduced mass matrix is
+    reported by the constructor rather than silently accepted.
     """
     X, Y = proj.X, proj.Y
     if X.shape[0] != sos.order:
@@ -178,20 +186,22 @@ def verify_structure_conditions(proj, sos):
     second-order block pattern of the full system's first-order pencil.
 
     Returns a :class:`StructureReport`; this is a diagnostic and never
-    raises on pattern violations.
+    raises on pattern violations.  It forms the dense first-order pencil,
+    so a sparse system above ``DENSE_ORDER_LIMIT`` raises BadParameters.
     """
     X, Y = proj.X, proj.Y
     if X.shape[0] != sos.order:
         raise DimensionMismatch(
             f"projection has {X.shape[0]} rows, system order is {sos.order}"
         )
+    M, D, K = _densified(sos, "verify_structure_conditions")
     N, k = X.shape
     Xb = scipy.linalg.block_diag(X, X)
     Yb = scipy.linalg.block_diag(Y, Y)
 
     eye_n = np.eye(N)
-    E = scipy.linalg.block_diag(eye_n, sos.M)
-    A = np.block([[np.zeros((N, N)), eye_n], [-sos.K, -sos.D]])
+    E = scipy.linalg.block_diag(eye_n, M)
+    A = np.block([[np.zeros((N, N)), eye_n], [-K, -D]])
     B = np.vstack([np.zeros_like(sos.F), sos.F])
 
     T1 = Y.T @ X

@@ -195,10 +195,9 @@ def assemble_controllability(dsos, window):
     _require_discrete(dsos)
     _check_window(dsos, window, "window")
     N, n, m = dsos.order, window.n_columns, dsos.n_inputs
-    ops = dsos._ops
     out = np.zeros((2 * N, n + m))
     out[:N, :n] = window.curr
-    out[N:, :n] = -dsos.solve_mass(ops.K @ window.prev + ops.D @ window.curr)
+    out[N:, :n] = -dsos.solve_mass(dsos.K @ window.prev + dsos.D @ window.curr)
     out[N:, n:] = dsos._mass_input
     return out
 
@@ -213,11 +212,10 @@ def assemble_observability(dsos, window):
     _require_discrete(dsos)
     _check_window(dsos, window, "window")
     N, n, p = dsos.order, window.n_columns, dsos.n_outputs
-    ops = dsos._ops
     mt_curr = dsos.solve_mass_t(window.curr)
     out = np.zeros((2 * N, n + p))
-    out[:N, :n] = -(ops.Kt @ mt_curr)
-    out[N:, :n] = window.prev - ops.Dt @ mt_curr
+    out[:N, :n] = -(dsos._Kt @ mt_curr)
+    out[N:, :n] = window.prev - dsos._Dt @ mt_curr
     out[N:, n:] = dsos.G.T
     return out
 

@@ -17,13 +17,14 @@ for the continuous case and a positive step ``h`` for the difference case.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+import sys
 import warnings
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import (
+    BadParameters,
     ConditioningWarning,
     DimensionMismatch,
     SingularAtPoint,
@@ -46,28 +47,64 @@ MARGINAL_TOL = 1e-10
 # Condition estimate above which a warning is recorded for the mass matrix.
 COND_WARN_THRESHOLD = 1e12
 
-# Largest share of nonzero entries of M, D and K (of N^2) at which a system
-# also keeps sparse operators for the subspace recursion.
+# Largest share of nonzero entries of each of M, D and K (of N^2) at which a
+# system stores them sparse.
 SPARSE_DENSITY = 0.05
+
+# Largest order N up to which consumers that need dense matrices
+# (linearize, stability_report, the BT oracle, verify_structure_conditions
+# and the spectral fallback of discretize) densify sparse storage; above it
+# they raise BadParameters instead of allocating O(N^2) memory.
+DENSE_ORDER_LIMIT = 2000
 
 # Reciprocal condition below which a polynomial matrix counts as singular
 # at the evaluation point.
 _RCOND_SINGULAR = 1e-13
 
 
-def _as_matrix(a, name, allow_empty=False):
+def _issparse(a):
+    """Whether `a` is a scipy.sparse matrix.  Only a loaded scipy.sparse
+    makes one, so the check imports nothing: dense models never load
+    scipy.sparse."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(a)
+
+
+def _as_matrix(a, name):
+    """A dense float copy of `a`; a scipy.sparse matrix is densified."""
+    if _issparse(a):
+        a = a.toarray()
     arr = np.array(a, dtype=float, copy=True, order="C")
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
         arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a matrix, got ndim={arr.ndim}")
-    if not allow_empty and (arr.shape[0] < 1 or arr.shape[1] < 1):
-        raise DimensionMismatch(f"{name} must be nonempty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    return _checked_matrix(arr, arr, name)
+
+
+def _as_operator(a, name):
+    """A copy of `a` in canonical CSR form (duplicates summed, zeros
+    dropped) if it is a scipy.sparse matrix, else as :func:`_as_matrix`."""
+    if not _issparse(a):
+        return _as_matrix(a, name)
+    from scipy.sparse import csr_array
+
+    if a.ndim != 2:
+        raise DimensionMismatch(f"{name} must be a matrix, got ndim={a.ndim}")
+    csr = csr_array(a, dtype=float, copy=True)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    return _checked_matrix(csr, csr.data, name)
+
+
+def _checked_matrix(mat, values, name):
+    if mat.ndim != 2:
+        raise DimensionMismatch(f"{name} must be a matrix, got ndim={mat.ndim}")
+    if mat.shape[0] < 1 or mat.shape[1] < 1:
+        raise DimensionMismatch(f"{name} must be nonempty, got shape {mat.shape}")
+    if not np.all(np.isfinite(values)):
         raise DimensionMismatch(f"{name} contains non-finite entries")
-    return arr
+    return mat
 
 
 def _checked_step(h, error):
@@ -79,8 +116,30 @@ def _checked_step(h, error):
 
 
 def _freeze(arr):
-    arr.setflags(write=False)
+    """Make a dense array, or the arrays behind a CSR one, read-only."""
+    parts = (arr.data, arr.indices, arr.indptr) if _issparse(arr) else (arr,)
+    for part in parts:
+        part.setflags(write=False)
     return arr
+
+
+def _nonzeros(a):
+    return a.nnz if _issparse(a) else np.count_nonzero(a)
+
+
+def _dense(a):
+    return a.toarray() if _issparse(a) else a
+
+
+def _densified(sos, consumer):
+    """``(M, D, K)`` of `sos` as dense arrays, for a consumer that needs
+    them dense.  Sparse storage is densified up to DENSE_ORDER_LIMIT;
+    above it BadParameters is raised instead."""
+    if sos.is_sparse and sos.order > DENSE_ORDER_LIMIT:
+        raise BadParameters(
+            f"{consumer} needs dense matrices, and a sparse model of order "
+            f"N={sos.order} is above DENSE_ORDER_LIMIT={DENSE_ORDER_LIMIT}")
+    return tuple(_dense(a) for a in (sos.M, sos.D, sos.K))
 
 
 def _checked_lu(mat, error, broken, singular, rcond_min=0.0):
@@ -113,46 +172,72 @@ def _lu_solve(lu_piv, rhs, trans=0):
     return x
 
 
+def _checked_splu(mat, error, broken, singular, rcond_min=0.0):
+    """SuperLU-factorize a sparse `mat`, with the checks of
+    :func:`_checked_lu`.
+
+    The reciprocal condition number is ``1 / (||mat||_1 est)``, where
+    ``est`` is ``scipy.sparse.linalg.onenormest`` of ``mat^{-1}``, applied
+    through the factor's solves; the estimate is the same on every call
+    and leaves numpy's global random state as it was.  A matrix without
+    nonzeros, or whose factorization fails, raises ``error(broken)``.
+    Returns ``(lu, rcond)``.
+    """
+    # Imported here so that dense models never load scipy.sparse.linalg.
+    from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
+
+    if mat.nnz == 0:
+        raise error(broken)
+    try:
+        lu = splu(mat.tocsc())
+    except RuntimeError:
+        raise error(broken) from None
+    inverse = LinearOperator(
+        mat.shape, dtype=mat.dtype, matvec=lu.solve, matmat=lu.solve,
+        rmatvec=lambda x: lu.solve(x, trans="H"),
+        rmatmat=lambda x: lu.solve(x, trans="H"))
+    # onenormest draws its start vectors from numpy's global generator:
+    # seed it, so the estimate repeats, and restore the caller's state.
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rcond = 1.0 / (norm(mat, 1) * onenormest(inverse))
+    finally:
+        np.random.set_state(state)
+    if rcond == 0.0 or not np.isfinite(rcond) or rcond < rcond_min:
+        raise error(singular.format(rcond))
+    return lu, rcond
+
+
+def _splu_solve(lu, rhs, trans="N"):
+    """Solve with a real SuperLU factor; a complex right-hand side is
+    solved as its real and imaginary parts."""
+    if not np.iscomplexobj(rhs):
+        return lu.solve(rhs, trans=trans)
+    x = lu.solve(rhs.real, trans=trans).astype(complex)
+    x.imag = lu.solve(rhs.imag, trans=trans)
+    return x
+
+
 def _solve_at_point(mat, rhs, point):
-    """Solve mat @ x = rhs, raising SingularAtPoint if mat is not finite or
-    numerically singular (the evaluation point is a characteristic
-    frequency)."""
-    if not np.all(np.isfinite(mat)):
+    """Solve mat @ x = rhs, for a dense or sparse `mat`, raising
+    SingularAtPoint if mat is not finite or numerically singular (the
+    evaluation point is a characteristic frequency)."""
+    sparse = _issparse(mat)
+    if not np.all(np.isfinite(mat.data if sparse else mat)):
         raise SingularAtPoint(
             f"characteristic matrix is not finite at point {point}")
-    lu_piv, _ = _checked_lu(
-        mat, SingularAtPoint,
-        f"characteristic matrix is singular at point {point}",
-        f"characteristic matrix is numerically singular at point {point} "
-        "(rcond={:.2e})",
-        _RCOND_SINGULAR,
-    )
+    checks = (SingularAtPoint,
+              f"characteristic matrix is singular at point {point}",
+              f"characteristic matrix is numerically singular at point {point} "
+              "(rcond={:.2e})",
+              _RCOND_SINGULAR)
+    if sparse:
+        lu, _ = _checked_splu(mat, *checks)
+        return lu.solve(rhs)
+    lu_piv, _ = _checked_lu(mat, *checks)
     return _lu_solve(lu_piv, rhs)
-
-
-class _Operators(NamedTuple):
-    """What the subspace recursion applies on every step: K, D and their
-    transposes as dense arrays (the transposes are views) or CSR matrices
-    (each built once), and a SuperLU factor of M (None on the dense
-    path)."""
-
-    K: object
-    D: object
-    Kt: object
-    Dt: object
-    mass_splu: object
-
-
-def _operators(M, D, K):
-    N = M.shape[0]
-    if max(np.count_nonzero(a) for a in (M, D, K)) > SPARSE_DENSITY * N * N:
-        return _Operators(K, D, K.T, D.T, None)
-    # Imported here so that dense models never load scipy.sparse.
-    from scipy.sparse import csc_array, csr_array
-    from scipy.sparse.linalg import splu
-
-    return _Operators(csr_array(K), csr_array(D), csr_array(K.T),
-                      csr_array(D.T), splu(csc_array(M)))
 
 
 class SecondOrderSystem:
@@ -160,7 +245,7 @@ class SecondOrderSystem:
 
     Parameters
     ----------
-    M, D, K : (N, N) array_like
+    M, D, K : (N, N) array_like or scipy.sparse matrix
         Mass, damping and stiffness matrices.  M must be invertible.
     F : (N, m) array_like
         Input map.
@@ -173,7 +258,7 @@ class SecondOrderSystem:
     Notes
     -----
     Instances are immutable: the stored arrays are read-only copies, and
-    the LU factorization of M is computed once at construction.  They are
+    the factorization of M is computed once at construction.  They are
     therefore safe to share across concurrent readers.
 
     :meth:`transfer` keeps the transfer matrix of every distinct point it
@@ -181,22 +266,28 @@ class SecondOrderSystem:
     instance, so that sampling the same grid again costs no solves.  A
     CLI command builds its systems afresh and drops them when it ends.
 
-    ``M``, ``D`` and ``K`` are always dense.  When the largest number of
-    nonzero entries among them is at most ``SPARSE_DENSITY`` (5 %) of
-    ``N^2``, as for a long mass-spring-damper chain, the system also keeps
-    internal sparse operators, built on the first mass solve: CSR copies
-    of ``K``, ``D``, ``K^T`` and ``D^T`` for the subspace recursion, and a
-    SuperLU factor of ``M`` that :meth:`solve_mass` and
-    :meth:`solve_mass_t` then use for real right-hand sides.  The dense LU
-    still checks ``M`` for singularity and conditioning at construction
-    on both paths, and ``scipy.sparse`` is imported only when a system
-    takes the sparse path.
+    **Storage.**  ``F`` and ``G`` are dense.  ``M``, ``D`` and ``K`` share
+    one storage kind, decided here whatever type they arrive as: when each
+    has at most ``SPARSE_DENSITY`` (5 %) of ``N^2`` nonzero entries, as for
+    a long mass-spring-damper chain, they are stored as canonical
+    ``scipy.sparse.csr_array`` matrices (duplicates summed, zeros dropped)
+    whose ``data``, ``indices`` and ``indptr`` are read-only (:attr:`is_sparse`).
+    Otherwise they are dense ndarrays.  Sparse storage has one mass factor,
+    a SuperLU factor of ``M``; dense storage an LU factor.  The subspace
+    recursion, :meth:`solve_mass`, :meth:`transfer`, ``discretize`` and
+    ``reduce_model`` work on either without densifying, so a sparse model
+    costs memory in proportion to its nonzeros.  ``linearize``,
+    ``stability_report``, the BT oracle and ``verify_structure_conditions``
+    need dense matrices: they densify sparse storage up to
+    ``DENSE_ORDER_LIMIT`` (N = 2000) and raise BadParameters above it.
+    ``scipy.sparse`` is imported only when a sparse matrix is given, and
+    ``scipy.sparse.linalg`` only when a system is stored sparse.
     """
 
     def __init__(self, M, D, K, F, G, h=None):
-        M = _as_matrix(M, "M")
-        D = _as_matrix(D, "D")
-        K = _as_matrix(K, "K")
+        M = _as_operator(M, "M")
+        D = _as_operator(D, "D")
+        K = _as_operator(K, "K")
         F = _as_matrix(F, "F")
         G = _as_matrix(G, "G")
 
@@ -216,14 +307,20 @@ class SecondOrderSystem:
         if h is not None:
             h = _checked_step(h, DimensionMismatch)
 
-        self.M = _freeze(M)
-        self.D = _freeze(D)
-        self.K = _freeze(K)
+        sparse = all(_nonzeros(a) <= SPARSE_DENSITY * N * N for a in (M, D, K))
+        if sparse:
+            from scipy.sparse import csr_array as convert
+        else:
+            convert = _dense
+        self.M = _freeze(convert(M))
+        self.D = _freeze(convert(D))
+        self.K = _freeze(convert(K))
         self.F = _freeze(F)
         self.G = _freeze(G)
         self.h = h
-        self._mass_lu, rcond = _checked_lu(
-            M, SingularMass, "mass matrix M is singular: LU factorization failed",
+        factor = _checked_splu if sparse else _checked_lu
+        self._mass_factor, rcond = factor(
+            self.M, SingularMass, "mass matrix M is singular: LU factorization failed",
             "mass matrix M is numerically singular (rcond={})")
         self.mass_condition = 1.0 / rcond
         if self.mass_condition > COND_WARN_THRESHOLD:
@@ -257,6 +354,11 @@ class SecondOrderSystem:
     def is_continuous(self):
         return self.h is None
 
+    @property
+    def is_sparse(self):
+        """True when M, D and K are stored as CSR matrices."""
+        return not isinstance(self.M, np.ndarray)
+
     def __repr__(self):
         dom = f"discrete, h={self.h}" if self.is_discrete else "continuous"
         return (
@@ -264,28 +366,34 @@ class SecondOrderSystem:
             f"p={self.n_outputs}, {dom})"
         )
 
-    # -- mass solves (cached LU) ------------------------------------------
+    # -- mass solves (cached factor) -------------------------------------
 
     def solve_mass(self, rhs):
-        """Return M^{-1} @ rhs using the cached LU factorization.
+        """Return M^{-1} @ rhs using the cached factorization.
 
         Non-finite right-hand sides pass through as non-finite results so
         that iteration divergence can be diagnosed by the caller.
         """
-        if self._ops.mass_splu is None or np.iscomplexobj(rhs):
-            return _lu_solve(self._mass_lu, rhs)
-        return self._ops.mass_splu.solve(rhs)
+        if self.is_sparse:
+            return _splu_solve(self._mass_factor, rhs)
+        return _lu_solve(self._mass_factor, rhs)
 
     def solve_mass_t(self, rhs):
-        """Return M^{-T} @ rhs using the cached LU factorization."""
-        if self._ops.mass_splu is None or np.iscomplexobj(rhs):
-            return _lu_solve(self._mass_lu, rhs, trans=1)
-        return self._ops.mass_splu.solve(rhs, trans="T")
+        """Return M^{-T} @ rhs using the cached factorization."""
+        if self.is_sparse:
+            return _splu_solve(self._mass_factor, rhs, trans="T")
+        return _lu_solve(self._mass_factor, rhs, trans=1)
 
     @cached_property
-    def _ops(self):
-        """Internal operators, built on the first mass solve."""
-        return _operators(self.M, self.D, self.K)
+    def _Kt(self):
+        """``K^T``, for the recursion: a view of dense storage, a CSR
+        matrix built once from sparse storage."""
+        return self.K.T.tocsr() if self.is_sparse else self.K.T
+
+    @cached_property
+    def _Dt(self):
+        """``D^T``, stored as :attr:`_Kt`."""
+        return self.D.T.tocsr() if self.is_sparse else self.D.T
 
     @cached_property
     def _mass_input(self):
@@ -298,7 +406,8 @@ class SecondOrderSystem:
         """Evaluate the characteristic polynomial matrix at a complex point.
 
         Continuous systems use ``P(s) = M s^2 + D s + K``; difference
-        systems use ``P(z) = M z + D + K z^{-1}``.
+        systems use ``P(z) = M z + D + K z^{-1}``.  The result is stored as
+        M, D and K are: a complex ndarray or CSR matrix.
         """
         pt = complex(point)
         if self.is_continuous:
@@ -410,13 +519,19 @@ def linearize(sos):
     -------
     FirstOrderSystem
         Standardized (identity-E) form of order 2N, same domain tag.
+
+    Raises
+    ------
+    BadParameters
+        For a sparse system above ``DENSE_ORDER_LIMIT``.
     """
     N = sos.order
     m = sos.n_inputs
+    _, D, K = _densified(sos, "linearize")
     A = np.zeros((2 * N, 2 * N))
     A[:N, N:] = np.eye(N)
-    A[N:, :N] = -sos.solve_mass(sos.K)
-    A[N:, N:] = -sos.solve_mass(sos.D)
+    A[N:, :N] = -sos.solve_mass(K)
+    A[N:, N:] = -sos.solve_mass(D)
 
     B = np.zeros((2 * N, m))
     B[N:] = sos.solve_mass(sos.F)
@@ -457,7 +572,8 @@ def stability_report(sys):
     ----------
     sys : SecondOrderSystem or FirstOrderSystem
         Second-order systems are analyzed through their standardized
-        linearization (2N eigenvalues).
+        linearization (2N eigenvalues), so a sparse one above
+        ``DENSE_ORDER_LIMIT`` raises BadParameters.
 
     Returns
     -------

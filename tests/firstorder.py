@@ -16,14 +16,21 @@ comparable entry by entry.
 """
 
 import numpy as np
+import scipy.sparse
+
+
+def _dense(a):
+    return a.toarray() if scipy.sparse.issparse(a) else a
 
 
 def state_space(dsos):
-    """(A, B, C) of the difference system, built independently via solves."""
+    """(A, B, C) of the difference system, built independently via dense
+    solves, whatever the system's storage."""
     N = dsos.order
-    Minv_K = np.linalg.solve(dsos.M, dsos.K)
-    Minv_D = np.linalg.solve(dsos.M, dsos.D)
-    Minv_F = np.linalg.solve(dsos.M, dsos.F)
+    M, D, K = _dense(dsos.M), _dense(dsos.D), _dense(dsos.K)
+    Minv_K = np.linalg.solve(M, K)
+    Minv_D = np.linalg.solve(M, D)
+    Minv_F = np.linalg.solve(M, dsos.F)
     A = np.zeros((2 * N, 2 * N))
     A[:N, N:] = np.eye(N)
     A[N:, :N] = -Minv_K

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from morso import cli, oracle
+from morso import cli, oracle, systems
 from morso.bench import BenchmarkSpec, load_matrix_market
 from morso.cli import cli_main
 from morso.errors import (
@@ -318,6 +318,41 @@ def test_compare_checks_recursion_settings_before_writing(chain_spec, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("methods", ["bt", "srlrg,bt"])
+def test_compare_checks_rank_tol_before_writing(chain_spec, tmp_path, capsys,
+                                                methods):
+    out = tmp_path / "cmp"
+    assert cli_main(["compare", chain_spec, "--orders", "2", "--h", "0.5",
+                     "--methods", methods, "--rank-tol", "nan",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: rank_tol must be at most 1, got nan\n"
+    assert not out.exists()
+
+
+def test_compare_rejects_huge_grid_before_writing(chain_spec, tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("grid_count=100000000000\n")
+    out = tmp_path / "cmp"
+    assert cli_main(["compare", chain_spec, "--orders", "2", "--h", "0.5",
+                     "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: grid needs 2 to 1000000 points, got 100000000000\n")
+    assert not out.exists()
+
+
+def test_compare_refuses_bt_above_dense_limit_before_writing(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(systems, "DENSE_ORDER_LIMIT", 60)
+    spec_dir = tmp_path / "bench"
+    assert cli_main(["gen-msd", "--n", "80", "--out", str(spec_dir)]) == 0
+    out = tmp_path / "cmp"
+    assert cli_main(["compare", str(spec_dir / "msd_chain.spec"), "--orders",
+                     "2", "--h", "0.5", "--methods", "srlrg,bt",
+                     "--out", str(out)]) == 1
+    assert "above DENSE_ORDER_LIMIT=60" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entry,message", [
     ("order=", "configuration key 'order' needs a value"),
     ("seed=", "configuration key 'seed' needs a value"),
@@ -354,3 +389,18 @@ def test_manifest_reusable_as_config(chain_spec, tmp_path):
                      str(out1 / "manifest.txt"), "--out", str(out2)]) == 0
     for fname in ("msd_chain_reduced_M.mtx", "diagnostics.csv"):
         assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
+
+
+def test_default_step_manifest_reusable_as_config(chain_spec, tmp_path):
+    """The default step is written as a plain float that ``--config``
+    reads back."""
+    out1 = tmp_path / "r1"
+    assert cli_main(["reduce", chain_spec, "--order", "2", "--tau", "20",
+                     "--out", str(out1)]) == 0
+    manifest = (out1 / "manifest.txt").read_text()
+    assert "h=0." in manifest
+    out2 = tmp_path / "r2"
+    assert cli_main(["reduce", chain_spec, "--config",
+                     str(out1 / "manifest.txt"), "--out", str(out2)]) == 0
+    for path in out1.iterdir():
+        assert (out2 / path.name).read_bytes() == path.read_bytes()

@@ -9,6 +9,7 @@ from morso.discretize import Scheme, discretize
 from morso.errors import BadParameters, DimensionMismatch, DomainMismatch
 from morso import metrics
 from morso.metrics import (
+    MAX_GRID_COUNT,
     FrequencyGrid,
     error_response,
     frequency_response,
@@ -44,6 +45,14 @@ class TestGrid:
             FrequencyGrid.log_continuous(omega_min=0.0)
         with pytest.raises(BadParameters):
             FrequencyGrid.unit_circle(1)
+
+    def test_count_capped_before_allocating(self):
+        assert len(FrequencyGrid.unit_circle(MAX_GRID_COUNT).points) == MAX_GRID_COUNT
+        for count in (MAX_GRID_COUNT + 1, 10**11):
+            with pytest.raises(BadParameters, match="grid needs 2 to 1000000"):
+                FrequencyGrid.unit_circle(count)
+            with pytest.raises(BadParameters, match="grid needs 2 to 1000000"):
+                FrequencyGrid.log_continuous(count=count)
 
 
 class TestFrequencyResponse:

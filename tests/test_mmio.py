@@ -1,8 +1,10 @@
 import io
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
+import scipy.sparse
 
 from morso import mmio
 from morso.bench import RunConfig, generate_msd_chain
@@ -93,7 +95,11 @@ def test_write_read_roundtrip_hypothesis(tmp_path_factory, a):
     write_matrix(path, a)
     b = read_matrix(path)
     assert b.shape == a.shape
+    if scipy.sparse.issparse(b):  # a coordinate file
+        b = b.toarray()
     assert b.tobytes() == a.tobytes()
+    stored = scipy.sparse.csr_array(a)  # drops zeros, -0.0 included
+    assert _written(stored) == _written(stored.toarray())
 
 
 def test_sparse_chain_stiffness_written_as_symmetric_coordinate():
@@ -176,6 +182,22 @@ def test_coordinate_count_checked_before_allocating(tmp_path):
     assert exc.value.lineno == 3
 
 
+def test_huge_empty_coordinate_header_is_stored_sparse(tmp_path):
+    path = tmp_path / "e.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "1000000 1000000 0\n")
+    tracemalloc.start()
+    try:
+        a = read_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(a, scipy.sparse.csr_array)
+    assert a.shape == (1000000, 1000000)
+    assert a.nnz == 0
+    assert peak < 16e6
+
+
 def test_coordinate_duplicates_sum_in_file_order(tmp_path):
     path = tmp_path / "d.mtx"
     path.write_text(
@@ -204,7 +226,7 @@ def test_coordinate_general(tmp_path):
     expected = np.zeros((3, 3))
     expected[0, 0] = 2.5
     expected[2, 1] = -1.0
-    assert np.array_equal(a, expected)
+    assert np.array_equal(a.toarray(), expected)
 
 
 def test_coordinate_symmetric_expands(tmp_path):
@@ -219,7 +241,7 @@ def test_coordinate_symmetric_expands(tmp_path):
     )
     a = read_matrix(path)
     expected = np.array([[1.0, 2.0, 3.0], [2.0, 0.0, 0.0], [3.0, 0.0, 4.0]])
-    assert np.array_equal(a, expected)
+    assert np.array_equal(a.toarray(), expected)
 
 
 def test_coordinate_skew_symmetric(tmp_path):
@@ -230,7 +252,7 @@ def test_coordinate_skew_symmetric(tmp_path):
         "2 1 5.0\n"
     )
     a = read_matrix(path)
-    assert np.array_equal(a, [[0.0, -5.0], [5.0, 0.0]])
+    assert np.array_equal(a.toarray(), [[0.0, -5.0], [5.0, 0.0]])
 
 
 def test_array_symmetric(tmp_path):
@@ -349,7 +371,7 @@ def _parses_or_rejects(path):
         out = read_matrix(path)
     except ParseError:
         return
-    assert isinstance(out, np.ndarray)
+    assert isinstance(out, (np.ndarray, scipy.sparse.csr_array))
 
 
 _HEADERS = st.builds(
@@ -357,9 +379,9 @@ _HEADERS = st.builds(
     st.sampled_from(["array", "coordinate", "dense"]),
     st.sampled_from(["real", "integer", "complex"]),
     st.sampled_from(["general", "symmetric", "skew-symmetric", "hermitian"]))
-_SIZES = st.lists(st.integers(-3, 50), min_size=2, max_size=3).map(
+_SIZES = st.lists(st.integers(-3, 10**6), min_size=2, max_size=3).map(
     lambda sizes: " ".join(map(str, sizes)))
-_TOKENS = (st.integers(-3, 50).map(str)
+_TOKENS = (st.integers(-3, 10**6).map(str)
            | st.sampled_from(["", "x", "1.5", "-0.0", "nan", "-inf", "1e999",
                               "0x10", "%", "1 2"]))
 
@@ -380,9 +402,9 @@ def test_read_matrix_fuzz_mutations(tmp_path_factory, data):
     (a line deleted, a token replaced, the header or the size line
     rewritten) either parses or raises ParseError.
 
-    Sizes stay in [-3, 50]: a declared size too large to allocate, such as
-    the legal sparse header ``1000000 1000000 0``, fails to store the dense
-    result, which is a storage limit rather than a parse error.
+    Sizes reach 10^6: a coordinate file of that declared size is stored in
+    proportion to its entries.  (An array file that large declares more
+    values than any edit leaves in it, and fails its count.)
     """
     kind = data.draw(st.sampled_from(["dense", "sparse", "sparse symmetric"]))
     if kind == "dense":

@@ -1,23 +1,59 @@
-"""Systems that take the sparse operator path.
+"""Systems stored sparse.
 
 Long mass-spring-damper chains are below the ``SPARSE_DENSITY`` rule, so
-their mass solves go through a SuperLU factor and the recursion's products
-through CSR copies of K and D.  The stacked-equivalence check of acceptance
+their M, D and K are stored as CSR matrices, their mass solves go through a
+SuperLU factor and the recursion's products through the stored K and D and
+their CSR transposes.  The stacked-equivalence check of acceptance
 criterion 1 must hold there at the same tolerances, against the same
 independent first-order oracle.
 """
 
+import tracemalloc
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
+import scipy.sparse
 
 import firstorder
 
 from morso import systems
 from morso.bench import BenchmarkSpec, generate_msd_chain, load_matrix_market
 from morso.cli import cli_main
-from morso.discretize import discretize
-from morso.recursion import SubspaceWindow, srlrg_step, srlrh_step
-from morso.systems import SPARSE_DENSITY
+from morso.discretize import (
+    Scheme,
+    _certified_stable,
+    _positive_definite,
+    discretize,
+)
+from morso.errors import (
+    BadParameters,
+    ConditioningWarning,
+    MorsoWarning,
+    SingularAtPoint,
+    SingularMass,
+    UnstableDiscretizationWarning,
+)
+from morso.oracle import balancing_factors
+from morso.projection import (
+    build_projection,
+    reduce_model,
+    verify_structure_conditions,
+)
+from morso.recursion import (
+    RecursionConfig,
+    SubspaceWindow,
+    run_recursion,
+    srlrg_step,
+    srlrh_step,
+)
+from morso.systems import (
+    SPARSE_DENSITY,
+    SecondOrderSystem,
+    linearize,
+    stability_report,
+)
 
 STEP = 0.5
 
@@ -35,32 +71,42 @@ def _window(rng, N, n):
 @pytest.mark.parametrize("N", [80, 200])
 def test_chain_takes_sparse_path(N):
     dsos = _chain(N)
-    nnz = max(np.count_nonzero(a) for a in (dsos.M, dsos.D, dsos.K))
-    assert nnz <= SPARSE_DENSITY * N * N
-    assert dsos._ops.mass_splu is not None
+    assert dsos.is_sparse
+    assert max(dsos.M.nnz, dsos.D.nnz, dsos.K.nnz) <= SPARSE_DENSITY * N * N
+    assert type(dsos._mass_factor).__name__ == "SuperLU"
 
 
 def test_sparse_transposes_are_csr():
-    ops = _chain(80)._ops
-    for op, op_t in ((ops.K, ops.Kt), (ops.D, ops.Dt)):
+    dsos = _chain(80)
+    for op, op_t in ((dsos.K, dsos._Kt), (dsos.D, dsos._Dt)):
         assert op_t.format == "csr"
         assert np.array_equal(op_t.toarray(), op.T.toarray())
 
 
 def test_small_chain_stays_dense():
     dsos = _chain(32)
-    assert dsos._ops.mass_splu is None
-    assert dsos._ops.K is dsos.K
+    assert not dsos.is_sparse
+    assert type(dsos.K) is np.ndarray
+    assert dsos._Kt.base is dsos.K
 
 
 @pytest.mark.parametrize("N", [80, 200])
-def test_public_matrices_stay_dense_and_read_only(N):
+def test_sparse_matrices_are_read_only_csr(N):
+    """M, D and K are canonical CSR matrices whose arrays are read-only;
+    F, G and M^{-1} F are dense and read-only."""
     dsos = _chain(N)
-    for role in ("M", "D", "K", "F", "G"):
+    for role in ("M", "D", "K"):
         mat = getattr(dsos, role)
+        assert type(mat) is scipy.sparse.csr_array
+        assert mat.has_canonical_format
+        assert np.all(mat.data != 0)
+        for part in (mat.data, mat.indices, mat.indptr):
+            assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            mat.data[0] = 99.0
+    for mat in (dsos.F, dsos.G, dsos._mass_input):
         assert type(mat) is np.ndarray
         assert not mat.flags.writeable
-    assert not dsos._mass_input.flags.writeable
 
 
 @pytest.mark.parametrize("N", [80, 200])
@@ -68,14 +114,15 @@ def test_mass_solves_match_dense(N):
     dsos = _chain(N)
     rhs = np.random.default_rng(N).standard_normal((N, 3))
     scale = np.max(np.abs(rhs))
-    assert np.allclose(dsos.solve_mass(rhs), np.linalg.solve(dsos.M, rhs),
+    M = dsos.M.toarray()
+    assert np.allclose(dsos.solve_mass(rhs), np.linalg.solve(M, rhs),
                        rtol=1e-12, atol=1e-12 * scale)
     assert np.allclose(dsos.solve_mass_t(rhs),
-                       np.linalg.solve(dsos.M.T, rhs),
+                       np.linalg.solve(M.T, rhs),
                        rtol=1e-12, atol=1e-12 * scale)
     complex_rhs = rhs * (1.0 + 2.0j)
     assert np.allclose(dsos.solve_mass(complex_rhs),
-                       np.linalg.solve(dsos.M, complex_rhs))
+                       np.linalg.solve(M, complex_rhs))
 
 
 STEPS = {"srlrg": (srlrg_step, firstorder.rlrg_step),
@@ -120,7 +167,7 @@ def test_stacked_equivalence(N, algo, monkeypatch):
     dsos = _chain(N)
     monkeypatch.setattr(systems, "SPARSE_DENSITY", 0.0)
     dense = _chain(N)
-    assert dense._ops.mass_splu is None
+    assert not dense.is_sparse
     worst_step, final, _, final_dense = _trajectories(dsos, algo, dense)
     assert worst_step <= 1e-10
     assert float(np.max(np.abs(final - final_dense))) <= 1e-8
@@ -146,3 +193,152 @@ def test_cli_reduce_on_sparse_chain(tmp_path):
     assert red.order == 6
     for role in ("M", "D", "K", "F", "G"):
         assert np.all(np.isfinite(getattr(red, role)))
+
+
+def test_reduce_memory_in_proportion_to_nonzeros(tmp_path):
+    """A reduce of an N = 1500 chain peaks below one dense 1500 x 1500
+    matrix (18 MB) of traced memory."""
+    spec_dir = tmp_path / "bench"
+    assert cli_main(["gen-msd", "--n", "1500", "--damping", "1.0",
+                     "--out", str(spec_dir)]) == 0
+    tracemalloc.start()
+    try:
+        code = cli_main(["reduce", str(spec_dir / "msd_chain.spec"), "--h",
+                         "0.5", "--tau", "20", "--out", str(tmp_path / "run")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16e6
+
+
+def _sparse_symmetric(rng, N, diagonal_weight):
+    """Symmetric N x N matrix with about 1 % of its entries off the
+    diagonal, and a diagonal of ``diagonal_weight`` times each row's
+    off-diagonal absolute sum plus one."""
+    a = scipy.sparse.random_array((N, N), density=0.005, rng=rng)
+    a = (a + a.T).tocsr()
+    a.setdiag(0.0)
+    a.eliminate_zeros()
+    row_sums = np.asarray(abs(a).sum(axis=1)).ravel()
+    return a + scipy.sparse.diags_array(diagonal_weight * row_sums + 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(60, 120), seed=st.integers(0, 2**32 - 1),
+       weights=st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)),
+       h=st.sampled_from([0.05, 0.2, 0.5]), scheme=st.sampled_from(Scheme))
+def test_sparse_storage_matches_dense_twin(N, seed, weights, h, scheme):
+    """Discretize matrices equal to the sign of zero, the same certificate
+    verdict, and mass solves and transfers within 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    M = _sparse_symmetric(rng, N, 2.0)
+    D, K = (_sparse_symmetric(rng, N, w) for w in weights)
+    F, G = rng.standard_normal((N, 2)), rng.standard_normal((2, N))
+    sparse = SecondOrderSystem(M, D, K, F, G)
+    with mock.patch.object(systems, "SPARSE_DENSITY", 0.0):
+        dense = SecondOrderSystem(M, D, K, F, G)
+        dense_d = discretize(dense, h, scheme, stability_check=False)
+    sparse_d = discretize(sparse, h, scheme, stability_check=False)
+    assert sparse.is_sparse and sparse_d.is_sparse
+    assert not dense.is_sparse and not dense_d.is_sparse
+
+    for role in ("M", "D", "K"):
+        assert (getattr(sparse_d, role).toarray().tobytes()
+                == (getattr(dense_d, role) + 0.0).tobytes())
+    for a, b in ((sparse, dense), (sparse_d, dense_d)):
+        assert _certified_stable(a) == _certified_stable(b)
+
+    def close(x, y):
+        return np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    rhs = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
+    for a, b in ((sparse, dense), (sparse_d, dense_d)):
+        for solve in ("solve_mass", "solve_mass_t"):
+            for x in (rhs.real, rhs):
+                assert close(getattr(a, solve)(x), getattr(b, solve)(x))
+    assert close(sparse.transfer(3 + 4j), dense.transfer(3 + 4j))
+    assert close(sparse_d.transfer(2.0), dense_d.transfer(2.0))
+
+
+def test_certificate_rejects_indefinite_sparse_matrix():
+    a = _sparse_symmetric(np.random.default_rng(1), 80, 1.0)
+    assert _positive_definite(a.tocsr())
+    shifted = (a - scipy.sparse.diags_array(np.full(80, 2.0)) * a.max()).tocsr()
+    assert not _positive_definite(shifted)
+    assert not _positive_definite(scipy.sparse.csr_array(
+        np.kron(np.eye(40), [[0.0, 1.0], [1.0, 0.0]])))
+
+
+@pytest.fixture
+def small_dense_limit(monkeypatch):
+    monkeypatch.setattr(systems, "DENSE_ORDER_LIMIT", 60)
+
+
+def test_dense_consumers_refuse_sparse_models_above_limit(small_dense_limit):
+    dsos = _chain(80)
+    message = "above DENSE_ORDER_LIMIT=60"
+    with pytest.raises(BadParameters, match=message):
+        linearize(dsos)
+    with pytest.raises(BadParameters, match=message):
+        stability_report(dsos)
+    with pytest.raises(BadParameters, match=message):
+        balancing_factors(linearize(dsos))
+    S, R, _ = run_recursion(dsos, RecursionConfig(n=4, tau=20))
+    proj = build_projection(S, R)
+    with pytest.raises(BadParameters, match=message):
+        verify_structure_conditions(proj, dsos)
+    assert reduce_model(dsos, proj).order == 4  # needs nothing dense
+
+
+def test_dense_consumers_densify_below_limit(small_dense_limit):
+    dsos = _chain(60)  # sparse: 178 nonzeros <= 5 % of 60^2
+    assert dsos.is_sparse
+    assert linearize(dsos).A.shape == (120, 120)
+    assert stability_report(dsos).is_stable
+
+
+def test_discretize_skips_spectral_fallback_above_limit(monkeypatch):
+    """At h = 5 the chain's forward discretization is unstable, so its
+    certificate fails; above the limit no spectrum is computed."""
+    sos = generate_msd_chain(80, damping=1.0, seed=80)
+    with pytest.warns(UnstableDiscretizationWarning):
+        discretize(sos, 5.0)
+    monkeypatch.setattr(systems, "DENSE_ORDER_LIMIT", 40)
+    with pytest.warns(MorsoWarning, match="not checked") as record:
+        discretize(sos, 5.0)
+    assert not any(issubclass(w.category, UnstableDiscretizationWarning)
+                   for w in record)
+
+
+def test_sparse_mass_and_point_checks():
+    N = 40  # N nonzeros is at most 5 % of N^2
+    eye = scipy.sparse.eye_array(N)
+    zero = scipy.sparse.csr_array((N, N))
+    F, G = np.ones((N, 1)), np.ones((1, N))
+    singular = scipy.sparse.diags_array(np.r_[np.ones(N - 1), 0.0])
+    for M in (zero, singular):
+        with pytest.raises(SingularMass, match="singular"):
+            SecondOrderSystem(M, zero, eye, F, G)
+    ill = scipy.sparse.diags_array(np.r_[np.ones(N - 1), 1e-14])
+    with pytest.warns(ConditioningWarning):
+        sos = SecondOrderSystem(ill, zero, eye, F, G)
+    assert sos.is_sparse
+    assert sos.mass_condition == pytest.approx(1e14)
+    undamped = SecondOrderSystem(eye, zero, -eye, F, G)  # P(1) = 0
+    with pytest.raises(SingularAtPoint, match="singular at point"):
+        undamped.transfer(1.0)
+
+
+def test_sparse_condition_estimate_repeats_and_keeps_global_random_state():
+    rng = np.random.default_rng(7)
+    M = _sparse_symmetric(rng, 100, 1.1)
+    D, K = M * 0.1, M * 2.0
+    F, G = np.ones((100, 1)), np.ones((1, 100))
+    np.random.seed(5)
+    expected = np.random.rand(3)
+    np.random.seed(5)
+    conditions = {SecondOrderSystem(M, D, K, F, G).mass_condition
+                  for _ in range(3)}
+    assert np.array_equal(np.random.rand(3), expected)
+    assert len(conditions) == 1
