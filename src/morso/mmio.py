@@ -7,6 +7,9 @@ throughout.  A coordinate file is read into a ``scipy.sparse.csr_array``,
 in memory proportional to its entries whatever its declared size; an
 array file into a dense ndarray, parsed by numpy in blocks of whole lines,
 so reading costs one pass over the text, not one Python call per value.
+A size line that declares more than ``MAX_DIMENSION`` rows or columns is
+rejected before anything is allocated: a CSR array stores one pointer per
+row whatever its entries.
 
 The writer takes a dense or a scipy.sparse matrix.  It emits a coordinate
 file for a matrix with at most ``systems.SPARSE_DENSITY`` of its entries
@@ -31,6 +34,10 @@ _BANNER = "%%matrixmarket"
 
 # Characters of an array file's data section read and parsed at a time.
 _BLOCK_CHARS = 1 << 20
+
+# Largest number of rows or columns a file may declare (a CSR row pointer
+# array of 80 MB).
+MAX_DIMENSION = 10**7
 
 
 @contextmanager
@@ -97,7 +104,9 @@ def read_matrix(path):
     MissingFile
         If the path does not exist.
     ParseError
-        On malformed content; the message carries the line number.
+        On malformed content, or a size line declaring more than
+        ``MAX_DIMENSION`` rows or columns; the message carries the line
+        number.
     """
     with _text_input(path) as f:
         first = f.readline()
@@ -136,6 +145,9 @@ def read_matrix(path):
             raise ParseError(path, lineno, f"bad size line {line.strip()!r}")
         if min(sizes) < 0:
             raise ParseError(path, lineno, f"negative size in {line.strip()!r}")
+        if max(sizes[:2]) > MAX_DIMENSION:
+            raise ParseError(path, lineno, f"more than {MAX_DIMENSION} rows or "
+                             f"columns in {line.strip()!r}")
         if fmt == "coordinate":
             return _read_coordinate(path, f, lineno, *sizes, sym)
         return _read_array(path, f, lineno, *sizes, sym)

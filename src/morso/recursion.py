@@ -190,14 +190,17 @@ def assemble_controllability(dsos, window):
     blockwise from the quintuplet, shape 2N-by-(n+m).
 
     The top N rows are ``[curr | 0]``; the bottom rows are
-    ``[-M^{-1}(K prev + D curr) | M^{-1} F]``.
+    ``[-M^{-1}(K prev + D curr) | M^{-1} F]``; for sparse storage
+    ``K prev + D curr`` is one product of the stored ``[K D]`` with the
+    stacked window.
     """
     _require_discrete(dsos)
     _check_window(dsos, window, "window")
     N, n, m = dsos.order, window.n_columns, dsos.n_inputs
     out = np.zeros((2 * N, n + m))
     out[:N, :n] = window.curr
-    out[N:, :n] = -dsos.solve_mass(dsos.K @ window.prev + dsos.D @ window.curr)
+    out[N:, :n] = -dsos.solve_mass(
+        dsos._stiffness_damping(window.prev, window.curr))
     out[N:, n:] = dsos._mass_input
     return out
 
@@ -207,15 +210,16 @@ def assemble_observability(dsos, window):
     blockwise from the quintuplet, shape 2N-by-(n+p).
 
     The top N rows are ``[-K^T M^{-T} curr | 0]``; the bottom rows are
-    ``[prev - D^T M^{-T} curr | G^T]``.
+    ``[prev - D^T M^{-T} curr | G^T]``; for sparse storage the ``K^T`` and
+    ``D^T`` blocks come from one product of the stored ``[K D]^T`` with
+    ``M^{-T} curr``.
     """
     _require_discrete(dsos)
     _check_window(dsos, window, "window")
     N, n, p = dsos.order, window.n_columns, dsos.n_outputs
-    mt_curr = dsos.solve_mass_t(window.curr)
     out = np.zeros((2 * N, n + p))
-    out[:N, :n] = -(dsos._Kt @ mt_curr)
-    out[N:, :n] = window.prev - dsos._Dt @ mt_curr
+    out[:, :n] = -dsos._stiffness_damping_t(dsos.solve_mass_t(window.curr))
+    out[N:, :n] += window.prev
     out[N:, n:] = dsos.G.T
     return out
 
@@ -228,10 +232,19 @@ def _require_finite(*arrays):
         )
 
 
-def _svd(mat):
+def _svd(mat, left=True):
+    """Thin SVD ``(u, s, vt)`` of a finite matrix, each singular vector
+    pair's sign fixed.
+
+    With ``left`` false, ``u`` is None, and a matrix that is tall by
+    :func:`_qr_first` is first reduced to the R factor of its Householder
+    QR: ``mat = QR`` has the singular values and right singular vectors of
+    ``R``, and the tall U is never formed.
+    """
     _require_finite(mat)
     try:
-        u, s, vt = _gesdd(mat, compute_uv=True)
+        small = _householder(mat)[2] if not left and _qr_first(mat) else mat
+        u, s, vt = _gesdd(small, compute_uv=True)
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(f"SVD did not converge on a {mat.shape} matrix") from exc
     # Fix each right singular vector's sign by its largest-magnitude entry
@@ -239,6 +252,8 @@ def _svd(mat):
     # equivalent assembly orders; the matching left vector flips with it.
     flip = vt[np.arange(len(s)), np.argmax(np.abs(vt), axis=1)] < 0.0
     vt[flip] = -vt[flip]
+    if not left:
+        return None, s, vt
     u[:, flip] = -u[:, flip]
     return u, s, vt
 
@@ -264,8 +279,8 @@ def _step(dsos, window_s, window_r, hankel):
                 )
             sigma_s, sigma_r, v_s, v_r = s, s, vt[:n].T, u[:, :n]
         else:
-            _, sigma_s, vst = _svd(m1)
-            _, sigma_r, vrt = _svd(m2)
+            _, sigma_s, vst = _svd(m1, left=False)
+            _, sigma_r, vrt = _svd(m2, left=False)
             v_s, v_r = vst[:n].T, vrt[:n].T
         z_s, z_r = m1 @ v_s, m2 @ v_r
     _require_finite(z_s, z_r)
@@ -312,8 +327,40 @@ def _orthonormal(rng, N, n):
     return q
 
 
-_GESDD, _GESDD_LWORK = scipy.linalg.get_lapack_funcs(("gesdd", "gesdd_lwork"),
-                                                     dtype=np.float64)
+_GESDD, _GESDD_LWORK, _GEQRF, _ORGQR, _SYEVD = scipy.linalg.get_lapack_funcs(
+    ("gesdd", "gesdd_lwork", "geqrf", "orgqr", "syevd"), dtype=np.float64)
+
+# Rows per column from which a matrix counts as tall: its singular values,
+# right singular vectors and range basis then come from a Householder QR
+# (geqrf, orgqr) and the SVD of its small R factor, which is cheaper than
+# one gesdd of the whole matrix.  Below it, the plain gesdd is cheaper.
+_QR_FIRST_RATIO = 48
+
+_EPS = np.finfo(float).eps
+
+
+def _qr_first(a):
+    """Whether `a` is tall enough for :data:`_QR_FIRST_RATIO`."""
+    rows, cols = a.shape
+    return 0 < cols and _QR_FIRST_RATIO * cols <= rows
+
+
+@functools.lru_cache(maxsize=64)
+def _upper(n):
+    """Read-only mask of the upper triangle of an n-by-n matrix."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.setflags(write=False)
+    return mask
+
+
+def _householder(a):
+    """LAPACK ``geqrf`` of a tall `a`: the packed factor, its reflector
+    scales and the square R factor (``a = QR``)."""
+    qr, tau, _, info = _GEQRF(a)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"geqrf failed ({info})")
+    cols = a.shape[1]
+    return qr, tau, np.where(_upper(cols), qr[:cols], 0.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -348,45 +395,77 @@ def _gesdd(a, compute_uv):
     return (u, s, vt) if compute_uv else s
 
 
+def _rank(s, shape):
+    """Numerical rank of a matrix of `shape` with descending singular
+    values `s`: the cut of ``scipy.linalg.orth``."""
+    if not s.size:
+        return 0
+    return int(np.count_nonzero(s > s[0] * _EPS * max(shape)))
+
+
 def _orth(a):
-    """Orthonormal basis of the range of `a`, as ``scipy.linalg.orth``
-    returns it (step 1 of ``scipy.linalg.subspace_angles``), or None if its
-    SVD fails."""
+    """Orthonormal basis of the range of `a`, or None if an SVD fails.
+
+    The rank is cut as ``scipy.linalg.orth`` cuts it.  A tall `a` (see
+    :func:`_qr_first`) takes its rank from the singular values of its R
+    factor and, at full rank, its basis from the Q factor.  Any other `a`
+    gets the basis ``scipy.linalg.orth`` returns (step 1 of
+    ``scipy.linalg.subspace_angles``).
+    """
     try:
+        if _qr_first(a):
+            qr, tau, r = _householder(a)
+            s = _gesdd(r, compute_uv=False)
+            if _rank(s, a.shape) == a.shape[1]:
+                q, _, info = _ORGQR(qr, tau)
+                if info != 0:
+                    raise np.linalg.LinAlgError(f"orgqr failed ({info})")
+                return q
         u, s, _ = _gesdd(a, compute_uv=True)
     except np.linalg.LinAlgError:
         return None
-    rcond = np.finfo(s.dtype).eps * max(a.shape)
-    return u[:, :np.sum(s > np.amax(s, initial=0.0) * rcond, dtype=int)]
+    return u[:, :_rank(s, a.shape)]
 
 
 def _max_principal_angle(qa, qb):
     """Largest principal angle between the ranges of two :func:`_orth`
-    bases: steps 2-5 of ``scipy.linalg.subspace_angles``, so the value is
-    bit-identical to ``np.max(subspace_angles(a, b))`` while each basis is
-    computed once per iterate.  Its sine path resolves tiny angles, which
-    the plain arccos of overlap singular values cannot (it floors near
-    1e-8)."""
+    bases, within ``max(1e-12 * angle, 1e-15)`` of
+    ``np.max(scipy.linalg.subspace_angles(a, b))`` wherever scipy's value
+    is itself that accurate.  (It is not for a true angle of 0, where
+    scipy reads the orthogonality error of its basis, up to ~2e-15 for
+    tall ones, nor above 45 degrees when another angle is below 45, where
+    scipy's arcsin of a sine near 1 resolves the angle to eps / cos.)
+
+    The sines of the angles are the singular values of the residual of the
+    narrower basis after projection onto the wider one (scipy's step 3),
+    here the square roots of the eigenvalues of that residual's small Gram
+    matrix.  Up to 45 degrees the largest angle is the arcsin of the largest
+    sine, which resolves tiny angles where the arccos of overlap singular
+    values floors near 1e-8.  Above it, scipy's steps 4-5 pair those sines
+    with the arccos of the overlap singular values.
+    """
     if qa is None or qb is None:
         return np.pi / 2
+    if min(qa.shape[1], qb.shape[1]) == 0:
+        return 0.0
     try:
         cross = qa.T @ qb
-        sigma = _gesdd(cross, compute_uv=False)
         if qa.shape[1] >= qb.shape[1]:
             resid = qb - qa @ cross
         else:
             resid = qa - qb @ cross.T
-        mask = sigma ** 2 >= 0.5
-        if mask.any():
-            mu_arcsin = np.arcsin(np.clip(
-                _gesdd(resid, compute_uv=False), -1.0, 1.0))
-        else:
-            mu_arcsin = 0.0
-        angles = np.where(mask, mu_arcsin,
+        eig, _, info = _SYEVD(resid.T @ resid, compute_v=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"syevd failed ({info})")
+        sines = np.sqrt(np.clip(eig[::-1], 0.0, 1.0))
+        if eig[-1] <= 0.5:
+            return float(np.arcsin(sines[0]))
+        sigma = _gesdd(cross, compute_uv=False)
+        angles = np.where(sigma ** 2 >= 0.5, np.arcsin(sines),
                           np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
     except np.linalg.LinAlgError:
         return np.pi / 2
-    return float(np.max(angles)) if angles.size else 0.0
+    return float(np.max(angles))
 
 
 def run_recursion(dsos, config, algorithm="srlrg"):

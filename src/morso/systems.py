@@ -272,9 +272,10 @@ class SecondOrderSystem:
     a long mass-spring-damper chain, they are stored as canonical
     ``scipy.sparse.csr_array`` matrices (duplicates summed, zeros dropped)
     whose ``data``, ``indices`` and ``indptr`` are read-only (:attr:`is_sparse`).
-    Otherwise they are dense ndarrays.  Sparse storage has one mass factor,
-    a SuperLU factor of ``M``; dense storage an LU factor.  The subspace
-    recursion, :meth:`solve_mass`, :meth:`transfer`, ``discretize`` and
+    Otherwise they are dense ndarrays.  Sparse storage has a SuperLU factor
+    of ``M`` and, from the first :meth:`solve_mass_t`, one of ``M^T``;
+    dense storage an LU factor.  The subspace recursion,
+    :meth:`solve_mass`, :meth:`transfer`, ``discretize`` and
     ``reduce_model`` work on either without densifying, so a sparse model
     costs memory in proportion to its nonzeros.  ``linearize``,
     ``stability_report``, the BT oracle and ``verify_structure_conditions``
@@ -381,19 +382,43 @@ class SecondOrderSystem:
     def solve_mass_t(self, rhs):
         """Return M^{-T} @ rhs using the cached factorization."""
         if self.is_sparse:
-            return _splu_solve(self._mass_factor, rhs, trans="T")
+            return _splu_solve(self._mass_factor_t, rhs)
         return _lu_solve(self._mass_factor, rhs, trans=1)
 
     @cached_property
-    def _Kt(self):
-        """``K^T``, for the recursion: a view of dense storage, a CSR
-        matrix built once from sparse storage."""
-        return self.K.T.tocsr() if self.is_sparse else self.K.T
+    def _mass_factor_t(self):
+        """SuperLU factor of ``M^T``, for sparse storage, built on first
+        use: SuperLU solves a transposed system one right-hand side at a
+        time, and a plain solve all of them at once."""
+        from scipy.sparse.linalg import splu
+
+        return splu(self.M.T.tocsc(copy=True))
+
+    def _stiffness_damping(self, prev, curr):
+        """``K prev + D curr``: one product of sparse storage's ``[K D]``
+        with ``[prev; curr]``, or the two products of dense storage."""
+        if self.is_sparse:
+            return self._KD @ np.vstack([prev, curr])
+        return self.K @ prev + self.D @ curr
+
+    def _stiffness_damping_t(self, rhs):
+        """``[K^T rhs; D^T rhs]``: one product of sparse storage's
+        ``[K D]^T``, or the two products of dense storage."""
+        if self.is_sparse:
+            return self._KDt @ rhs
+        return np.vstack([self.K.T @ rhs, self.D.T @ rhs])
 
     @cached_property
-    def _Dt(self):
-        """``D^T``, stored as :attr:`_Kt`."""
-        return self.D.T.tocsr() if self.is_sparse else self.D.T
+    def _KD(self):
+        """Read-only CSR ``[K D]`` of sparse storage, N-by-2N."""
+        from scipy.sparse import hstack
+
+        return _freeze(hstack([self.K, self.D], format="csr"))
+
+    @cached_property
+    def _KDt(self):
+        """Read-only CSR ``[K D]^T`` of sparse storage, built once."""
+        return _freeze(self._KD.T.tocsr())
 
     @cached_property
     def _mass_input(self):

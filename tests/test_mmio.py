@@ -357,6 +357,25 @@ def test_negative_size_is_parse_error(tmp_path, header, body):
     assert exc.value.lineno == 3
 
 
+@pytest.mark.parametrize("size_line", ["1000000000000 1 0", "1 10000001 0",
+                                       "1 1000000000000000000000000 0",
+                                       "10000001 1"])
+def test_size_above_max_dimension_is_parse_error(tmp_path, size_line):
+    fmt = "coordinate" if size_line.count(" ") == 2 else "array"
+    path = tmp_path / "h.mtx"
+    path.write_text(f"%%MatrixMarket matrix {fmt} real general\n{size_line}\n")
+    with pytest.raises(ParseError, match="more than 10000000 rows or columns") as exc:
+        read_matrix(path)
+    assert exc.value.lineno == 2
+
+
+def test_max_dimension_is_accepted(tmp_path):
+    path = tmp_path / "w.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    f"1 {mmio.MAX_DIMENSION} 0\n")
+    assert read_matrix(path).shape == (1, mmio.MAX_DIMENSION)
+
+
 def test_non_utf8_is_parse_error(tmp_path):
     path = tmp_path / "u.mtx"
     path.write_bytes(b"%%MatrixMarket matrix array real general\n"
@@ -379,7 +398,8 @@ _HEADERS = st.builds(
     st.sampled_from(["array", "coordinate", "dense"]),
     st.sampled_from(["real", "integer", "complex"]),
     st.sampled_from(["general", "symmetric", "skew-symmetric", "hermitian"]))
-_SIZES = st.lists(st.integers(-3, 10**6), min_size=2, max_size=3).map(
+_SIZES = st.lists(st.integers(-3, 10**6) | st.sampled_from([10**12, 10**24]),
+                  min_size=2, max_size=3).map(
     lambda sizes: " ".join(map(str, sizes)))
 _TOKENS = (st.integers(-3, 10**6).map(str)
            | st.sampled_from(["", "x", "1.5", "-0.0", "nan", "-inf", "1e999",
@@ -404,7 +424,8 @@ def test_read_matrix_fuzz_mutations(tmp_path_factory, data):
 
     Sizes reach 10^6: a coordinate file of that declared size is stored in
     proportion to its entries.  (An array file that large declares more
-    values than any edit leaves in it, and fails its count.)
+    values than any edit leaves in it, and fails its count.)  Sizes of
+    10^12 and 10^24 are above ``MAX_DIMENSION`` and rejected.
     """
     kind = data.draw(st.sampled_from(["dense", "sparse", "sparse symmetric"]))
     if kind == "dense":

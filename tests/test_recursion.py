@@ -1,5 +1,6 @@
 import io
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
@@ -290,6 +291,21 @@ def _angle_cases():
     yield "both rank deficient", rank2, rank2 + 1e-9 * a
     yield "repeated column", np.hstack([a[:, :2], a[:, :2]]), a
     yield "zero", np.zeros((30, 4)), a
+    # tall enough for the QR-first bases
+    for rows, cols in ((400, 6), (800, 7)):
+        t = rng.standard_normal((rows, cols))
+        yield f"tall {rows}x{cols}", t, rng.standard_normal((rows, cols))
+        yield (f"tall {rows}x{cols} nearly equal", t,
+               t + 1e-12 * rng.standard_normal(t.shape))
+        yield f"tall {rows}x{cols} close", t, t + 1e-7 * rng.standard_normal(t.shape)
+        yield (f"tall {rows}x{cols} rank deficient",
+               t[:, :3] @ rng.standard_normal((3, cols)), t)
+
+
+def _assert_angle_close(angle, expected, resolution=0.0):
+    """The accuracy contract of the diagnostic angles against scipy, give or
+    take scipy's own `resolution`."""
+    assert abs(angle - expected) <= max(1e-12 * expected, 1e-15) + resolution
 
 
 @pytest.mark.parametrize("case", list(_angle_cases()), ids=lambda c: c[0])
@@ -297,7 +313,67 @@ def test_cached_basis_angle_matches_subspace_angles(case):
     _, a, b = case
     expected = scipy.linalg.subspace_angles(a, b)
     expected = float(np.max(expected)) if expected.size else 0.0
-    assert _max_principal_angle(_orth(a), _orth(b)) == expected
+    _assert_angle_close(_max_principal_angle(_orth(a), _orth(b)), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cols=st.integers(1, 7),
+       ratio=st.sampled_from([2, recursion._QR_FIRST_RATIO - 1,
+                              recursion._QR_FIRST_RATIO,
+                              2 * recursion._QR_FIRST_RATIO]),
+       kind=st.sampled_from(["full", "rank deficient", "wider", "narrower"]),
+       log_angle=st.floats(-14.0, np.log10(np.pi / 2)),
+       seed=st.integers(0, 2**32 - 1))
+def test_angle_kernels_match_subspace_angles(cols, ratio, kind, log_angle,
+                                             seed):
+    """``_max_principal_angle(_orth(a), _orth(b))`` keeps the accuracy
+    contract on both sides of the QR-first ratio, with b's range turned
+    away from a's by a largest angle from 1e-14 to pi/2; rank-deficient and
+    unequal-rank pairs take the fallback paths."""
+    rng = np.random.default_rng(seed)
+    rows = ratio * cols
+    a = rng.standard_normal((rows, cols))
+    rank = cols
+    if kind == "rank deficient" and cols > 1:
+        rank = int(rng.integers(1, cols))
+        a = a[:, :rank] @ rng.standard_normal((rank, cols))
+    q = scipy.linalg.orth(a)
+    away = rng.standard_normal(rows)
+    away -= q @ (q.T @ away)
+    theta = 10.0 ** log_angle
+    q[:, 0] = np.cos(theta) * q[:, 0] + np.sin(theta) * away / np.linalg.norm(away)
+    if kind == "wider":
+        q = np.hstack([q, rng.standard_normal((rows, 1))])
+    elif kind == "narrower" and rank > 1:
+        q = q[:, :-1]
+    b = q @ rng.standard_normal((q.shape[1], cols))
+    expected = float(np.max(scipy.linalg.subspace_angles(a, b)))
+    # Above 45 degrees, when some other angle is below it, scipy takes the
+    # largest angle from the arcsin of a sine near 1 (its step 5 pairs the
+    # mask of the descending cosines with the descending sines), and so
+    # resolves it only to eps / cos, at most sqrt(eps).  The same steps
+    # here, on a different basis of a tall range, can differ by that much.
+    resolution = 0.0
+    if expected > np.pi / 4:
+        eps = np.finfo(float).eps
+        resolution = min(4 * eps / np.cos(expected), np.sqrt(8 * eps))
+    _assert_angle_close(_max_principal_angle(_orth(a), _orth(b)), expected,
+                        resolution)
+
+
+@pytest.mark.parametrize("shape", [(400, 6), (800, 7)])
+@pytest.mark.parametrize("nested", [False, True])
+def test_nested_tall_subspaces_have_round_off_angle(shape, nested):
+    # Against scipy the contract does not hold when the true angle is 0:
+    # scipy's angle is then the orthogonality error of its SVD basis of a
+    # (1.5e-15 for a == b at 400x6, 2e-15 for a nested range).  The
+    # QR-first basis is at least as orthonormal, so the angle is at most
+    # scipy's.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(shape)
+    b = a[:, 1:] @ rng.standard_normal((shape[1] - 1, 3)) if nested else a.copy()
+    angle = _max_principal_angle(_orth(a), _orth(b))
+    assert angle <= max(np.max(scipy.linalg.subspace_angles(a, b)), 1e-15)
 
 
 def _svd_cases():
@@ -311,6 +387,10 @@ def _svd_cases():
                                   @ rng.standard_normal((1, 8)))
     yield "no columns", np.zeros((30, 0))
     yield "no rows", np.zeros((0, 4))
+    yield "tall 400x6", rng.standard_normal((400, 6))
+    yield "tall 800x7", rng.standard_normal((800, 7))
+    yield "tall rank deficient", (rng.standard_normal((400, 3))
+                                  @ rng.standard_normal((3, 6)))
 
 
 @pytest.mark.parametrize("case", list(_svd_cases()), ids=lambda c: c[0])
@@ -318,8 +398,12 @@ def test_direct_gesdd_matches_scipy(case):
     _, a = case
     basis = _orth(a)
     expected = scipy.linalg.orth(a)
+    # the same rank, an orthonormal basis and the same range
     assert basis.shape == expected.shape
-    assert np.array_equal(basis, expected)
+    assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1])),
+                  initial=0.0) <= 1e-12
+    assert np.max(np.abs(basis @ basis.T - expected @ expected.T),
+                  initial=0.0) <= 1e-12
     values = _gesdd(a, compute_uv=False)
     assert values.shape == (min(a.shape),)
     assert np.array_equal(values, scipy.linalg.svdvals(a))
@@ -366,8 +450,8 @@ def test_logged_angles_are_subspace_angles_of_consecutive_iterates():
     ws, wr = SubspaceWindow(*start[:2]), SubspaceWindow(*start[2:])
     for i in range(6):
         new_s, new_r, _ = srlrh_step(dsos, ws, wr)
-        assert diag.angles_s[i] == np.max(
-            scipy.linalg.subspace_angles(ws.curr, new_s.curr))
-        assert diag.angles_r[i] == np.max(
-            scipy.linalg.subspace_angles(wr.curr, new_r.curr))
+        _assert_angle_close(diag.angles_s[i], np.max(
+            scipy.linalg.subspace_angles(ws.curr, new_s.curr)))
+        _assert_angle_close(diag.angles_r[i], np.max(
+            scipy.linalg.subspace_angles(wr.curr, new_r.curr)))
         ws, wr = new_s, new_r

@@ -2,10 +2,10 @@
 
 Long mass-spring-damper chains are below the ``SPARSE_DENSITY`` rule, so
 their M, D and K are stored as CSR matrices, their mass solves go through a
-SuperLU factor and the recursion's products through the stored K and D and
-their CSR transposes.  The stacked-equivalence check of acceptance
-criterion 1 must hold there at the same tolerances, against the same
-independent first-order oracle.
+SuperLU factor (the transposed ones through a factor of ``M^T``) and the
+recursion's products through the stored ``[K D]`` and its CSR transpose.
+The stacked-equivalence check of acceptance criterion 1 must hold there at
+the same tolerances, against the same independent first-order oracle.
 """
 
 import tracemalloc
@@ -18,7 +18,7 @@ import scipy.sparse
 
 import firstorder
 
-from morso import systems
+from morso import recursion, systems
 from morso.bench import BenchmarkSpec, generate_msd_chain, load_matrix_market
 from morso.cli import cli_main
 from morso.discretize import (
@@ -78,16 +78,21 @@ def test_chain_takes_sparse_path(N):
 
 def test_sparse_transposes_are_csr():
     dsos = _chain(80)
-    for op, op_t in ((dsos.K, dsos._Kt), (dsos.D, dsos._Dt)):
-        assert op_t.format == "csr"
-        assert np.array_equal(op_t.toarray(), op.T.toarray())
+    fused = np.hstack([dsos.K.toarray(), dsos.D.toarray()])
+    for op, expected in ((dsos._KD, fused), (dsos._KDt, fused.T)):
+        assert op.format == "csr"
+        assert np.array_equal(op.toarray(), expected)
+        assert not op.data.flags.writeable
+    assert type(dsos._mass_factor_t).__name__ == "SuperLU"
 
 
 def test_small_chain_stays_dense():
     dsos = _chain(32)
     assert not dsos.is_sparse
     assert type(dsos.K) is np.ndarray
-    assert dsos._Kt.base is dsos.K
+    rng = np.random.default_rng(0)
+    srlrg_step(dsos, _window(rng, 32, 4), _window(rng, 32, 4))
+    assert "_KD" not in vars(dsos)  # no N-by-2N copy of dense K and D
 
 
 @pytest.mark.parametrize("N", [80, 200])
@@ -123,6 +128,63 @@ def test_mass_solves_match_dense(N):
     complex_rhs = rhs * (1.0 + 2.0j)
     assert np.allclose(dsos.solve_mass(complex_rhs),
                        np.linalg.solve(M, complex_rhs))
+
+
+class _RecordingFactor:
+    """A SuperLU factor that records the ``trans`` of every solve."""
+
+    def __init__(self, lu):
+        self.lu, self.trans = lu, []
+
+    def solve(self, rhs, trans="N"):
+        self.trans.append(trans)
+        return self.lu.solve(rhs, trans=trans)
+
+
+@pytest.mark.parametrize("algo", ["srlrg", "srlrh"])
+def test_step_kernels_on_long_chain(algo, monkeypatch):
+    """One recursion step on the N = 400 chain, angles included, gives no
+    matrix at or above the QR-first ratio to gesdd, makes no transposed
+    SuperLU solve and two sparse products."""
+    dsos = _chain(400)
+    assert dsos._mass_input is not None  # solved once, before counting
+    factors = []
+    for name in ("_mass_factor", "_mass_factor_t"):
+        factors.append(_RecordingFactor(getattr(dsos, name)))
+        setattr(dsos, name, factors[-1])
+    shapes, products = [], []
+    gesdd = recursion._gesdd
+
+    def recording_gesdd(a, compute_uv):
+        shapes.append(a.shape)
+        return gesdd(a, compute_uv)
+
+    monkeypatch.setattr(recursion, "_gesdd", recording_gesdd)
+    for cls in (scipy.sparse.csr_array, scipy.sparse.csc_array):
+        def counted(a, b, matmul=cls.__matmul__):
+            products.append(a.shape)
+            return matmul(a, b)
+        monkeypatch.setattr(cls, "__matmul__", counted)
+
+    run_recursion(dsos, RecursionConfig(n=6, seed=1, tau=1), algo)
+    assert shapes
+    assert all(rows < recursion._QR_FIRST_RATIO * cols for rows, cols in shapes)
+    assert [t for f in factors for t in f.trans] == ["N", "N"]
+    assert products == [(400, 800), (800, 400)]
+
+
+@pytest.mark.parametrize("algo", ["srlrg", "srlrh"])
+def test_long_chain_recursion_is_deterministic(algo):
+    """Acceptance criterion 10 at a size that takes the QR-first kernels."""
+    dsos = _chain(400)
+    runs = [run_recursion(dsos, RecursionConfig(n=6, seed=5, tau=50), algo)
+            for _ in range(2)]
+    (s1, r1, d1), (s2, r2, d2) = runs
+    assert s1.tobytes() == s2.tobytes() and r1.tobytes() == r2.tobytes()
+    for key in ("sigma_s", "sigma_r"):
+        assert (np.concatenate(getattr(d1, key)).tobytes()
+                == np.concatenate(getattr(d2, key)).tobytes())
+    assert d1.angles_s == d2.angles_s and d1.angles_r == d2.angles_r
 
 
 STEPS = {"srlrg": (srlrg_step, firstorder.rlrg_step),
