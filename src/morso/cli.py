@@ -19,6 +19,7 @@ from dataclasses import fields, replace
 import os
 import sys
 from typing import get_args
+import warnings
 
 from . import __version__
 from .bench import (
@@ -30,7 +31,12 @@ from .bench import (
     write_benchmark,
 )
 from .discretize import Scheme, default_step, discretize, inverse_discretize
-from .errors import BadParameters, MorsoError, ValidationError
+from .errors import (
+    BadParameters,
+    MorsoError,
+    UnstableReductionWarning,
+    ValidationError,
+)
 from .metrics import default_grid, error_response, frequency_response
 from .oracle import balancing_factors
 from .projection import build_projection, check_rank_tol, reduce_model
@@ -201,6 +207,11 @@ def _cmd_reduce(args):
     reduced, diag = _reduce_cell(dsos, cfg.algorithm, rec_cfg, cfg.rank_tol)
     if args.continuous_output and reduced.is_discrete:
         reduced = inverse_discretize(reduced, scheme)
+    rep = stability_report(reduced)
+    if not rep.is_stable:
+        verdict = "marginally stable" if rep.marginal else "unstable"
+        warnings.warn(f"the reduced model is {verdict}: stability margin "
+                      f"{rep.margin:.6e}", UnstableReductionWarning)
 
     os.makedirs(args.out, exist_ok=True)
     name = f"{spec.name}_reduced"
@@ -230,6 +241,10 @@ def _cmd_compare(args):
     for method in methods:
         if method not in _METHODS:
             raise BadParameters(f"unknown method {method!r}")
+    for flag, values in (("--orders", orders), ("--methods", methods)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise BadParameters(f"{flag} names {repeated[0]} more than once")
     cfg, spec, sos, dsos, scheme, rec_cfg = _set_up(args, orders)
     table_grid = default_grid(sos, cfg.grid_count, cfg.omega_min, cfg.omega_max)
     circle_grid = default_grid(dsos, cfg.grid_count, cfg.omega_min, cfg.omega_max)

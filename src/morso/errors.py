@@ -110,3 +110,8 @@ class RankCollapseWarning(MorsoWarning):
 class UnstableDiscretizationWarning(MorsoWarning):
     """Discretization turned a stable continuous system into an unstable
     difference system; the step size is too large for the chosen scheme."""
+
+
+class UnstableReductionWarning(MorsoWarning):
+    """A reduced model is unstable or marginally stable; the message gives
+    its stability margin."""

@@ -89,7 +89,8 @@ class RecursionConfig:
     Exactly one stopping rule applies: a fixed step count ``tau`` (defaults
     to three times the full first-order dimension when neither is given) or
     an ``angle_tol`` on the principal angle between consecutive subspaces,
-    bounded by ``max_steps``.
+    bounded by ``max_steps``.  ``max_steps`` bounds only that rule, so it
+    needs ``angle_tol``.
     """
 
     n: int
@@ -112,8 +113,12 @@ class RecursionConfig:
             raise BadParameters(
                 f"angle_tol must lie in (0, 1), got {self.angle_tol}"
             )
-        if self.max_steps is not None and self.max_steps < 1:
-            raise BadParameters(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.max_steps is not None:
+            if self.angle_tol is None:
+                raise BadParameters("max_steps bounds the angle_tol stopping "
+                                    "rule and needs angle_tol")
+            if self.max_steps < 1:
+                raise BadParameters(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 @dataclass(frozen=True)

@@ -142,102 +142,103 @@ def _densified(sos, consumer):
     return tuple(_dense(a) for a in (sos.M, sos.D, sos.K))
 
 
-def _checked_lu(mat, error, broken, singular, rcond_min=0.0):
-    """LU-factorize `mat` with LAPACK ``getrf`` and estimate its reciprocal
-    condition number with ``gecon``.
+class _Factor:
+    """Checked LU factor of a square dense ndarray or CSR matrix `mat`.
 
-    Raises ``error(broken)`` when the factorization breaks down, and
-    ``error(singular.format(rcond))`` when the estimate is zero, not finite
-    or below ``rcond_min``.  Returns ``((lu, piv), rcond)``, where the
-    factor is what ``scipy.linalg.lu_factor`` returns for `mat`.
+    A dense `mat` is factored by LAPACK ``getrf`` and solved by ``getrs``:
+    the results of ``scipy.linalg.lu_factor``/``lu_solve`` without their
+    finiteness checks, so non-finite right-hand sides pass through.  Its
+    ``rcond`` is the ``gecon`` estimate.  A CSR `mat` is factored by
+    SuperLU, and its ``rcond`` is ``1 / (||mat||_1 est)``, where ``est`` is
+    ``scipy.sparse.linalg.onenormest`` of ``mat^{-1}``, applied through the
+    factor's solves; the estimate is the same on every call and leaves
+    numpy's global random state as it was.
+
+    Raises ``error(nonfinite)`` (default ``error(broken)``) when `mat` has a
+    non-finite entry, ``error(broken)`` when the factorization breaks down
+    or a CSR `mat` has no nonzeros, and ``error(singular.format(rcond))``
+    when ``rcond`` is zero, not finite or below ``rcond_min``.
     """
-    anorm = np.linalg.norm(mat, 1)
-    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (mat,))
-    lu, piv, _ = getrf(mat)
-    if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
-        raise error(broken)
-    rcond, _ = gecon(lu, anorm)
-    if rcond == 0.0 or not np.isfinite(rcond) or rcond < rcond_min:
-        raise error(singular.format(rcond))
-    return (lu, piv), rcond
 
+    def __init__(self, mat, error, broken, singular, rcond_min=0.0,
+                 nonfinite=None):
+        self._sparse = _issparse(mat)
+        if not np.all(np.isfinite(mat.data if self._sparse else mat)):
+            raise error(nonfinite or broken)
+        factor = self._splu if self._sparse else self._getrf
+        self.rcond = rcond = factor(mat, error, broken)
+        if rcond == 0.0 or not np.isfinite(rcond) or rcond < rcond_min:
+            raise error(singular.format(rcond))
 
-def _lu_solve(lu_piv, rhs, trans=0):
-    """Solve with a :func:`_checked_lu` factor by LAPACK ``getrs``: the
-    result of ``scipy.linalg.lu_solve(lu_piv, rhs, trans)`` without its
-    finiteness check, so non-finite right-hand sides pass through."""
-    lu, piv = lu_piv
-    getrs = get_lapack_funcs("getrs", (lu, rhs))
-    x, _ = getrs(lu, piv, rhs, trans=trans)
-    return x
+    def _getrf(self, mat, error, broken):
+        anorm = np.linalg.norm(mat, 1)
+        getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (mat,))
+        lu, piv, _ = getrf(mat)
+        if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
+            raise error(broken)
+        self._lu = lu, piv
+        return gecon(lu, anorm)[0]
 
+    def _splu(self, mat, error, broken):
+        # Imported here so that dense models never load scipy.sparse.linalg.
+        from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
 
-def _checked_splu(mat, error, broken, singular, rcond_min=0.0):
-    """SuperLU-factorize a sparse `mat`, with the checks of
-    :func:`_checked_lu`.
+        if mat.nnz == 0:
+            raise error(broken)
+        try:
+            self._lu = lu = splu(mat.tocsc())
+        except RuntimeError:
+            raise error(broken) from None
+        self._mat = mat
+        inverse = LinearOperator(
+            mat.shape, dtype=mat.dtype, matvec=lu.solve, matmat=lu.solve,
+            rmatvec=lambda x: lu.solve(x, trans="H"),
+            rmatmat=lambda x: lu.solve(x, trans="H"))
+        # onenormest draws its start vectors from numpy's global generator:
+        # seed it, so the estimate repeats, and restore the caller's state.
+        state = np.random.get_state()
+        np.random.seed(0)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return 1.0 / (norm(mat, 1) * onenormest(inverse))
+        finally:
+            np.random.set_state(state)
 
-    The reciprocal condition number is ``1 / (||mat||_1 est)``, where
-    ``est`` is ``scipy.sparse.linalg.onenormest`` of ``mat^{-1}``, applied
-    through the factor's solves; the estimate is the same on every call
-    and leaves numpy's global random state as it was.  A matrix without
-    nonzeros, or whose factorization fails, raises ``error(broken)``.
-    Returns ``(lu, rcond)``.
-    """
-    # Imported here so that dense models never load scipy.sparse.linalg.
-    from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
+    @cached_property
+    def _lu_t(self):
+        """SuperLU factor of ``mat^T``, built on the first transposed solve:
+        SuperLU solves a transposed system one right-hand side at a time,
+        and a plain solve all of them at once."""
+        from scipy.sparse.linalg import splu
 
-    if mat.nnz == 0:
-        raise error(broken)
-    try:
-        lu = splu(mat.tocsc())
-    except RuntimeError:
-        raise error(broken) from None
-    inverse = LinearOperator(
-        mat.shape, dtype=mat.dtype, matvec=lu.solve, matmat=lu.solve,
-        rmatvec=lambda x: lu.solve(x, trans="H"),
-        rmatmat=lambda x: lu.solve(x, trans="H"))
-    # onenormest draws its start vectors from numpy's global generator:
-    # seed it, so the estimate repeats, and restore the caller's state.
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            rcond = 1.0 / (norm(mat, 1) * onenormest(inverse))
-    finally:
-        np.random.set_state(state)
-    if rcond == 0.0 or not np.isfinite(rcond) or rcond < rcond_min:
-        raise error(singular.format(rcond))
-    return lu, rcond
+        return splu(self._mat.T.tocsc(copy=True))
 
-
-def _splu_solve(lu, rhs, trans="N"):
-    """Solve with a real SuperLU factor; a complex right-hand side is
-    solved as its real and imaginary parts."""
-    if not np.iscomplexobj(rhs):
-        return lu.solve(rhs, trans=trans)
-    x = lu.solve(rhs.real, trans=trans).astype(complex)
-    x.imag = lu.solve(rhs.imag, trans=trans)
-    return x
+    def solve(self, rhs, trans=False):
+        """``mat^{-1} rhs``, or ``mat^{-T} rhs`` when `trans` is set.  A real
+        SuperLU factor solves a complex `rhs` as its real and imaginary
+        parts."""
+        if not self._sparse:
+            lu, piv = self._lu
+            getrs = get_lapack_funcs("getrs", (lu, rhs))
+            return getrs(lu, piv, rhs, trans=int(trans))[0]
+        lu = self._lu_t if trans else self._lu
+        if not np.iscomplexobj(rhs) or np.iscomplexobj(self._mat.data):
+            return lu.solve(rhs)
+        x = lu.solve(rhs.real).astype(complex)
+        x.imag = lu.solve(rhs.imag)
+        return x
 
 
 def _solve_at_point(mat, rhs, point):
-    """Solve mat @ x = rhs, for a dense or sparse `mat`, raising
+    """Solve mat @ x = rhs, for a dense or CSR `mat`, raising
     SingularAtPoint if mat is not finite or numerically singular (the
     evaluation point is a characteristic frequency)."""
-    sparse = _issparse(mat)
-    if not np.all(np.isfinite(mat.data if sparse else mat)):
-        raise SingularAtPoint(
-            f"characteristic matrix is not finite at point {point}")
-    checks = (SingularAtPoint,
-              f"characteristic matrix is singular at point {point}",
-              f"characteristic matrix is numerically singular at point {point} "
-              "(rcond={:.2e})",
-              _RCOND_SINGULAR)
-    if sparse:
-        lu, _ = _checked_splu(mat, *checks)
-        return lu.solve(rhs)
-    lu_piv, _ = _checked_lu(mat, *checks)
-    return _lu_solve(lu_piv, rhs)
+    return _Factor(
+        mat, SingularAtPoint, f"characteristic matrix is singular at point {point}",
+        f"characteristic matrix is numerically singular at point {point} "
+        "(rcond={:.2e})", _RCOND_SINGULAR,
+        nonfinite=f"characteristic matrix is not finite at point {point}",
+    ).solve(rhs)
 
 
 class SecondOrderSystem:
@@ -308,8 +309,7 @@ class SecondOrderSystem:
         if h is not None:
             h = _checked_step(h, DimensionMismatch)
 
-        sparse = all(_nonzeros(a) <= SPARSE_DENSITY * N * N for a in (M, D, K))
-        if sparse:
+        if all(_nonzeros(a) <= SPARSE_DENSITY * N * N for a in (M, D, K)):
             from scipy.sparse import csr_array as convert
         else:
             convert = _dense
@@ -319,11 +319,10 @@ class SecondOrderSystem:
         self.F = _freeze(F)
         self.G = _freeze(G)
         self.h = h
-        factor = _checked_splu if sparse else _checked_lu
-        self._mass_factor, rcond = factor(
+        self._mass_factor = _Factor(
             self.M, SingularMass, "mass matrix M is singular: LU factorization failed",
             "mass matrix M is numerically singular (rcond={})")
-        self.mass_condition = 1.0 / rcond
+        self.mass_condition = 1.0 / self._mass_factor.rcond
         if self.mass_condition > COND_WARN_THRESHOLD:
             warnings.warn(
                 f"mass matrix M has condition estimate {self.mass_condition:.2e}; "
@@ -375,24 +374,11 @@ class SecondOrderSystem:
         Non-finite right-hand sides pass through as non-finite results so
         that iteration divergence can be diagnosed by the caller.
         """
-        if self.is_sparse:
-            return _splu_solve(self._mass_factor, rhs)
-        return _lu_solve(self._mass_factor, rhs)
+        return self._mass_factor.solve(rhs)
 
     def solve_mass_t(self, rhs):
         """Return M^{-T} @ rhs using the cached factorization."""
-        if self.is_sparse:
-            return _splu_solve(self._mass_factor_t, rhs)
-        return _lu_solve(self._mass_factor, rhs, trans=1)
-
-    @cached_property
-    def _mass_factor_t(self):
-        """SuperLU factor of ``M^T``, for sparse storage, built on first
-        use: SuperLU solves a transposed system one right-hand side at a
-        time, and a plain solve all of them at once."""
-        from scipy.sparse.linalg import splu
-
-        return splu(self.M.T.tocsc(copy=True))
+        return self._mass_factor.solve(rhs, trans=True)
 
     def _stiffness_damping(self, prev, curr):
         """``K prev + D curr``: one product of sparse storage's ``[K D]``
@@ -457,8 +443,7 @@ class SecondOrderSystem:
         key = complex(point)
         value = self._transfers.get(key)
         if value is None:
-            P = self.characteristic(point).astype(complex)
-            X = _solve_at_point(P, self.F.astype(complex), point)
+            X = _solve_at_point(self.characteristic(point), self.F, point)
             value = self._transfers[key] = self.G @ X
         return value.copy()
 
@@ -519,7 +504,7 @@ class FirstOrderSystem:
         """Transfer matrix ``C (pt I - A)^{-1} B``."""
         pt = complex(point)
         P = pt * np.eye(self.order, dtype=complex) - self.A
-        X = _solve_at_point(P, self.B.astype(complex), point)
+        X = _solve_at_point(P, self.B, point)
         return self.C @ X
 
 

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from morso.errors import (
     MorsoError,
     ParseError,
     ShrunkRankWarning,
+    UnstableReductionWarning,
     ValidationError,
 )
 
@@ -303,6 +305,73 @@ def test_compare_tau_with_config_angle_tol_exit_1(chain_spec, tmp_path,
                      "--out", str(tmp_path / "cmp")]) == 1
     assert ("give either tau or angle_tol, not both"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", [
+    ["reduce", "--max-steps", "3"],
+    ["reduce", "--config", "steps.cfg"],
+    ["compare", "--orders", "2", "--config", "steps.cfg"],
+])
+def test_max_steps_without_angle_tol_exit_1(chain_spec, tmp_path, capsys,
+                                            command):
+    """``max_steps`` bounds only the angle stopping rule: without
+    ``angle_tol`` it would be ignored, so it fails the run instead."""
+    (tmp_path / "steps.cfg").write_text("max_steps=3\n")
+    command = [str(tmp_path / a) if a.endswith(".cfg") else a for a in command]
+    out = tmp_path / "run"
+    assert cli_main([command[0], chain_spec, "--h", "0.5", *command[1:],
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: max_steps bounds the angle_tol stopping rule and needs "
+        "angle_tol\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--orders", "2,4,2"], "--orders names 2 more than once"),
+    (["--orders", "2", "--methods", "srlrg,bt,srlrg"],
+     "--methods names srlrg more than once"),
+])
+def test_compare_repeated_cell_exit_1(chain_spec, tmp_path, capsys, flags,
+                                      message):
+    out = tmp_path / "cmp"
+    assert cli_main(["compare", chain_spec, "--h", "0.5", *flags,
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_reduce_warns_about_unstable_reduced_model(tmp_path, capsys):
+    """An unstable reduced model is written as before, with a warning that
+    gives its stability margin."""
+    bench = tmp_path / "bench"
+    assert cli_main(["gen-msd", "--n", "32", "--damping", "1.0", "--seed",
+                     "1", "--out", str(bench)]) == 0
+    out = tmp_path / "run"
+    with pytest.warns(UnstableReductionWarning,
+                      match=r"^the reduced model is unstable: stability "
+                            r"margin -\d\.\d{6}e[+-]\d\d$") as record:
+        assert cli_main(["reduce", str(bench / "msd_chain.spec"), "--h",
+                         "0.5", "--seed", "1", "--order", "4",
+                         "--out", str(out)]) == 0
+    red = load_matrix_market(BenchmarkSpec.read(out / "msd_chain_reduced.spec"))
+    margin = float(str(record[0].message).rsplit(" ", 1)[1])
+    assert margin == pytest.approx(systems.stability_report(red).margin,
+                                   rel=1e-6)
+    assert "steps taken:    192 (fixed-steps)" in capsys.readouterr().out
+
+
+def test_reduce_stable_reduced_model_is_silent(chain_spec, tmp_path):
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert cli_main(["reduce", chain_spec, "--algo", "srlrh", "--order",
+                         "3", "--h", "0.5", "--seed", "5",
+                         "--out", str(out)]) == 0
+    red = load_matrix_market(BenchmarkSpec.read(out / "msd_chain_reduced.spec"))
+    assert systems.stability_report(red).is_stable
+    assert not [w for w in record
+                if issubclass(w.category, UnstableReductionWarning)]
 
 
 @pytest.mark.parametrize("methods", ["bt", "srlrg,bt"])

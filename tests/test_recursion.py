@@ -1,9 +1,10 @@
 import io
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import firstorder
 from helpers import random_stable_discrete
@@ -255,6 +256,12 @@ class TestRunRecursion:
         with pytest.raises(BadParameters):
             run_recursion(dsos, RecursionConfig(n=2), "newton")
 
+    @pytest.mark.parametrize("tau", [None, 5])
+    def test_max_steps_needs_angle_tol(self, tau):
+        with pytest.raises(BadParameters, match="needs angle_tol"):
+            RecursionConfig(n=2, tau=tau, max_steps=3)
+        assert RecursionConfig(n=2, angle_tol=0.1, max_steps=3).max_steps == 3
+
     def test_window_validation(self):
         with pytest.raises(DimensionMismatch):
             SubspaceWindow(np.zeros((4, 2)), np.zeros((3, 2)))
@@ -455,3 +462,52 @@ def test_logged_angles_are_subspace_angles_of_consecutive_iterates():
         _assert_angle_close(diag.angles_r[i], np.max(
             scipy.linalg.subspace_angles(wr.curr, new_r.curr)))
         ws, wr = new_s, new_r
+
+
+def _banded_sos(rng, N, m, p):
+    """Difference system with tridiagonal M, D and K, which is stored
+    sparse: M is diagonally dominant, D and K are small."""
+    def tridiagonal(diagonal, scale):
+        off = scale * rng.standard_normal(N - 1)
+        main = diagonal + scale * rng.standard_normal(N)
+        return scipy.sparse.diags_array([off, main, off], offsets=[-1, 0, 1])
+    return SecondOrderSystem(
+        tridiagonal(3.0, 0.5), tridiagonal(0.0, 0.3), tridiagonal(0.0, 0.3),
+        rng.standard_normal((N, m)), rng.standard_normal((p, N)), h=1.0)
+
+
+@st.composite
+def _step_cases(draw):
+    banded = draw(st.booleans())
+    N = draw(st.integers(60, 150) if banded else st.integers(2, 12))
+    return (banded, N, draw(st.integers(1, N - 1)), draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=30, deadline=None)
+# Update matrices at or above the QR-first ratio (2N >= 48 (n + m)).
+@example(case=(True, 150, 2, 1, 3, 0))
+@example(case=(True, 150, 1, 3, 1, 1))
+@example(case=(True, 120, 1, 1, 2, 2))
+@given(case=_step_cases())
+def test_stacked_equivalence_random_systems(case):
+    """One srlrg and one srlrh step against the first-order oracle at
+    criterion 1's per-step tolerance, with m and p drawn independently (so
+    srlrh's cross product need not be square), n up to N - 1, on dense
+    systems and on banded ones stored sparse, on both sides of the
+    QR-first ratio."""
+    banded, N, n, m, p, seed = case
+    rng = np.random.default_rng(seed)
+    if banded:
+        dsos = _banded_sos(rng, N, m, p)
+        assert dsos.is_sparse
+    else:
+        dsos = random_stable_discrete(seed, N, m=m, p=p)
+    A, B, C = firstorder.state_space(dsos)
+    ws, wr = _window(rng, N, n), _window(rng, N, n)
+    for step, ostep in ((srlrg_step, firstorder.rlrg_step),
+                        (srlrh_step, firstorder.rlrh_step)):
+        s_ref, r_ref = ostep(A, B, C, ws.stacked(), wr.stacked(), n)
+        new_s, new_r, _ = step(dsos, ws, wr)
+        assert np.max(np.abs(new_s.stacked() - s_ref)) <= 1e-10
+        assert np.max(np.abs(new_r.stacked() - r_ref)) <= 1e-10

@@ -73,7 +73,7 @@ def test_chain_takes_sparse_path(N):
     dsos = _chain(N)
     assert dsos.is_sparse
     assert max(dsos.M.nnz, dsos.D.nnz, dsos.K.nnz) <= SPARSE_DENSITY * N * N
-    assert type(dsos._mass_factor).__name__ == "SuperLU"
+    assert type(dsos._mass_factor._lu).__name__ == "SuperLU"
 
 
 def test_sparse_transposes_are_csr():
@@ -83,7 +83,10 @@ def test_sparse_transposes_are_csr():
         assert op.format == "csr"
         assert np.array_equal(op.toarray(), expected)
         assert not op.data.flags.writeable
-    assert type(dsos._mass_factor_t).__name__ == "SuperLU"
+    factor_t = dsos._mass_factor._lu_t
+    assert type(factor_t).__name__ == "SuperLU"
+    rhs = np.random.default_rng(0).standard_normal((80, 3))
+    assert np.allclose(dsos.M.T @ factor_t.solve(rhs), rhs, rtol=0, atol=1e-12)
 
 
 def test_small_chain_stays_dense():
@@ -149,9 +152,9 @@ def test_step_kernels_on_long_chain(algo, monkeypatch):
     dsos = _chain(400)
     assert dsos._mass_input is not None  # solved once, before counting
     factors = []
-    for name in ("_mass_factor", "_mass_factor_t"):
-        factors.append(_RecordingFactor(getattr(dsos, name)))
-        setattr(dsos, name, factors[-1])
+    for name in ("_lu", "_lu_t"):
+        factors.append(_RecordingFactor(getattr(dsos._mass_factor, name)))
+        setattr(dsos._mass_factor, name, factors[-1])
     shapes, products = [], []
     gesdd = recursion._gesdd
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import splu
 
+from morso.bench import generate_msd_chain
+from morso.discretize import discretize
 from morso.errors import (
     ConditioningWarning,
     DimensionMismatch,
@@ -10,8 +13,7 @@ from morso.errors import (
     ZeroPoint,
 )
 from morso.systems import (
-    _checked_lu,
-    _lu_solve,
+    _Factor,
     FirstOrderSystem,
     SecondOrderSystem,
     linearize,
@@ -78,15 +80,46 @@ def test_lu_helper_matches_scipy(kind):
         b = b + 1j * rng.standard_normal((7, 3))
     if kind == "complex":
         a = a + 1j * rng.standard_normal((7, 7))
-    (lu, piv), rcond = _checked_lu(a, SingularMass, "broken", "singular {}")
+    factor = _Factor(a, SingularMass, "broken", "singular {}")
+    lu, piv = factor._lu
     ref_lu, ref_piv = scipy.linalg.lu_factor(a)
     assert np.array_equal(lu, ref_lu)
     assert np.array_equal(piv, ref_piv)
-    assert 0.0 < rcond <= 1.0
+    assert 0.0 < factor.rcond <= 1.0
     for trans in (0, 1):
         assert np.array_equal(
-            _lu_solve((lu, piv), b, trans),
+            factor.solve(b, trans=bool(trans)),
             scipy.linalg.lu_solve((ref_lu, ref_piv), b, trans=trans))
+
+
+def _complex_solve(P, F):
+    """``P^{-1} F`` by scipy, with P and F made complex first."""
+    P, F = P.astype(complex), F.astype(complex)
+    if isinstance(P, np.ndarray):
+        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(P), F)
+    return splu(P.tocsc()).solve(F)
+
+
+@pytest.mark.parametrize("N, sparse", [(32, False), (120, True)])
+@pytest.mark.parametrize("h", [None, 0.5])
+def test_transfer_is_a_solve_with_complex_matrices(N, sparse, h):
+    """``transfer`` passes P and F as they are: its result is bit-identical
+    to a solve with explicitly complex copies, for dense and sparse
+    storage, in both domains, and for the first-order form."""
+    sos = generate_msd_chain(N, damping=1.0, seed=1)
+    if h is not None:
+        sos = discretize(sos, h)
+    assert sos.is_sparse == sparse
+    points = [0.3j, 1.5 + 0.2j] if h is None else np.exp([0.3j, 2.0j])
+    for pt in points:
+        X = _complex_solve(sos.characteristic(pt), sos.F)
+        assert np.array_equal(sos.transfer(pt), sos.G @ X)
+    if not sparse:
+        fos = linearize(sos)
+        for pt in points:
+            P = pt * np.eye(fos.order) - fos.A
+            assert np.array_equal(fos.transfer(pt),
+                                  fos.C @ _complex_solve(P, fos.B))
 
 
 class TestLinearize:
