@@ -82,6 +82,13 @@ class BenchmarkSpec:
     expected: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # The name becomes part of output file names, of CSV cells and of
+        # the spec file's own name line.
+        if self.name in ("", ".", "..") or any(
+                c in self.name for c in ",\n\r/" + os.sep + (os.altsep or "")):
+            raise BadParameters(f"name must not be empty, '.' or '..', nor "
+                                f"hold a path separator, a comma or a line "
+                                f"break, got {self.name!r}")
         missing = [r for r in ROLES if r not in self.paths]
         if missing:
             raise BadParameters(f"spec {self.name!r} lacks roles: {missing}")
@@ -101,8 +108,11 @@ class BenchmarkSpec:
         for key, short in _EXPECTED_KEYS.items():
             if key in data:
                 expected[short] = _spec_value(path, data, key, int)
-        return cls(name=data.get("name", os.path.basename(path)), paths=paths,
-                   h=h, expected=expected)
+        try:
+            return cls(name=data.get("name", os.path.basename(path)),
+                       paths=paths, h=h, expected=expected)
+        except BadParameters as exc:  # the roles are checked above
+            raise ParseError(path, 0, str(exc)) from None
 
     def write(self, path):
         base = os.path.dirname(os.path.abspath(path))
@@ -193,18 +203,19 @@ def write_benchmark(directory, name, sos, suggested_halforder=None):
     of its entries are nonzero and none is -0.0 (so a chain's ``M``, ``D``,
     ``K``, ``F`` and ``G`` take O(N) lines), else as a dense array file.
     Both carry full precision, so a reload reproduces the system bit for
-    bit.
+    bit.  A name that :class:`BenchmarkSpec` refuses raises BadParameters
+    before anything is written.
     """
-    os.makedirs(directory, exist_ok=True)
-    paths = {}
-    for role in ROLES:
-        p = os.path.join(directory, f"{name}_{role}.mtx")
-        write_matrix(p, getattr(sos, role), comment=f" {name}: {role} matrix")
-        paths[role] = p
+    paths = {role: os.path.join(directory, f"{name}_{role}.mtx")
+             for role in ROLES}
     expected = {"2N": 2 * sos.order, "m": sos.n_inputs, "p": sos.n_outputs}
     if suggested_halforder is not None:
         expected["2n"] = 2 * int(suggested_halforder)
     spec = BenchmarkSpec(name=name, paths=paths, h=sos.h, expected=expected)
+    os.makedirs(directory, exist_ok=True)
+    for role in ROLES:
+        write_matrix(paths[role], getattr(sos, role),
+                     comment=f" {name}: {role} matrix")
     spec_path = os.path.join(directory, f"{name}.spec")
     spec.write(spec_path)
     return spec_path

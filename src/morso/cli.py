@@ -235,13 +235,14 @@ def _format_cell(value):
 def _cmd_compare(args):
     orders = [_parse_int("--orders", tok) for tok in args.orders.split(",")
               if tok.strip()]
-    if not orders:
-        raise BadParameters("--orders must name at least one half-order")
     methods = [t.strip() for t in args.methods.split(",") if t.strip()]
     for method in methods:
         if method not in _METHODS:
             raise BadParameters(f"unknown method {method!r}")
-    for flag, values in (("--orders", orders), ("--methods", methods)):
+    for flag, values, what in (("--orders", orders, "half-order"),
+                               ("--methods", methods, "method")):
+        if not values:
+            raise BadParameters(f"{flag} must name at least one {what}")
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise BadParameters(f"{flag} names {repeated[0]} more than once")

@@ -241,15 +241,15 @@ def _svd(mat, left=True):
     """Thin SVD ``(u, s, vt)`` of a finite matrix, each singular vector
     pair's sign fixed.
 
-    With ``left`` false, ``u`` is None, and a matrix that is tall by
-    :func:`_qr_first` is first reduced to the R factor of its Householder
-    QR: ``mat = QR`` has the singular values and right singular vectors of
+    With ``left`` false, ``u`` is None, and a matrix with more rows than
+    columns is first reduced to the R factor of its Householder QR:
+    ``mat = QR`` has the singular values and right singular vectors of
     ``R``, and the tall U is never formed.
     """
     _require_finite(mat)
     try:
-        small = _householder(mat)[2] if not left and _qr_first(mat) else mat
-        u, s, vt = _gesdd(small, compute_uv=True)
+        tall = not left and mat.shape[0] > mat.shape[1]
+        u, s, vt = _gesdd(_householder(mat)[2] if tall else mat, compute_uv=True)
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(f"SVD did not converge on a {mat.shape} matrix") from exc
     # Fix each right singular vector's sign by its largest-magnitude entry
@@ -332,68 +332,45 @@ def _orthonormal(rng, N, n):
     return q
 
 
-_GESDD, _GESDD_LWORK, _GEQRF, _ORGQR, _SYEVD = scipy.linalg.get_lapack_funcs(
-    ("gesdd", "gesdd_lwork", "geqrf", "orgqr", "syevd"), dtype=np.float64)
-
-# Rows per column from which a matrix counts as tall: its singular values,
-# right singular vectors and range basis then come from a Householder QR
-# (geqrf, orgqr) and the SVD of its small R factor, which is cheaper than
-# one gesdd of the whole matrix.  Below it, the plain gesdd is cheaper.
-_QR_FIRST_RATIO = 48
+_GESDD, _GEQRF, _ORGQR, _SYEVD = scipy.linalg.get_lapack_funcs(
+    ("gesdd", "geqrf", "orgqr", "syevd"), dtype=np.float64)
 
 _EPS = np.finfo(float).eps
 
 
-def _qr_first(a):
-    """Whether `a` is tall enough for :data:`_QR_FIRST_RATIO`."""
-    rows, cols = a.shape
-    return 0 < cols and _QR_FIRST_RATIO * cols <= rows
-
-
 @functools.lru_cache(maxsize=64)
-def _upper(n):
-    """Read-only mask of the upper triangle of an n-by-n matrix."""
-    mask = np.triu(np.ones((n, n), dtype=bool))
+def _upper(rows, cols):
+    """Read-only mask of the upper triangle of a rows-by-cols matrix."""
+    mask = np.triu(np.ones((rows, cols), dtype=bool))
     mask.setflags(write=False)
     return mask
 
 
 def _householder(a):
-    """LAPACK ``geqrf`` of a tall `a`: the packed factor, its reflector
-    scales and the square R factor (``a = QR``)."""
+    """LAPACK ``geqrf`` of `a`: the packed factor, its reflector scales and
+    the R factor (``a = QR``), square for a tall `a`."""
     qr, tau, _, info = _GEQRF(a)
     if info != 0:
         raise np.linalg.LinAlgError(f"geqrf failed ({info})")
-    cols = a.shape[1]
-    return qr, tau, np.where(_upper(cols), qr[:cols], 0.0)
-
-
-@functools.lru_cache(maxsize=64)
-def _gesdd_workspace(m, n, compute_uv):
-    """Optimal LAPACK workspace for :func:`_gesdd` on an m-by-n matrix."""
-    work, info = _GESDD_LWORK(m, n, compute_uv=compute_uv,
-                              full_matrices=not compute_uv)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"gesdd workspace query failed ({info})")
-    return int(work.real)
+    r = qr[:a.shape[1]]
+    return qr, tau, np.where(_upper(*r.shape), r, 0.0)
 
 
 def _gesdd(a, compute_uv):
     """Thin singular value decomposition ``(u, s, vt)`` of a real matrix,
     or with ``compute_uv`` false its singular values alone.
 
-    Calls LAPACK ``gesdd`` with the arguments and workspace that
+    Calls LAPACK ``gesdd`` with the arguments that
     ``scipy.linalg.svd(a, full_matrices=False)`` and
-    ``scipy.linalg.svdvals`` pass it, so the results are bit-identical to
-    theirs, without their per-call validation.  Raises LinAlgError when
-    gesdd fails.
+    ``scipy.linalg.svdvals`` pass it, but with the wrapper's default
+    workspace and without their per-call validation.  Raises LinAlgError
+    when gesdd fails.
     """
     m, n = a.shape
     if a.size == 0:
         s = np.empty(0)
         return (np.empty((m, 0)), s, np.empty((0, n))) if compute_uv else s
     u, s, vt, info = _GESDD(a, compute_uv=compute_uv,
-                            lwork=_gesdd_workspace(m, n, compute_uv),
                             full_matrices=not compute_uv)
     if info != 0:
         raise np.linalg.LinAlgError(f"gesdd failed ({info})")
@@ -409,19 +386,17 @@ def _rank(s, shape):
 
 
 def _orth(a):
-    """Orthonormal basis of the range of `a`, or None if an SVD fails.
+    """Orthonormal basis of the range of `a`, or None if LAPACK fails.
 
-    The rank is cut as ``scipy.linalg.orth`` cuts it.  A tall `a` (see
-    :func:`_qr_first`) takes its rank from the singular values of its R
-    factor and, at full rank, its basis from the Q factor.  Any other `a`
-    gets the basis ``scipy.linalg.orth`` returns (step 1 of
-    ``scipy.linalg.subspace_angles``).
+    The rank is cut as ``scipy.linalg.orth`` cuts it, from the singular
+    values of the R factor of `a`.  At full column rank the basis is the Q
+    factor; otherwise it is the basis ``scipy.linalg.orth`` returns (step 1
+    of ``scipy.linalg.subspace_angles``).
     """
     try:
-        if _qr_first(a):
+        if a.size:  # geqrf rejects a matrix without rows
             qr, tau, r = _householder(a)
-            s = _gesdd(r, compute_uv=False)
-            if _rank(s, a.shape) == a.shape[1]:
+            if _rank(_gesdd(r, compute_uv=False), a.shape) == a.shape[1]:
                 q, _, info = _ORGQR(qr, tau)
                 if info != 0:
                     raise np.linalg.LinAlgError(f"orgqr failed ({info})")

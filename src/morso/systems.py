@@ -150,9 +150,9 @@ class _Factor:
     finiteness checks, so non-finite right-hand sides pass through.  Its
     ``rcond`` is the ``gecon`` estimate.  A CSR `mat` is factored by
     SuperLU, and its ``rcond`` is ``1 / (||mat||_1 est)``, where ``est`` is
-    ``scipy.sparse.linalg.onenormest`` of ``mat^{-1}``, applied through the
-    factor's solves; the estimate is the same on every call and leaves
-    numpy's global random state as it was.
+    the one-column ``scipy.sparse.linalg.onenormest`` of ``mat^{-1}``
+    (the Hager-Higham estimator of ``gecon``), applied through the factor's
+    solves; it draws no random vectors, so it is the same on every call.
 
     Raises ``error(nonfinite)`` (default ``error(broken)``) when `mat` has a
     non-finite entry, ``error(broken)`` when the factorization breaks down
@@ -191,18 +191,10 @@ class _Factor:
             raise error(broken) from None
         self._mat = mat
         inverse = LinearOperator(
-            mat.shape, dtype=mat.dtype, matvec=lu.solve, matmat=lu.solve,
-            rmatvec=lambda x: lu.solve(x, trans="H"),
-            rmatmat=lambda x: lu.solve(x, trans="H"))
-        # onenormest draws its start vectors from numpy's global generator:
-        # seed it, so the estimate repeats, and restore the caller's state.
-        state = np.random.get_state()
-        np.random.seed(0)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return 1.0 / (norm(mat, 1) * onenormest(inverse))
-        finally:
-            np.random.set_state(state)
+            mat.shape, dtype=mat.dtype, matvec=lu.solve,
+            rmatvec=lambda x: lu.solve(x, trans="H"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 1.0 / (norm(mat, 1) * onenormest(inverse, t=1))
 
     @cached_property
     def _lu_t(self):

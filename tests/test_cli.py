@@ -207,6 +207,42 @@ def test_gen_msd_out_of_range_input_exit_1(tmp_path, capsys, flags, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_BAD_NAMES = ["../../escaped", "a,b", "a/b", "", ".", ".."]
+
+
+@pytest.mark.parametrize("name", [*_BAD_NAMES, "a\nb"])
+def test_gen_msd_bad_name_exit_1(tmp_path, capsys, name):
+    """A name stems the output file names, so it may not leave --out, and
+    fills the spec's name line, so it may not break it."""
+    out = tmp_path / "g" / "deep"
+    assert cli_main(["gen-msd", "--n", "8", "--name", name,
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: name must not be empty")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["info", "{spec}"],
+    ["reduce", "{spec}", "--h", "0.5", "--out", "{out}"],
+    ["compare", "{spec}", "--orders", "2", "--h", "0.5", "--out", "{out}"],
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("name", _BAD_NAMES)
+def test_spec_bad_name_exit_1(tmp_path, capsys, command, name):
+    """A spec's name escapes --out as a file name stem ("../../escaped") or
+    adds a comparison.csv column ("a,b") unless it is refused."""
+    bench = tmp_path / "bench"
+    assert cli_main(["gen-msd", "--n", "8", "--out", str(bench)]) == 0
+    spec = bench / "bad.spec"
+    spec.write_text((bench / "msd_chain.spec").read_text() + f"name={name}\n")
+    before = sorted(p for p in tmp_path.rglob("*"))
+    capsys.readouterr()
+    out = tmp_path / "run" / "deep"
+    assert cli_main([a.format(spec=spec, out=out) for a in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "name must not be empty" in err
+    assert sorted(p for p in tmp_path.rglob("*")) == before
+
+
 def test_compare_reports_shrunk_order(tmp_path, capsys):
     # on this chain the srlrh n=6 cell keeps only 5 directions
     bench = tmp_path / "bench"
@@ -334,6 +370,20 @@ def test_max_steps_without_angle_tol_exit_1(chain_spec, tmp_path, capsys,
 ])
 def test_compare_repeated_cell_exit_1(chain_spec, tmp_path, capsys, flags,
                                       message):
+    out = tmp_path / "cmp"
+    assert cli_main(["compare", chain_spec, "--h", "0.5", *flags,
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--orders", ","], "--orders must name at least one half-order"),
+    (["--orders", "2", "--methods", ","],
+     "--methods must name at least one method"),
+], ids=["orders", "methods"])
+def test_compare_empty_list_exit_1(chain_spec, tmp_path, capsys, flags,
+                                   message):
     out = tmp_path / "cmp"
     assert cli_main(["compare", chain_spec, "--h", "0.5", *flags,
                      "--out", str(out)]) == 1

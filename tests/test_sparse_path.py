@@ -146,8 +146,8 @@ class _RecordingFactor:
 
 @pytest.mark.parametrize("algo", ["srlrg", "srlrh"])
 def test_step_kernels_on_long_chain(algo, monkeypatch):
-    """One recursion step on the N = 400 chain, angles included, gives no
-    matrix at or above the QR-first ratio to gesdd, makes no transposed
+    """One recursion step on the N = 400 chain, angles included, gives
+    gesdd no matrix with more rows than columns, makes no transposed
     SuperLU solve and two sparse products."""
     dsos = _chain(400)
     assert dsos._mass_input is not None  # solved once, before counting
@@ -171,14 +171,32 @@ def test_step_kernels_on_long_chain(algo, monkeypatch):
 
     run_recursion(dsos, RecursionConfig(n=6, seed=1, tau=1), algo)
     assert shapes
-    assert all(rows < recursion._QR_FIRST_RATIO * cols for rows, cols in shapes)
+    assert all(rows <= cols for rows, cols in shapes)
     assert [t for f in factors for t in f.trans] == ["N", "N"]
     assert products == [(400, 800), (800, 400)]
 
 
+def test_srlrg_truncates_every_tall_update_matrix_through_geqrf(monkeypatch):
+    """At 400x13 (31 rows per column) an srlrg step takes sigma and V from
+    the R factor: geqrf sees both update matrices, gesdd only their R."""
+    dsos = _chain(200)
+    rng = np.random.default_rng(12)
+    window_s, window_r = _window(rng, 200, 12), _window(rng, 200, 12)
+    calls = []
+    for name in ("_GESDD", "_GEQRF"):
+        def recording(a, *args, name=name, kernel=getattr(recursion, name),
+                      **kwargs):
+            calls.append((name, a.shape))
+            return kernel(a, *args, **kwargs)
+        monkeypatch.setattr(recursion, name, recording)
+    srlrg_step(dsos, window_s, window_r)
+    assert calls == [("_GEQRF", (400, 13)), ("_GESDD", (13, 13))] * 2
+
+
 @pytest.mark.parametrize("algo", ["srlrg", "srlrh"])
 def test_long_chain_recursion_is_deterministic(algo):
-    """Acceptance criterion 10 at a size that takes the QR-first kernels."""
+    """Acceptance criterion 10 on sparse storage with 800x7 update
+    matrices."""
     dsos = _chain(400)
     runs = [run_recursion(dsos, RecursionConfig(n=6, seed=5, tau=50), algo)
             for _ in range(2)]
@@ -393,6 +411,20 @@ def test_sparse_mass_and_point_checks():
     undamped = SecondOrderSystem(eye, zero, -eye, F, G)  # P(1) = 0
     with pytest.raises(SingularAtPoint, match="singular at point"):
         undamped.transfer(1.0)
+
+
+def test_sparse_condition_estimate_draws_no_random_numbers(monkeypatch):
+    dsos = _chain(120)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.random called")
+    for name in dir(np.random):
+        if callable(getattr(np.random, name)) and not name[0].isupper():
+            monkeypatch.setattr(np.random, name, refuse)
+    conditions = [SecondOrderSystem(dsos.M, dsos.D, dsos.K, dsos.F, dsos.G,
+                                    h=dsos.h).mass_condition
+                  for _ in range(2)]
+    assert conditions[0].hex() == conditions[1].hex()
 
 
 def test_sparse_condition_estimate_repeats_and_keeps_global_random_state():
