@@ -278,14 +278,12 @@ def consistency_error(sos, h, scheme, s_points):
     resolvent set of both systems.
     """
     dsos = discretize(sos, h, scheme, stability_check=False)
-    worst = 0.0
-    for s in s_points:
-        tc = sos.transfer(s)
-        td = dsos.transfer(np.exp(complex(s) * h))
-        num = np.linalg.norm(td - tc, 2)
-        den = np.linalg.norm(tc, 2)
-        worst = max(worst, num / den)
-    return worst
+    s_points = np.asarray(s_points)
+    tc = sos.transfer(s_points)
+    td = dsos.transfer(np.exp(s_points.astype(complex) * h))
+    num = np.linalg.svd(td - tc, compute_uv=False)[:, 0]
+    den = np.linalg.svd(tc, compute_uv=False)[:, 0]
+    return max(0.0, *(num / den))
 
 
 def consistency_curve(sos, hs, scheme, s_points):

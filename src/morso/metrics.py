@@ -83,7 +83,8 @@ class FrequencyGrid:
         return self.kind == "circle"
 
     def point_at(self, x):
-        """Evaluation point for one parameter value (frequency or angle)."""
+        """Evaluation point of a parameter value (frequency or angle), or
+        the array of points of an array of them."""
         return np.exp(1j * x) if self.kind == "circle" else 1j * x
 
 
@@ -133,31 +134,28 @@ class FrequencyResponse:
             json.dump(self.summary(), f)
 
 
-def _sigma_max(mat):
-    if mat.size == 1:
-        return float(np.abs(mat).ravel()[0])
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+def _largest_singular_values(stack):
+    """Largest singular value of each matrix of a ``(P, p, m)`` stack."""
+    if stack.shape[1:] == (1, 1):
+        return np.abs(stack[:, 0, 0])
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def _refine(fun, grid, values, rounds):
-    """Sharpen the grid maximum of ``fun`` (a map from grid parameter to
-    gain) by repeatedly sampling inside the bracketing interval.  The log
-    grid is refined in log space so the bracket shrinks uniformly."""
+    """Sharpen the grid maximum of ``fun`` (a map from an array of grid
+    parameters to their gains) by repeatedly sampling inside the
+    bracketing interval.  The log grid is refined in log space so the
+    bracket shrinks uniformly."""
     xs = grid.parameters
     in_log = grid.kind == "log"
     params = np.log(xs) if in_log else np.asarray(xs, dtype=float)
-
-    def gain(t):
-        x = np.exp(t) if in_log else t
-        return fun(x)
-
     k = int(np.argmax(values))
     best_t, best_v = params[k], float(values[k])
     lo = params[max(k - 1, 0)]
     hi = params[min(k + 1, len(params) - 1)]
     for _ in range(rounds):
         ts = np.linspace(lo, hi, _REFINE_SAMPLES + 2)
-        vs = [gain(t) for t in ts]
+        vs = fun(np.exp(ts) if in_log else ts)
         j = int(np.argmax(vs))
         if vs[j] > best_v:
             best_v, best_t = float(vs[j]), float(ts[j])
@@ -168,12 +166,14 @@ def _refine(fun, grid, values, rounds):
 
 
 def _sampled_response(transfer_at, grid, refinement_rounds):
-    """Largest singular value of ``transfer_at(point)`` at every grid point,
-    with the peak refined around the grid argmax (0 rounds disables)."""
-    values = np.array([_sigma_max(transfer_at(pt)) for pt in grid.points])
+    """Largest singular value of ``transfer_at(points)``, a map from an
+    array of points to their stack of transfer matrices, at every grid
+    point, with the peak refined around the grid argmax (0 rounds
+    disables).  The grid and each refinement round are one call each."""
+    values = _largest_singular_values(transfer_at(grid.points))
 
-    def gain(x):
-        return _sigma_max(transfer_at(grid.point_at(x)))
+    def gain(xs):
+        return _largest_singular_values(transfer_at(grid.point_at(xs)))
 
     if refinement_rounds > 0:
         arg_x, peak = _refine(gain, grid, values, refinement_rounds)
@@ -264,8 +264,8 @@ def error_response(full, reduced, grid=None, *, scheme=DEFAULT_SCHEME,
             f"grid kind {grid.kind!r} does not match the comparison domain"
         )
 
-    def transfer_difference(pt):
-        return f_sys.transfer(pt) - r_sys.transfer(pt)
+    def transfer_difference(points):
+        return f_sys.transfer(points) - r_sys.transfer(points)
 
     return _sampled_response(transfer_difference, grid, refinement_rounds)
 

@@ -142,17 +142,78 @@ def _densified(sos, consumer):
     return tuple(_dense(a) for a in (sos.M, sos.D, sos.K))
 
 
+# Most bytes of dense characteristic matrices that a grid of points builds
+# at a time.  The points of one chunk are built, normed and checked together
+# and then factored one by one, so a grid never holds more than this (or one
+# matrix, if that is larger) of them.
+_CHUNK_BYTES = 64 * 1024
+
+# LAPACK routines of the dense point solves, looked up once.
+_POINT_GETRF, _POINT_GECON, _POINT_GETRS = get_lapack_funcs(
+    ("getrf", "gecon", "getrs"), dtype=np.complex128)
+
+
+def _one_norms(mats):
+    """1-norm (largest absolute column sum) of a matrix, or of each matrix
+    of a stack, as ``np.linalg.norm(mat, 1)``.  It is not finite exactly
+    when a matrix has a non-finite entry or its column sums overflow."""
+    return np.abs(mats).sum(axis=-2).max(axis=-1)
+
+
+def _dense_lu(lus, anorms, getrf, gecon, fail, rcond_min=0.0):
+    """Checked LAPACK LU factors of the stack `lus` of dense square
+    matrices, each Fortran-ordered and factored in place by ``getrf``,
+    whose 1-norms (of :func:`_one_norms`) are `anorms`.
+
+    Yields ``(lu, piv, rcond)`` for each matrix in order: the factor of
+    ``scipy.linalg.lu_factor`` without its finiteness check, and the
+    ``gecon`` reciprocal condition estimate.  At the first matrix ``k`` that
+    fails, raises ``fail(k, "nonfinite")`` when it has a non-finite entry,
+    ``fail(k, "broken")`` when its factorization meets a non-finite or zero
+    pivot, and ``fail(k, "singular", rcond)`` when ``rcond`` is zero, not
+    finite or below `rcond_min`.
+    """
+    finite = np.isfinite(anorms)
+    for k in np.flatnonzero(~finite):
+        finite[k] = np.all(np.isfinite(lus[k]))
+    pivots = [getrf(lu, overwrite_a=True)[1] if ok else None
+              for lu, ok in zip(lus, finite)]
+    broken = ~np.isfinite(lus).all(axis=(1, 2))
+    broken |= (np.diagonal(lus, axis1=1, axis2=2) == 0.0).any(axis=1)
+    for k, (lu, piv) in enumerate(zip(lus, pivots)):
+        if not finite[k]:
+            raise fail(k, "nonfinite")
+        if broken[k]:
+            raise fail(k, "broken")
+        rcond = gecon(lu, anorms[k])[0]
+        if rcond == 0.0 or not np.isfinite(rcond) or rcond < rcond_min:
+            raise fail(k, "singular", rcond)
+        yield lu, piv, rcond
+
+
+def _failure(error, broken, singular, nonfinite=None):
+    """The `fail` of :func:`_dense_lu` that builds ``error(nonfinite)``
+    (default ``error(broken)``), ``error(broken)`` or
+    ``error(singular.format(rcond))``."""
+    def fail(_, reason, rcond=None):
+        if reason == "singular":
+            return error(singular.format(rcond))
+        return error(nonfinite or broken if reason == "nonfinite" else broken)
+    return fail
+
+
 class _Factor:
     """Checked LU factor of a square dense ndarray or CSR matrix `mat`.
 
-    A dense `mat` is factored by LAPACK ``getrf`` and solved by ``getrs``:
-    the results of ``scipy.linalg.lu_factor``/``lu_solve`` without their
-    finiteness checks, so non-finite right-hand sides pass through.  Its
-    ``rcond`` is the ``gecon`` estimate.  A CSR `mat` is factored by
-    SuperLU, and its ``rcond`` is ``1 / (||mat||_1 est)``, where ``est`` is
-    the one-column ``scipy.sparse.linalg.onenormest`` of ``mat^{-1}``
-    (the Hager-Higham estimator of ``gecon``), applied through the factor's
-    solves; it draws no random vectors, so it is the same on every call.
+    A dense `mat` is factored by :func:`_dense_lu` and solved by LAPACK
+    ``getrs``: the results of ``scipy.linalg.lu_factor``/``lu_solve``
+    without their finiteness checks, so non-finite right-hand sides pass
+    through.  Its ``rcond`` is the ``gecon`` estimate.  A CSR `mat` is
+    factored by SuperLU, and its ``rcond`` is ``1 / (||mat||_1 est)``,
+    where ``est`` is the one-column ``scipy.sparse.linalg.onenormest`` of
+    ``mat^{-1}`` (the Hager-Higham estimator of ``gecon``), applied through
+    the factor's solves; it draws no random vectors, so it is the same on
+    every call.
 
     Raises ``error(nonfinite)`` (default ``error(broken)``) when `mat` has a
     non-finite entry, ``error(broken)`` when the factorization breaks down
@@ -162,33 +223,31 @@ class _Factor:
 
     def __init__(self, mat, error, broken, singular, rcond_min=0.0,
                  nonfinite=None):
+        fail = _failure(error, broken, singular, nonfinite)
         self._sparse = _issparse(mat)
-        if not np.all(np.isfinite(mat.data if self._sparse else mat)):
-            raise error(nonfinite or broken)
-        factor = self._splu if self._sparse else self._getrf
-        self.rcond = rcond = factor(mat, error, broken)
+        if not self._sparse:
+            getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (mat,))
+            lus = np.array(mat, order="F")[None]
+            lu, piv, self.rcond = next(_dense_lu(
+                lus, _one_norms(mat)[None], getrf, gecon, fail, rcond_min))
+            self._lu = lu, piv
+            return
+        if not np.all(np.isfinite(mat.data)):
+            raise fail(0, "nonfinite")
+        self.rcond = rcond = self._splu(mat, fail)
         if rcond == 0.0 or not np.isfinite(rcond) or rcond < rcond_min:
-            raise error(singular.format(rcond))
+            raise fail(0, "singular", rcond)
 
-    def _getrf(self, mat, error, broken):
-        anorm = np.linalg.norm(mat, 1)
-        getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (mat,))
-        lu, piv, _ = getrf(mat)
-        if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
-            raise error(broken)
-        self._lu = lu, piv
-        return gecon(lu, anorm)[0]
-
-    def _splu(self, mat, error, broken):
+    def _splu(self, mat, fail):
         # Imported here so that dense models never load scipy.sparse.linalg.
         from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
 
         if mat.nnz == 0:
-            raise error(broken)
+            raise fail(0, "broken")
         try:
             self._lu = lu = splu(mat.tocsc())
         except RuntimeError:
-            raise error(broken) from None
+            raise fail(0, "broken") from None
         self._mat = mat
         inverse = LinearOperator(
             mat.shape, dtype=mat.dtype, matvec=lu.solve,
@@ -221,16 +280,81 @@ class _Factor:
         return x
 
 
-def _solve_at_point(mat, rhs, point):
-    """Solve mat @ x = rhs, for a dense or CSR `mat`, raising
-    SingularAtPoint if mat is not finite or numerically singular (the
-    evaluation point is a characteristic frequency)."""
-    return _Factor(
-        mat, SingularAtPoint, f"characteristic matrix is singular at point {point}",
-        f"characteristic matrix is numerically singular at point {point} "
-        "(rcond={:.2e})", _RCOND_SINGULAR,
-        nonfinite=f"characteristic matrix is not finite at point {point}",
-    ).solve(rhs)
+def _point_messages(point):
+    """``(broken, singular, nonfinite)`` messages of :class:`_Factor` for a
+    characteristic matrix at `point`."""
+    return (f"characteristic matrix is singular at point {point}",
+            f"characteristic matrix is numerically singular at point {point} "
+            "(rcond={:.2e})",
+            f"characteristic matrix is not finite at point {point}")
+
+
+def _solve_grid(system, points):
+    """Transfer matrices of `system` at `points`, a sequence of points as
+    the caller gave them, as a ``(P, p, m)`` complex stack.
+
+    Dense storage builds the characteristic matrices of at most
+    ``_CHUNK_BYTES`` of points at a time with the expressions of
+    ``characteristic``, takes their 1-norms (and so their finiteness) at
+    once, and factors, checks and solves each with LAPACK ``getrf``,
+    ``gecon`` and ``getrs`` through :func:`_dense_lu`.  CSR storage builds
+    one :class:`_Factor` per point.  Every point must be nonzero for a
+    difference system.  Raises SingularAtPoint, naming the point as given,
+    at the first point in order whose matrix is not finite or is
+    (numerically) singular.
+    """
+    if isinstance(system, SecondOrderSystem):
+        rhs, out, sparse = system.F, system.G, system.is_sparse
+    else:
+        rhs, out, sparse = system.B, system.C, False
+    stack = np.empty((len(points), out.shape[0], rhs.shape[1]), complex)
+    if sparse:
+        for k, point in enumerate(points):
+            broken, singular, nonfinite = _point_messages(point)
+            stack[k] = out @ _Factor(
+                system.characteristic(point), SingularAtPoint, broken,
+                singular, _RCOND_SINGULAR, nonfinite).solve(rhs)
+        return stack
+    n = system.order
+    per_chunk = max(1, _CHUNK_BYTES // (16 * n * n))
+    size = min(per_chunk, len(points))
+    # The matrices are built in C order, which is fastest, and factored in
+    # place in a Fortran-ordered copy.  The solves are Fortran-ordered, as
+    # getrs returns them, so that one product per chunk gives the bits of
+    # one product per point.
+    lus = np.empty((size, n, n), complex).transpose(0, 2, 1)
+    solves = np.empty((size, rhs.shape[1], n), complex).transpose(0, 2, 1)
+    rhs = np.asfortranarray(rhs, dtype=complex)
+    out = out.astype(complex)
+    zs = np.asarray(points, dtype=complex)
+    for start in range(0, len(points), per_chunk):
+        stop = min(start + per_chunk, len(points))
+        mats = system._characteristics(zs[start:stop])
+        lus[:stop - start] = mats
+        anorms = _one_norms(mats)
+        del mats  # not to be held while the next chunk is built
+
+        def fail(k, *why):
+            messages = _point_messages(points[start + k])
+            return _failure(SingularAtPoint, *messages)(k, *why)
+
+        factors = _dense_lu(lus[:stop - start], anorms, _POINT_GETRF,
+                            _POINT_GECON, fail, _RCOND_SINGULAR)
+        for x, (lu, piv, _) in zip(solves, factors):
+            x[...] = _POINT_GETRS(lu, piv, rhs)[0]
+        np.matmul(out, solves[:stop - start], out=stack[start:stop])
+    return stack
+
+
+def _point_list(points):
+    """`points` as a sequence, and whether it was a single point."""
+    if np.ndim(points) == 0:
+        return [points], True
+    points = np.asarray(points)
+    if points.ndim != 1:
+        raise DimensionMismatch(
+            f"points must be one point or a 1-D array, got ndim={points.ndim}")
+    return points, False
 
 
 class SecondOrderSystem:
@@ -419,25 +543,57 @@ class SecondOrderSystem:
             raise ZeroPoint("discrete characteristic matrix is undefined at z = 0")
         return self.M * pt + self.D + self.K / pt
 
-    def transfer(self, point):
-        """Transfer matrix ``G P(.)^{-1} F`` at a complex point.
+    def _characteristics(self, z):
+        """``characteristic`` at each nonzero point of the 1-D complex array
+        `z`, as a C-ordered ``(len(z), N, N)`` stack with the same bits
+        (dense storage only).  Each product has a fresh output, as in
+        ``characteristic``: numpy's complex products may round differently
+        in place."""
+        z = z[:, None, None]
+        if self.is_continuous:
+            P = self.M * z * z
+            P += self.D * z
+            P += self.K
+        else:
+            P = self.M * z
+            P += self.D
+            P += self.K / z
+        return P
 
-        Each distinct point is solved once per instance; a repeated point
-        returns a fresh copy of the stored matrix.
+    def transfer(self, points):
+        """Transfer matrices ``G P(.)^{-1} F`` at complex points.
+
+        One point gives its ``p x m`` matrix, and a 1-D array of ``P``
+        points a ``(P, p, m)`` stack; both take the same path.  Each
+        distinct point is solved once per instance (see
+        :func:`_solve_grid`), and a repeated point returns a fresh copy of
+        the stored matrix.
 
         Raises
         ------
         SingularAtPoint
-            If the point is (numerically) a characteristic frequency.
+            At the first point that is (numerically) a characteristic
+            frequency.
         ZeroPoint
-            For z = 0 on a difference system.
+            For z = 0 on a difference system, when no earlier point fails.
         """
-        key = complex(point)
-        value = self._transfers.get(key)
-        if value is None:
-            X = _solve_at_point(self.characteristic(point), self.F, point)
-            value = self._transfers[key] = self.G @ X
-        return value.copy()
+        points, single = _point_list(points)
+        keys = [complex(point) for point in points]
+        memo = self._transfers
+        todo = {}
+        for key, point in zip(keys, points):
+            if key not in memo:
+                todo.setdefault(key, point)
+        if todo:
+            missing = list(todo.values())
+            if self.is_discrete and 0 in todo:
+                missing = missing[:list(todo).index(0)]
+            memo.update(zip(todo, _solve_grid(self, missing)))
+            if len(missing) < len(todo):
+                raise ZeroPoint("discrete characteristic matrix is undefined at z = 0")
+        stack = np.array([memo[key] for key in keys], dtype=complex).reshape(
+            len(keys), self.n_outputs, self.n_inputs)
+        return stack[0] if single else stack
 
     @cached_property
     def _transfers(self):
@@ -492,12 +648,21 @@ class FirstOrderSystem:
     def is_continuous(self):
         return self.h is None
 
-    def transfer(self, point):
-        """Transfer matrix ``C (pt I - A)^{-1} B``."""
-        pt = complex(point)
-        P = pt * np.eye(self.order, dtype=complex) - self.A
-        X = _solve_at_point(P, self.B, point)
-        return self.C @ X
+    def _characteristics(self, z):
+        """``z[k] I - A`` for each point of the 1-D complex array `z`, as a
+        C-ordered stack."""
+        P = z[:, None, None] * np.eye(self.order, dtype=complex)
+        P -= self.A
+        return P
+
+    def transfer(self, points):
+        """Transfer matrices ``C (pt I - A)^{-1} B``: a ``p x m`` matrix at
+        one point, a ``(P, p, m)`` stack at a 1-D array of points.  Raises
+        SingularAtPoint at the first point that is (numerically) an
+        eigenvalue of ``A``."""
+        points, single = _point_list(points)
+        stack = _solve_grid(self, points)
+        return stack[0] if single else stack
 
 
 def linearize(sos):
@@ -546,9 +711,10 @@ def linearize(sos):
     return FirstOrderSystem(A, B, C, h=sos.h)
 
 
-def transfer(sys, point):
-    """Transfer matrix of a second- or first-order system at one point."""
-    return sys.transfer(point)
+def transfer(sys, points):
+    """Transfer matrix of a second- or first-order system at one point, or
+    their ``(P, p, m)`` stack at a 1-D array of points."""
+    return sys.transfer(points)
 
 
 @dataclass(frozen=True)

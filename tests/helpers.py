@@ -11,17 +11,17 @@ from morso.systems import FirstOrderSystem, SecondOrderSystem
 
 
 def count_solves(monkeypatch, order):
-    """Record the point of every solve of an order-``order`` system, by
-    wrapping the point-solve helper behind ``transfer``."""
+    """Record every point solved for an order-``order`` system, by wrapping
+    the grid-solve helper behind ``transfer``."""
     points = []
-    solve = systems._solve_at_point
+    solve = systems._solve_grid
 
-    def counting_solve(mat, rhs, point):
-        if mat.shape[0] == order:
-            points.append(complex(point))
-        return solve(mat, rhs, point)
+    def counting_solve(system, grid):
+        if system.order == order:
+            points.extend(complex(point) for point in grid)
+        return solve(system, grid)
 
-    monkeypatch.setattr(systems, "_solve_at_point", counting_solve)
+    monkeypatch.setattr(systems, "_solve_grid", counting_solve)
     return points
 
 
