@@ -152,13 +152,6 @@ class RecursionDiagnostics:
     final_window_s: SubspaceWindow | None = None
     final_window_r: SubspaceWindow | None = None
 
-    def append(self, info, angle_s, angle_r):
-        self.steps_taken += 1
-        self.sigma_s.append(info.sigma_s)
-        self.sigma_r.append(info.sigma_r)
-        self.angles_s.append(angle_s)
-        self.angles_r.append(angle_r)
-
     def to_csv(self, path_or_file):
         """Write one row per step: step index, the n retained singular
         values of the S side, and the (larger of the two) subspace angle."""
@@ -167,10 +160,10 @@ class RecursionDiagnostics:
             header = ",".join(["step"] + [f"sigma_{k + 1}" for k in range(n)] + ["angle"])
             f.write(header + "\n")
             for i in range(self.steps_taken):
-                angle = max(self.angles_s[i], self.angles_r[i])
-                cells = [str(i + 1)] + [repr(float(v)) for v in self.sigma_s[i]]
-                cells.append(repr(float(angle)))
-                f.write(",".join(cells) + "\n")
+                row = np.asarray(self.sigma_s[i], dtype=float).tolist()
+                sigma = ",".join(map(repr, row))
+                angle = float(max(self.angles_s[i], self.angles_r[i]))
+                f.write(f"{i + 1},{sigma},{angle!r}\n")
 
 
 def default_step_count(dsos):
@@ -190,6 +183,95 @@ def _check_window(dsos, window, name):
         )
 
 
+class _Workspace:
+    """The arrays one recursion run writes in place, allocated once.
+
+    ``z_s`` and ``z_r`` are the stacked 2N-by-n iterates ``[prev; curr]``
+    of the two sides, C-contiguous, starting from copies of the
+    ``(prev, curr)`` pairs `s_halves` and `r_halves`.  ``m1`` and ``m2``
+    are the controllability and observability update matrices, 2N-by-(n+m)
+    and 2N-by-(n+p); their input and output columns ``[0; M^{-1} F]`` and
+    ``[0; G^T]`` are written here once, and each step writes only their
+    first n columns.
+    """
+
+    __slots__ = ("dsos", "z_s", "z_r", "m1", "m2")
+
+    def __init__(self, dsos, s_halves, r_halves):
+        N, n = dsos.order, s_halves[0].shape[1]
+        self.dsos = dsos
+        self.z_s, self.z_r = np.empty((2 * N, n)), np.empty((2 * N, n))
+        self.z_s[:N], self.z_s[N:] = s_halves
+        self.z_r[:N], self.z_r[N:] = r_halves
+        self.m1 = np.zeros((2 * N, n + dsos.n_inputs))
+        self.m1[N:, n:] = dsos._mass_input
+        self.m2 = np.zeros((2 * N, n + dsos.n_outputs))
+        self.m2[N:, n:] = dsos.G.T
+
+    def assemble_controllability(self):
+        """Write ``A @ z_s`` into the first n columns of ``m1``: ``curr``
+        on top, ``-M^{-1}(K prev + D curr)`` below; for sparse storage
+        ``K prev + D curr`` is one product of the stored ``[K D]`` with
+        ``z_s``."""
+        dsos, z_s, m1 = self.dsos, self.z_s, self.m1
+        N, n = dsos.order, z_s.shape[1]
+        m1[:N, :n] = z_s[N:]
+        np.negative(dsos.solve_mass(dsos._stiffness_damping(z_s)),
+                    out=m1[N:, :n])
+
+    def assemble_observability(self):
+        """Write ``A^T @ z_r`` into the first n columns of ``m2``:
+        ``-K^T M^{-T} curr`` on top, ``prev - D^T M^{-T} curr`` below; for
+        sparse storage both blocks come from one product of the stored
+        ``[K D]^T`` with ``M^{-T} curr``."""
+        dsos, z_r, m2 = self.dsos, self.z_r, self.m2
+        N, n = dsos.order, z_r.shape[1]
+        kd_t = dsos._stiffness_damping_t(dsos.solve_mass_t(z_r[N:]))
+        np.negative(kd_t[:N], out=m2[:N, :n])
+        np.subtract(z_r[:N], kd_t[N:], out=m2[N:, :n])
+
+    def step(self, hankel, stacklevel):
+        """Advance both iterates one step in place: assemble both update
+        matrices, truncate them to the iterates' width n (two SVDs, or with
+        ``hankel`` one SVD of their cross product) and multiply each by its
+        n retained right (``hankel``: right and left) singular vectors.
+        Returns the retained singular values of the S and R sides.  A
+        RankCollapseWarning points `stacklevel` frames above this one.
+
+        Runs under the caller's ``np.errstate(over="ignore",
+        invalid="ignore")``: a diverging iterate is reported as
+        NonFiniteIterate, not as floating-point warnings.
+        """
+        z_s, z_r, m1, m2 = self.z_s, self.z_r, self.m1, self.m2
+        n = z_s.shape[1]
+        self.assemble_controllability()
+        self.assemble_observability()
+        if hankel:
+            u, s, vt = _svd(m2.T @ m1)
+            if s[0] == 0.0 or s[min(n, len(s)) - 1] / s[0] < 1e-14:
+                warnings.warn(
+                    "cross-product singular values span more than 14 decades; "
+                    "trailing subspace directions are numerically meaningless",
+                    RankCollapseWarning,
+                    stacklevel=stacklevel + 1,
+                )
+            sigma_s, sigma_r, v_s, v_r = s, s, vt[:n].T, u[:, :n]
+        else:
+            _, sigma_s, vst = _svd(m1, left=False)
+            _, sigma_r, vrt = _svd(m2, left=False)
+            v_s, v_r = vst[:n].T, vrt[:n].T
+        np.matmul(m1, v_s, out=z_s)
+        np.matmul(m2, v_r, out=z_r)
+        _require_finite(z_s, z_r)
+        return sigma_s[:n].copy(), sigma_r[:n].copy()
+
+    def windows(self):
+        """The S and R windows: views of the stacked iterates' halves."""
+        N = self.dsos.order
+        return (SubspaceWindow(self.z_s[:N], self.z_s[N:]),
+                SubspaceWindow(self.z_r[:N], self.z_r[N:]))
+
+
 def assemble_controllability(dsos, window):
     """Controllability update matrix ``[A @ [prev; curr] | B]`` assembled
     blockwise from the quintuplet, shape 2N-by-(n+m).
@@ -197,17 +279,15 @@ def assemble_controllability(dsos, window):
     The top N rows are ``[curr | 0]``; the bottom rows are
     ``[-M^{-1}(K prev + D curr) | M^{-1} F]``; for sparse storage
     ``K prev + D curr`` is one product of the stored ``[K D]`` with the
-    stacked window.
+    stacked window.  This is the assembly a recursion step writes into
+    its workspace.
     """
     _require_discrete(dsos)
     _check_window(dsos, window, "window")
-    N, n, m = dsos.order, window.n_columns, dsos.n_inputs
-    out = np.zeros((2 * N, n + m))
-    out[:N, :n] = window.curr
-    out[N:, :n] = -dsos.solve_mass(
-        dsos._stiffness_damping(window.prev, window.curr))
-    out[N:, n:] = dsos._mass_input
-    return out
+    halves = window.prev, window.curr
+    ws = _Workspace(dsos, halves, halves)
+    ws.assemble_controllability()
+    return ws.m1
 
 
 def assemble_observability(dsos, window):
@@ -217,24 +297,24 @@ def assemble_observability(dsos, window):
     The top N rows are ``[-K^T M^{-T} curr | 0]``; the bottom rows are
     ``[prev - D^T M^{-T} curr | G^T]``; for sparse storage the ``K^T`` and
     ``D^T`` blocks come from one product of the stored ``[K D]^T`` with
-    ``M^{-T} curr``.
+    ``M^{-T} curr``.  This is the assembly a recursion step writes into
+    its workspace.
     """
     _require_discrete(dsos)
     _check_window(dsos, window, "window")
-    N, n, p = dsos.order, window.n_columns, dsos.n_outputs
-    out = np.zeros((2 * N, n + p))
-    out[:, :n] = -dsos._stiffness_damping_t(dsos.solve_mass_t(window.curr))
-    out[N:, :n] += window.prev
-    out[N:, n:] = dsos.G.T
-    return out
+    halves = window.prev, window.curr
+    ws = _Workspace(dsos, halves, halves)
+    ws.assemble_observability()
+    return ws.m2
 
 
 def _require_finite(*arrays):
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise NonFiniteIterate(
-            "subspace iterate diverged to NaN/Inf; the difference system is "
-            "most likely unstable (check the discretization step size)"
-        )
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NonFiniteIterate(
+                "subspace iterate diverged to NaN/Inf; the difference system "
+                "is most likely unstable (check the discretization step size)"
+            )
 
 
 def _svd(mat, left=True):
@@ -244,54 +324,45 @@ def _svd(mat, left=True):
     With ``left`` false, ``u`` is None, and a matrix with more rows than
     columns is first reduced to the R factor of its Householder QR:
     ``mat = QR`` has the singular values and right singular vectors of
-    ``R``, and the tall U is never formed.
+    ``R``, and the tall U is never formed.  The reflectors of a finite
+    matrix near the overflow threshold can overflow; a non-finite ``R``
+    raises NonFiniteIterate, as the matrix itself would.
     """
     _require_finite(mat)
     try:
-        tall = not left and mat.shape[0] > mat.shape[1]
-        u, s, vt = _gesdd(_householder(mat)[2] if tall else mat, compute_uv=True)
+        if left or mat.shape[0] <= mat.shape[1]:
+            u, s, vt = _gesdd(mat, compute_uv=True)
+        else:
+            r = _householder(mat)[2]
+            _require_finite(r)
+            u, s, vt = _gesdd(r, compute_uv=True)
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(f"SVD did not converge on a {mat.shape} matrix") from exc
     # Fix each right singular vector's sign by its largest-magnitude entry
     # (the first on ties) so that runs are comparable across algebraically
     # equivalent assembly orders; the matching left vector flips with it.
-    flip = vt[np.arange(len(s)), np.argmax(np.abs(vt), axis=1)] < 0.0
-    vt[flip] = -vt[flip]
+    flip = vt[np.arange(len(s)), np.abs(vt).argmax(axis=1)] < 0.0
+    np.negative(vt, out=vt, where=flip[:, None])
     if not left:
         return None, s, vt
-    u[:, flip] = -u[:, flip]
+    np.negative(u, out=u, where=flip)
     return u, s, vt
 
 
-def _step(dsos, window_s, window_r, hankel):
-    """Assemble both update matrices, truncate them to the windows' width n
-    (two SVDs, or with ``hankel`` one SVD of their cross product) and split
-    the updated iterates into new window halves."""
-    n = window_s.n_columns
-    if window_r.n_columns != n:
+def _public_step(dsos, window_s, window_r, hankel):
+    """One recursion step on a fresh workspace holding copies of the
+    windows; a RankCollapseWarning points at the caller of the public
+    step function."""
+    if window_r.n_columns != window_s.n_columns:
         raise DimensionMismatch("S and R windows must have the same width")
+    _require_discrete(dsos)
+    _check_window(dsos, window_s, "window")
+    _check_window(dsos, window_r, "window")
+    ws = _Workspace(dsos, (window_s.prev, window_s.curr),
+                    (window_r.prev, window_r.curr))
     with np.errstate(over="ignore", invalid="ignore"):
-        m1 = assemble_controllability(dsos, window_s)
-        m2 = assemble_observability(dsos, window_r)
-        if hankel:
-            u, s, vt = _svd(m2.T @ m1)
-            if s[0] == 0.0 or s[min(n, len(s)) - 1] / s[0] < 1e-14:
-                warnings.warn(
-                    "cross-product singular values span more than 14 decades; "
-                    "trailing subspace directions are numerically meaningless",
-                    RankCollapseWarning,
-                    stacklevel=3,  # the caller of srlrh_step
-                )
-            sigma_s, sigma_r, v_s, v_r = s, s, vt[:n].T, u[:, :n]
-        else:
-            _, sigma_s, vst = _svd(m1, left=False)
-            _, sigma_r, vrt = _svd(m2, left=False)
-            v_s, v_r = vst[:n].T, vrt[:n].T
-        z_s, z_r = m1 @ v_s, m2 @ v_r
-    _require_finite(z_s, z_r)
-    N = dsos.order
-    info = StepDiagnostics(sigma_s=sigma_s[:n].copy(), sigma_r=sigma_r[:n].copy())
-    return SubspaceWindow(z_s[:N], z_s[N:]), SubspaceWindow(z_r[:N], z_r[N:]), info
+        sigma_s, sigma_r = ws.step(hankel, stacklevel=3)
+    return (*ws.windows(), StepDiagnostics(sigma_s=sigma_s, sigma_r=sigma_r))
 
 
 def srlrg_step(dsos, window_s, window_r):
@@ -308,12 +379,16 @@ def srlrg_step(dsos, window_s, window_r):
     where ``[V1; V2]`` (resp. ``[W1; W2]``) are the first n right singular
     vectors of the controllability (resp. observability) update matrix.
 
+    This is one step of :func:`run_recursion`'s loop on a workspace of its
+    own, so a chain of calls from the same windows reproduces a run bit for
+    bit.  The inputs are copied, not modified.
+
     Returns
     -------
     (SubspaceWindow, SubspaceWindow, StepDiagnostics)
         Updated S window, updated R window, retained singular values.
     """
-    return _step(dsos, window_s, window_r, hankel=False)
+    return _public_step(dsos, window_s, window_r, hankel=False)
 
 
 def srlrh_step(dsos, window_s, window_r):
@@ -322,9 +397,10 @@ def srlrh_step(dsos, window_s, window_r):
     Computes the single SVD of the (n+p)-by-(n+m) cross product of the
     observability and controllability update matrices; the right singular
     vectors update the S window and the left ones update the R window,
-    with the same split as :func:`srlrg_step`.
+    with the same split as :func:`srlrg_step`, and like it on a workspace
+    of its own.
     """
-    return _step(dsos, window_s, window_r, hankel=True)
+    return _public_step(dsos, window_s, window_r, hankel=True)
 
 
 def _orthonormal(rng, N, n):
@@ -437,8 +513,11 @@ def _max_principal_angle(qa, qb):
         eig, _, info = _SYEVD(resid.T @ resid, compute_v=0)
         if info != 0:
             raise np.linalg.LinAlgError(f"syevd failed ({info})")
+        top = eig[-1]
+        if 0.0 < top <= 0.5:  # the clip below would leave it as it is
+            return float(np.arcsin(np.sqrt(top)))
         sines = np.sqrt(np.clip(eig[::-1], 0.0, 1.0))
-        if eig[-1] <= 0.5:
+        if top <= 0.5:
             return float(np.arcsin(sines[0]))
         sigma = _gesdd(cross, compute_uv=False)
         angles = np.where(sigma ** 2 >= 0.5, np.arcsin(sines),
@@ -457,6 +536,13 @@ def run_recursion(dsos, config, algorithm="srlrg"):
     tolerance it stops once the principal angle between consecutive current
     iterates stays below the tolerance on both sides for two steps in a row,
     and raises MaxStepsExceeded if that never happens within ``max_steps``.
+
+    The loop runs on one workspace allocated per run: both update matrices
+    and both stacked iterates are written in place, and each step makes the
+    calls of :func:`srlrg_step` or :func:`srlrh_step`, in the same order and
+    on the same values, so a chain of those calls from the same seeded
+    windows gives the same result bit for bit.  The histories grow by one
+    entry per step taken, never sized from the step budget.
 
     Parameters
     ----------
@@ -479,42 +565,50 @@ def run_recursion(dsos, config, algorithm="srlrg"):
         raise BadParameters(
             f"reduced half-order {config.n} exceeds system order {dsos.order}"
         )
-    step = srlrg_step if algorithm == "srlrg" else srlrh_step
+    hankel = algorithm == "srlrh"
 
     N, n = dsos.order, config.n
     rng = np.random.default_rng(config.seed)
-    window_s = SubspaceWindow(_orthonormal(rng, N, n), _orthonormal(rng, N, n))
-    window_r = SubspaceWindow(_orthonormal(rng, N, n), _orthonormal(rng, N, n))
+    ws = _Workspace(dsos, *[(_orthonormal(rng, N, n), _orthonormal(rng, N, n))
+                            for _ in range(2)])
+    curr_s, curr_r = ws.z_s[N:], ws.z_r[N:]  # views of the in-place iterates
 
-    angle_mode = config.angle_tol is not None
+    angle_tol = config.angle_tol
+    angle_mode = angle_tol is not None
     limit = (config.max_steps if angle_mode else config.tau) or default_step_count(dsos)
 
     diag = RecursionDiagnostics()
+    sigmas_s, sigmas_r = diag.sigma_s, diag.sigma_r
+    angles_s, angles_r = diag.angles_s, diag.angles_r
     below_tol_streak = 0
     # Each iterate's basis is computed once and reused on the next step.
-    basis_s, basis_r = _orth(window_s.curr), _orth(window_r.curr)
-    for _ in range(limit):
-        new_s, new_r, info = step(dsos, window_s, window_r)
-        new_basis_s, new_basis_r = _orth(new_s.curr), _orth(new_r.curr)
-        angle_s = _max_principal_angle(basis_s, new_basis_s)
-        angle_r = _max_principal_angle(basis_r, new_basis_r)
-        diag.append(info, angle_s, angle_r)
-        window_s, window_r = new_s, new_r
-        basis_s, basis_r = new_basis_s, new_basis_r
-        if angle_mode:
-            if angle_s < config.angle_tol and angle_r < config.angle_tol:
-                below_tol_streak += 1
-            else:
-                below_tol_streak = 0
-            if below_tol_streak >= 2:
-                diag.termination = "angle-converged"
-                break
-    else:
-        if angle_mode:
-            raise MaxStepsExceeded(
-                f"principal angles did not settle below {config.angle_tol} within "
-                f"{limit} steps"
-            )
-        diag.termination = "fixed-steps"
-    diag.final_window_s, diag.final_window_r = window_s, window_r
-    return window_s.curr, window_r.curr, diag
+    basis_s, basis_r = _orth(curr_s), _orth(curr_r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(limit):
+            sigma_s, sigma_r = ws.step(hankel, stacklevel=2)
+            new_basis_s, new_basis_r = _orth(curr_s), _orth(curr_r)
+            angle_s = _max_principal_angle(basis_s, new_basis_s)
+            angle_r = _max_principal_angle(basis_r, new_basis_r)
+            sigmas_s.append(sigma_s)
+            sigmas_r.append(sigma_r)
+            angles_s.append(angle_s)
+            angles_r.append(angle_r)
+            basis_s, basis_r = new_basis_s, new_basis_r
+            if angle_mode:
+                if angle_s < angle_tol and angle_r < angle_tol:
+                    below_tol_streak += 1
+                else:
+                    below_tol_streak = 0
+                if below_tol_streak >= 2:
+                    diag.termination = "angle-converged"
+                    break
+        else:
+            if angle_mode:
+                raise MaxStepsExceeded(
+                    f"principal angles did not settle below {angle_tol} "
+                    f"within {limit} steps"
+                )
+            diag.termination = "fixed-steps"
+    diag.steps_taken = len(sigmas_s)
+    diag.final_window_s, diag.final_window_r = ws.windows()
+    return diag.final_window_s.curr, diag.final_window_r.curr, diag

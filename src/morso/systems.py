@@ -231,6 +231,7 @@ class _Factor:
             lu, piv, self.rcond = next(_dense_lu(
                 lus, _one_norms(mat)[None], getrf, gecon, fail, rcond_min))
             self._lu = lu, piv
+            self._getrs = get_lapack_funcs("getrs", (lu,))
             return
         if not np.all(np.isfinite(mat.data)):
             raise fail(0, "nonfinite")
@@ -270,7 +271,8 @@ class _Factor:
         parts."""
         if not self._sparse:
             lu, piv = self._lu
-            getrs = get_lapack_funcs("getrs", (lu, rhs))
+            getrs = (self._getrs if rhs.dtype == lu.dtype
+                     else get_lapack_funcs("getrs", (lu, rhs)))
             return getrs(lu, piv, rhs, trans=int(trans))[0]
         lu = self._lu_t if trans else self._lu
         if not np.iscomplexobj(rhs) or np.iscomplexobj(self._mat.data):
@@ -496,12 +498,14 @@ class SecondOrderSystem:
         """Return M^{-T} @ rhs using the cached factorization."""
         return self._mass_factor.solve(rhs, trans=True)
 
-    def _stiffness_damping(self, prev, curr):
-        """``K prev + D curr``: one product of sparse storage's ``[K D]``
-        with ``[prev; curr]``, or the two products of dense storage."""
+    def _stiffness_damping(self, stacked):
+        """``K prev + D curr`` of a 2N-row ``stacked = [prev; curr]``: one
+        product of sparse storage's ``[K D]``, or the two products of dense
+        storage."""
         if self.is_sparse:
-            return self._KD @ np.vstack([prev, curr])
-        return self.K @ prev + self.D @ curr
+            return self._KD @ stacked
+        N = self.order
+        return self.K @ stacked[:N] + self.D @ stacked[N:]
 
     def _stiffness_damping_t(self, rhs):
         """``[K^T rhs; D^T rhs]``: one product of sparse storage's

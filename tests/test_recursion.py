@@ -1,4 +1,6 @@
 import io
+import re
+import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -21,6 +23,7 @@ from morso.errors import (
 from morso import recursion
 from morso.oracle import stein_gramians, subspace_angles
 from morso.recursion import (
+    ALGORITHMS,
     _gesdd,
     _max_principal_angle,
     _orth,
@@ -269,7 +272,7 @@ class TestRunRecursion:
             SubspaceWindow(np.zeros((2, 4)), np.zeros((2, 4)))
 
 
-def test_diagnostics_csv():
+def test_diagnostics_csv(tmp_path):
     dsos = random_stable_discrete(15, 5, m=1, p=1)
     _, _, diag = run_recursion(dsos, RecursionConfig(n=2, seed=3, tau=4),
                                "srlrg")
@@ -281,6 +284,16 @@ def test_diagnostics_csv():
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) >= float(first[2]) >= 0.0
+    # The exact bytes of the per-cell formatting: repr of each value as a
+    # Python float, the larger angle of each step last.
+    rows = ["step,sigma_1,sigma_2,angle"] + [
+        ",".join([str(i + 1)] + [repr(float(v)) for v in diag.sigma_s[i]]
+                 + [repr(float(max(diag.angles_s[i], diag.angles_r[i])))])
+        for i in range(diag.steps_taken)]
+    expected = "".join(row + "\n" for row in rows)
+    assert buf.getvalue() == expected
+    diag.to_csv(tmp_path / "diagnostics.csv")
+    assert (tmp_path / "diagnostics.csv").read_bytes() == expected.encode()
 
 
 def _angle_cases():
@@ -467,6 +480,142 @@ def test_logged_angles_are_subspace_angles_of_consecutive_iterates():
         _assert_angle_close(diag.angles_r[i], np.max(
             scipy.linalg.subspace_angles(wr.curr, new_r.curr)))
         ws, wr = new_s, new_r
+
+
+def _replayed_run(dsos, config, algorithm):
+    """:func:`run_recursion` replayed with public step calls: the same
+    seeded start, angle kernels and stopping rule.  Returns the final S and
+    R windows, the run's sigma and angle histories, and whether the angles
+    settled."""
+    step = srlrg_step if algorithm == "srlrg" else srlrh_step
+    N, n, tol = dsos.order, config.n, config.angle_tol
+    rng = np.random.default_rng(config.seed)
+    start = [np.linalg.qr(rng.standard_normal((N, n)))[0] for _ in range(4)]
+    ws, wr = SubspaceWindow(*start[:2]), SubspaceWindow(*start[2:])
+    history = {"sigma_s": [], "sigma_r": [], "angles_s": [], "angles_r": []}
+    basis_s, basis_r = _orth(ws.curr), _orth(wr.curr)
+    streak = 0
+    for _ in range(config.tau if tol is None else config.max_steps):
+        ws, wr, info = step(dsos, ws, wr)
+        new_s, new_r = _orth(ws.curr), _orth(wr.curr)
+        angle_s = _max_principal_angle(basis_s, new_s)
+        angle_r = _max_principal_angle(basis_r, new_r)
+        basis_s, basis_r = new_s, new_r
+        for key, value in (("sigma_s", info.sigma_s), ("sigma_r", info.sigma_r),
+                           ("angles_s", angle_s), ("angles_r", angle_r)):
+            history[key].append(value)
+        if tol is not None:
+            streak = streak + 1 if angle_s < tol and angle_r < tol else 0
+            if streak >= 2:
+                return ws, wr, history, True
+    return ws, wr, history, False
+
+
+def _one_algorithm_cases():
+    yield ("dense m=2 p=1 fixed steps",
+           lambda: random_stable_discrete(17, 9, m=2, p=1),
+           RecursionConfig(n=3, seed=5, tau=15))
+    yield ("csr m=1 p=3 fixed steps",
+           lambda: _banded_sos(np.random.default_rng(8), 80, 1, 3),
+           RecursionConfig(n=4, seed=2, tau=12))
+    yield ("dense m=1 p=2 angle converges",
+           lambda: random_stable_discrete(1, 10, m=1, p=2, rho_max=0.6),
+           RecursionConfig(n=4, seed=7, angle_tol=1e-8, max_steps=500))
+    yield ("csr m=1 p=2 angle converges",
+           lambda: _banded_sos(np.random.default_rng(9), 60, 1, 2),
+           RecursionConfig(n=2, seed=3, angle_tol=1e-8, max_steps=500))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("case", list(_one_algorithm_cases()),
+                         ids=lambda c: c[0])
+def test_run_is_a_chain_of_public_steps(case, algorithm):
+    """One algorithm: the run's loop and a chain of public step calls from
+    the same seeded windows agree bit for bit, in the subspaces, every
+    sigma, the final windows and the angles of consecutive iterates."""
+    name, make, config = case
+    dsos = make()
+    assert dsos.is_sparse == name.startswith("csr")
+    S, R, diag = run_recursion(dsos, config, algorithm)
+    ws, wr, history, settled = _replayed_run(dsos, config, algorithm)
+    if config.angle_tol is None:
+        assert diag.termination == "fixed-steps" and not settled
+    else:
+        assert diag.termination == "angle-converged" and settled
+    assert diag.steps_taken == len(history["sigma_s"])
+    assert S.tobytes() == ws.curr.tobytes() and R.tobytes() == wr.curr.tobytes()
+    for got, want in ((diag.final_window_s, ws), (diag.final_window_r, wr)):
+        assert got.prev.tobytes() == want.prev.tobytes()
+        assert got.curr.tobytes() == want.curr.tobytes()
+    for key in ("sigma_s", "sigma_r"):
+        assert (np.concatenate(getattr(diag, key)).tobytes()
+                == np.concatenate(history[key]).tobytes())
+    assert diag.angles_s == history["angles_s"]
+    assert diag.angles_r == history["angles_r"]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_budget_exceeded_after_the_replayed_steps(algorithm, monkeypatch):
+    """A run that never settles raises MaxStepsExceeded after max_steps
+    steps, with the angles of the replayed chain."""
+    dsos = random_stable_discrete(13, 6, m=1, p=2)
+    config = RecursionConfig(n=2, seed=0, angle_tol=1e-12, max_steps=5)
+    _, _, history, settled = _replayed_run(dsos, config, algorithm)
+    assert not settled
+    angles = []
+
+    def logged(qa, qb):
+        angles.append(_max_principal_angle(qa, qb))
+        return angles[-1]
+
+    monkeypatch.setattr(recursion, "_max_principal_angle", logged)
+    with pytest.raises(MaxStepsExceeded, match="within 5 steps"):
+        run_recursion(dsos, config, algorithm)
+    assert angles[0::2] == history["angles_s"]
+    assert angles[1::2] == history["angles_r"]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_step_budget_is_not_allocated(algorithm):
+    """A run that settles early allocates in proportion to the steps it
+    takes, not to its budget of a billion steps."""
+    dsos = random_stable_discrete(1, 10, m=1, p=1, rho_max=0.6)
+    config = RecursionConfig(n=4, seed=7, angle_tol=1e-6, max_steps=10**9)
+    tracemalloc.start()
+    try:
+        _, _, diag = run_recursion(dsos, config, algorithm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diag.termination == "angle-converged"
+    assert peak < 2e6
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_unstable_run_raises_nonfinite_iterate(algorithm, sparse):
+    """Roots 2 and 3 on every mode: the iterates overflow, and the run
+    reports it as NonFiniteIterate, not as SvdFailure or LinAlgError."""
+    N = 60 if sparse else 3
+    eye = scipy.sparse.eye_array(N, format="csr") if sparse else np.eye(N)
+    dsos = SecondOrderSystem(eye, -5.0 * eye, 6.0 * eye, np.ones((N, 1)),
+                             np.ones((1, N)), h=1.0)
+    assert dsos.is_sparse == sparse
+    with pytest.raises(NonFiniteIterate, match="diverged to NaN/Inf"):
+        run_recursion(dsos, RecursionConfig(n=2, seed=0, tau=4000), algorithm)
+
+
+def test_rank_collapsing_run_warns():
+    # With D = K = 0 the cross product [[0, prev_r^T F], [0, G F]] has rank
+    # one, below n = 2, from the first step on.
+    dsos = SecondOrderSystem(np.eye(4), np.zeros((4, 4)), np.zeros((4, 4)),
+                             np.ones((4, 1)), np.ones((1, 4)), h=1.0)
+    message = ("cross-product singular values span more than 14 decades; "
+               "trailing subspace directions are numerically meaningless")
+    with pytest.warns(RankCollapseWarning,
+                      match=f"^{re.escape(message)}$") as record:
+        run_recursion(dsos, RecursionConfig(n=2, seed=1, tau=3), "srlrh")
+    assert {r.filename for r in record} == {__file__}
 
 
 def _banded_sos(rng, N, m, p):

@@ -134,28 +134,31 @@ def test_mass_solves_match_dense(N):
 
 
 class _RecordingFactor:
-    """A SuperLU factor that records the ``trans`` of every solve."""
+    """A SuperLU factor that logs the ``trans`` of every solve as
+    ``(name, trans)``."""
 
-    def __init__(self, lu):
-        self.lu, self.trans = lu, []
+    def __init__(self, name, lu, log):
+        self.name, self.lu, self.log = name, lu, log
 
     def solve(self, rhs, trans="N"):
-        self.trans.append(trans)
+        self.log.append((self.name, trans))
         return self.lu.solve(rhs, trans=trans)
 
 
 @pytest.mark.parametrize("algo", ["srlrg", "srlrh"])
 def test_step_kernels_on_long_chain(algo, monkeypatch):
-    """One recursion step on the N = 400 chain, angles included, gives
-    gesdd no matrix with more rows than columns, makes no transposed
-    SuperLU solve and two sparse products."""
+    """Three recursion steps on the N = 400 chain, angles included, give
+    gesdd no matrix with more rows than columns.  Each step makes, in this
+    order, the ``[K D]`` product, one plain solve with the factor of M, one
+    plain solve with the factor of ``M^T`` and the ``[K D]^T`` product: a
+    workspace that skips, repeats or reorders a kernel call fails here."""
     dsos = _chain(400)
     assert dsos._mass_input is not None  # solved once, before counting
-    factors = []
+    calls = []
     for name in ("_lu", "_lu_t"):
-        factors.append(_RecordingFactor(getattr(dsos._mass_factor, name)))
-        setattr(dsos._mass_factor, name, factors[-1])
-    shapes, products = [], []
+        setattr(dsos._mass_factor, name,
+                _RecordingFactor(name, getattr(dsos._mass_factor, name), calls))
+    shapes = []
     gesdd = recursion._gesdd
 
     def recording_gesdd(a, compute_uv):
@@ -165,15 +168,15 @@ def test_step_kernels_on_long_chain(algo, monkeypatch):
     monkeypatch.setattr(recursion, "_gesdd", recording_gesdd)
     for cls in (scipy.sparse.csr_array, scipy.sparse.csc_array):
         def counted(a, b, matmul=cls.__matmul__):
-            products.append(a.shape)
+            calls.append(("product", a.shape))
             return matmul(a, b)
         monkeypatch.setattr(cls, "__matmul__", counted)
 
-    run_recursion(dsos, RecursionConfig(n=6, seed=1, tau=1), algo)
+    run_recursion(dsos, RecursionConfig(n=6, seed=1, tau=3), algo)
     assert shapes
     assert all(rows <= cols for rows, cols in shapes)
-    assert [t for f in factors for t in f.trans] == ["N", "N"]
-    assert products == [(400, 800), (800, 400)]
+    assert calls == [("product", (400, 800)), ("_lu", "N"), ("_lu_t", "N"),
+                     ("product", (800, 400))] * 3
 
 
 def test_srlrg_truncates_every_tall_update_matrix_through_geqrf(monkeypatch):
