@@ -183,52 +183,64 @@ def _check_window(dsos, window, name):
         )
 
 
+def _stacked(prev, curr):
+    """C-contiguous 2N-by-n copy of the stacked iterate ``[prev; curr]``."""
+    N = prev.shape[0]
+    z = np.empty((2 * N, prev.shape[1]))
+    z[:N], z[N:] = prev, curr
+    return z
+
+
+def _update_matrix(z, block):
+    """Update matrix for the stacked iterate `z`, 2N-by-(n+k): zero but
+    for the constant N-by-k `block` in its bottom right corner.  A step
+    writes its first n columns."""
+    N, n = z.shape[0] // 2, z.shape[1]
+    m = np.zeros((2 * N, n + block.shape[1]))
+    m[N:, n:] = block
+    return m
+
+
+def _write_controllability(dsos, z_s, m1):
+    """Write ``A @ z_s`` into the first n columns of ``m1``: ``curr`` on
+    top, ``-M^{-1}(K prev + D curr)`` below; for sparse storage
+    ``K prev + D curr`` is one product of the stored ``[K D]`` with
+    ``z_s``."""
+    N, n = dsos.order, z_s.shape[1]
+    m1[:N, :n] = z_s[N:]
+    np.negative(dsos.solve_mass(dsos._stiffness_damping(z_s)),
+                out=m1[N:, :n])
+
+
+def _write_observability(dsos, z_r, m2):
+    """Write ``A^T @ z_r`` into the first n columns of ``m2``:
+    ``-K^T M^{-T} curr`` on top, ``prev - D^T M^{-T} curr`` below; for
+    sparse storage both blocks come from one product of the stored
+    ``[K D]^T`` with ``M^{-T} curr``."""
+    N, n = dsos.order, z_r.shape[1]
+    kd_t = dsos._stiffness_damping_t(dsos.solve_mass_t(z_r[N:]))
+    np.negative(kd_t[:N], out=m2[:N, :n])
+    np.subtract(z_r[:N], kd_t[N:], out=m2[N:, :n])
+
+
 class _Workspace:
     """The arrays one recursion run writes in place, allocated once.
 
     ``z_s`` and ``z_r`` are the stacked 2N-by-n iterates ``[prev; curr]``
-    of the two sides, C-contiguous, starting from copies of the
-    ``(prev, curr)`` pairs `s_halves` and `r_halves`.  ``m1`` and ``m2``
-    are the controllability and observability update matrices, 2N-by-(n+m)
-    and 2N-by-(n+p); their input and output columns ``[0; M^{-1} F]`` and
-    ``[0; G^T]`` are written here once, and each step writes only their
-    first n columns.
+    of the two sides, starting from copies of the ``(prev, curr)`` pairs
+    `s_halves` and `r_halves`.  ``m1`` and ``m2`` are the controllability
+    and observability update matrices, 2N-by-(n+m) and 2N-by-(n+p); their
+    input and output columns ``[0; M^{-1} F]`` and ``[0; G^T]`` are
+    written here once, and each step writes only their first n columns.
     """
 
     __slots__ = ("dsos", "z_s", "z_r", "m1", "m2")
 
     def __init__(self, dsos, s_halves, r_halves):
-        N, n = dsos.order, s_halves[0].shape[1]
         self.dsos = dsos
-        self.z_s, self.z_r = np.empty((2 * N, n)), np.empty((2 * N, n))
-        self.z_s[:N], self.z_s[N:] = s_halves
-        self.z_r[:N], self.z_r[N:] = r_halves
-        self.m1 = np.zeros((2 * N, n + dsos.n_inputs))
-        self.m1[N:, n:] = dsos._mass_input
-        self.m2 = np.zeros((2 * N, n + dsos.n_outputs))
-        self.m2[N:, n:] = dsos.G.T
-
-    def assemble_controllability(self):
-        """Write ``A @ z_s`` into the first n columns of ``m1``: ``curr``
-        on top, ``-M^{-1}(K prev + D curr)`` below; for sparse storage
-        ``K prev + D curr`` is one product of the stored ``[K D]`` with
-        ``z_s``."""
-        dsos, z_s, m1 = self.dsos, self.z_s, self.m1
-        N, n = dsos.order, z_s.shape[1]
-        m1[:N, :n] = z_s[N:]
-        np.negative(dsos.solve_mass(dsos._stiffness_damping(z_s)),
-                    out=m1[N:, :n])
-
-    def assemble_observability(self):
-        """Write ``A^T @ z_r`` into the first n columns of ``m2``:
-        ``-K^T M^{-T} curr`` on top, ``prev - D^T M^{-T} curr`` below; for
-        sparse storage both blocks come from one product of the stored
-        ``[K D]^T`` with ``M^{-T} curr``."""
-        dsos, z_r, m2 = self.dsos, self.z_r, self.m2
-        N, n = dsos.order, z_r.shape[1]
-        kd_t = dsos._stiffness_damping_t(dsos.solve_mass_t(z_r[N:]))
-        np.negative(kd_t[:N], out=m2[:N, :n])
-        np.subtract(z_r[:N], kd_t[N:], out=m2[N:, :n])
+        self.z_s, self.z_r = _stacked(*s_halves), _stacked(*r_halves)
+        self.m1 = _update_matrix(self.z_s, dsos._mass_input)
+        self.m2 = _update_matrix(self.z_r, dsos.G.T)
 
     def step(self, hankel, stacklevel):
         """Advance both iterates one step in place: assemble both update
@@ -244,8 +256,8 @@ class _Workspace:
         """
         z_s, z_r, m1, m2 = self.z_s, self.z_r, self.m1, self.m2
         n = z_s.shape[1]
-        self.assemble_controllability()
-        self.assemble_observability()
+        _write_controllability(self.dsos, z_s, m1)
+        _write_observability(self.dsos, z_r, m2)
         if hankel:
             u, s, vt = _svd(m2.T @ m1)
             if s[0] == 0.0 or s[min(n, len(s)) - 1] / s[0] < 1e-14:
@@ -284,10 +296,10 @@ def assemble_controllability(dsos, window):
     """
     _require_discrete(dsos)
     _check_window(dsos, window, "window")
-    halves = window.prev, window.curr
-    ws = _Workspace(dsos, halves, halves)
-    ws.assemble_controllability()
-    return ws.m1
+    z_s = _stacked(window.prev, window.curr)
+    m1 = _update_matrix(z_s, dsos._mass_input)
+    _write_controllability(dsos, z_s, m1)
+    return m1
 
 
 def assemble_observability(dsos, window):
@@ -302,10 +314,10 @@ def assemble_observability(dsos, window):
     """
     _require_discrete(dsos)
     _check_window(dsos, window, "window")
-    halves = window.prev, window.curr
-    ws = _Workspace(dsos, halves, halves)
-    ws.assemble_observability()
-    return ws.m2
+    z_r = _stacked(window.prev, window.curr)
+    m2 = _update_matrix(z_r, dsos.G.T)
+    _write_observability(dsos, z_r, m2)
+    return m2
 
 
 def _require_finite(*arrays):
@@ -514,11 +526,9 @@ def _max_principal_angle(qa, qb):
         if info != 0:
             raise np.linalg.LinAlgError(f"syevd failed ({info})")
         top = eig[-1]
-        if 0.0 < top <= 0.5:  # the clip below would leave it as it is
-            return float(np.arcsin(np.sqrt(top)))
-        sines = np.sqrt(np.clip(eig[::-1], 0.0, 1.0))
         if top <= 0.5:
-            return float(np.arcsin(sines[0]))
+            return float(np.arcsin(np.sqrt(top))) if top > 0.0 else 0.0
+        sines = np.sqrt(np.clip(eig[::-1], 0.0, 1.0))
         sigma = _gesdd(cross, compute_uv=False)
         angles = np.where(sigma ** 2 >= 0.5, np.arcsin(sines),
                           np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))

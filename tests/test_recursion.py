@@ -64,6 +64,20 @@ class TestAssembly:
         assert np.array_equal(m2[4:, 2:], dsos.G.T)
         assert np.array_equal(m2[:4, 2:], np.zeros((4, 2)))
 
+    def test_observability_makes_no_input_solve(self, monkeypatch):
+        # Only the controllability side needs M^{-1} F; assembling the
+        # observability side makes its one M^{-T} solve and no M solve.
+        dsos = random_stable_discrete(0, 4, m=1, p=2)
+        calls = []
+        for name in ("solve_mass", "solve_mass_t"):
+            kernel = getattr(dsos, name)
+            monkeypatch.setattr(dsos, name, lambda rhs, kernel=kernel, name=name:
+                                calls.append(name) or kernel(rhs))
+        assemble_observability(dsos, _window(np.random.default_rng(0), 4, 2))
+        assert calls == ["solve_mass_t"]
+        assemble_controllability(dsos, _window(np.random.default_rng(1), 4, 2))
+        assert sorted(calls[1:]) == ["solve_mass", "solve_mass"]
+
     def test_matches_linearization(self):
         dsos = random_stable_discrete(1, 6, m=2, p=2)
         fos = linearize(dsos)
