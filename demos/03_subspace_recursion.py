@@ -2,11 +2,12 @@
 Tracking dominant subspaces with the low-rank recursions
 ========================================================
 
-Both engines carry two consecutive N-by-n iterates per side and refresh
-them with truncated SVDs, never touching 2N-by-2N matrices.  Stacking the
-window reproduces the first-order iterate, so the stacked window should
-align with the dominant eigenspace of the reachability Gramian -- which the
-dense Stein solver can verify at this scale.
+Both engines carry each side as the stacked first-order iterate
+[prev; curr] of two consecutive N-by-n iterates and refresh it with
+truncated SVDs computed from N-sized blocks, never touching 2N-by-2N
+matrices.  The stacked iterate follows the first-order recursion, so it
+should align with the dominant eigenspace of the reachability Gramian --
+which the dense Stein solver can verify at this scale.
 """
 
 import numpy as np
@@ -38,15 +39,15 @@ for i in (0, 5, 11, 23, 47, 71):
     print(f"  step {i + 1:3d}:  S side {diag.angles_s[i]:.3e}   "
           f"R side {diag.angles_r[i]:.3e}")
 
-# Dense verification: the stacked window vs. the reachability Gramian's
-# dominant eigenspace.
+# Dense verification: the final stacked iterate vs. the reachability
+# Gramian's dominant eigenspace.
 pair = stein_gramians(linearize(dsos))
 lam, vecs = np.linalg.eigh(pair.Wc)
 lam, vecs = lam[::-1], vecs[:, ::-1]
 print("\nGramian eigenvalue decay (first 8):",
       " ".join(f"{v:.2e}" for v in lam[:8]))
-angle = np.max(subspace_angles(diag.final_window_s.stacked(), vecs[:, :n]))
-print(f"angle(stacked window, dominant {n}-eigenspace) = {angle:.2e} rad")
+angle = np.max(subspace_angles(diag.final_s, vecs[:, :n]))
+print(f"angle(stacked iterate, dominant {n}-eigenspace) = {angle:.2e} rad")
 
 # The angle-based stopping rule runs until the subspaces settle instead of
 # using a fixed budget.

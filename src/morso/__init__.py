@@ -56,7 +56,6 @@ from .projection import (
 from .recursion import (
     RecursionConfig,
     RecursionDiagnostics,
-    SubspaceWindow,
     assemble_controllability,
     assemble_observability,
     run_recursion,
@@ -88,7 +87,6 @@ __all__ = [
     "inverse_discretize",
     "consistency_error",
     "default_step",
-    "SubspaceWindow",
     "RecursionConfig",
     "RecursionDiagnostics",
     "assemble_controllability",

@@ -195,7 +195,7 @@ def generate_msd_chain(N, stiffness=1.0, damping=0.1, mass=1.0, seed=None):
     return SecondOrderSystem(M, D, K, F, G, h=None)
 
 
-def write_benchmark(directory, name, sos, suggested_halforder=None):
+def write_benchmark(directory, name, sos):
     """Write a system's quintuplet plus a spec file into ``directory``.
 
     Returns the path of the spec file.  Each matrix is written by
@@ -209,8 +209,6 @@ def write_benchmark(directory, name, sos, suggested_halforder=None):
     paths = {role: os.path.join(directory, f"{name}_{role}.mtx")
              for role in ROLES}
     expected = {"2N": 2 * sos.order, "m": sos.n_inputs, "p": sos.n_outputs}
-    if suggested_halforder is not None:
-        expected["2n"] = 2 * int(suggested_halforder)
     spec = BenchmarkSpec(name=name, paths=paths, h=sos.h, expected=expected)
     os.makedirs(directory, exist_ok=True)
     for role in ROLES:

@@ -64,6 +64,10 @@ class Scheme(enum.Enum):
 
     @classmethod
     def from_name(cls, name):
+        """The member named `name` (case and surrounding blanks ignored),
+        or `name` itself if it is a member; BadParameters otherwise."""
+        if isinstance(name, cls):
+            return name
         try:
             return cls(str(name).strip().lower())
         except ValueError:
@@ -110,8 +114,9 @@ def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):
         Continuous system.
     h : float
         Positive finite step size.
-    scheme : Scheme, optional
-        Velocity difference to use (default: forward).
+    scheme : Scheme or str, optional
+        Velocity difference to use, as a member or its name (default:
+        forward).  An unknown name raises BadParameters.
     stability_check : bool, optional
         When True (default), emit UnstableDiscretizationWarning if the
         continuous system is stable but the difference system is not.
@@ -136,6 +141,7 @@ def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):
     """
     if sos.is_discrete:
         raise DomainMismatch("discretize expects a continuous system")
+    scheme = Scheme.from_name(scheme)
     h = _checked_step(h, NonPositiveStep)
     h2 = h * h
 
@@ -144,10 +150,8 @@ def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):
             return (M + h * D) / h2, (h2 * K - 2.0 * M - h * D) / h2, M / h2
         if scheme is Scheme.BACKWARD_VELOCITY:
             return M / h2, (h2 * K - 2.0 * M + h * D) / h2, (M - h * D) / h2
-        if scheme is Scheme.CENTRAL_VELOCITY:
-            return ((2.0 * M + h * D) / (2.0 * h2), (h2 * K - 2.0 * M) / h2,
-                    (2.0 * M - h * D) / (2.0 * h2))
-        raise ValueError(f"unknown scheme {scheme!r}")
+        return ((2.0 * M + h * D) / (2.0 * h2), (h2 * K - 2.0 * M) / h2,
+                (2.0 * M - h * D) / (2.0 * h2))
 
     Mb, Db, Kb = _entrywise(scheme_map, (sos.M, sos.D, sos.K))
     dsos = SecondOrderSystem(Mb, Db, Kb, sos.F, sos.G, h=h)
@@ -226,11 +230,13 @@ def _positive_definite(P):
 def inverse_discretize(dsos, scheme=DEFAULT_SCHEME):
     """Recover the continuous system from a difference system.
 
-    Inverts the linear map of :func:`discretize` for the given scheme; the
-    step size is taken from the system's domain tag.
+    Inverts the linear map of :func:`discretize` for the given scheme (a
+    member or its name); the step size is taken from the system's domain
+    tag.
     """
     if dsos.is_continuous:
         raise DomainMismatch("inverse_discretize expects a discrete system")
+    scheme = Scheme.from_name(scheme)
     h = dsos.h
     h2 = h * h
 
@@ -239,10 +245,8 @@ def inverse_discretize(dsos, scheme=DEFAULT_SCHEME):
             M = h2 * Kb
         elif scheme is Scheme.BACKWARD_VELOCITY:
             M = h2 * Mb
-        elif scheme is Scheme.CENTRAL_VELOCITY:
-            M = h2 * (Mb + Kb) / 2.0
         else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+            M = h2 * (Mb + Kb) / 2.0
         return M, h * (Mb - Kb), Mb + Db + Kb
 
     M, D, K = _entrywise(inverse_map, (dsos.M, dsos.D, dsos.K))

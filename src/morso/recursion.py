@@ -3,16 +3,18 @@
 The two engines here track the dominant controllability/observability
 subspaces of a difference second-order system without ever forming its
 first-order matrices.  Because the first-order state stacks two
-consecutive position vectors, each subspace is carried as a *window* of
-two consecutive N-by-n iterates; one step updates both halves:
+consecutive position vectors, each subspace is carried as the stacked
+2N-by-n first-order iterate ``[prev; curr]`` of two consecutive N-by-n
+iterates, and one step computes both halves from the N-sized blocks of
+the quintuplet:
 
 * the Gramian variant (``srlrg``) truncates the controllability and
   observability update matrices with two independent SVDs,
 * the Hankel variant (``srlrh``) truncates the single SVD of their
   cross product.
 
-Stacking a window on top of itself reproduces, column for column, the
-corresponding first-order recursion applied to the standardized
+One step on the blocks reproduces, column for column, the corresponding
+first-order step on the same stacked iterate of the standardized
 linearization; that equivalence is the correctness contract the test
 suite enforces.
 """
@@ -36,9 +38,7 @@ from .errors import (
 from .mmio import text_output
 
 __all__ = [
-    "SubspaceWindow",
     "RecursionConfig",
-    "StepDiagnostics",
     "RecursionDiagnostics",
     "assemble_controllability",
     "assemble_observability",
@@ -49,37 +49,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("srlrg", "srlrh")
-
-
-@dataclass(frozen=True)
-class SubspaceWindow:
-    """Two consecutive N-by-n subspace iterates (previous and current)."""
-
-    prev: np.ndarray
-    curr: np.ndarray
-
-    def __post_init__(self):
-        prev = np.asarray(self.prev, dtype=float)
-        curr = np.asarray(self.curr, dtype=float)
-        if prev.ndim != 2 or curr.ndim != 2 or prev.shape != curr.shape:
-            raise DimensionMismatch(
-                f"window halves must be equal-shaped matrices, got "
-                f"{prev.shape} and {curr.shape}"
-            )
-        if prev.shape[1] > prev.shape[0]:
-            raise DimensionMismatch(
-                f"window is {prev.shape}: more columns than rows"
-            )
-        object.__setattr__(self, "prev", prev)
-        object.__setattr__(self, "curr", curr)
-
-    @property
-    def n_columns(self):
-        return self.prev.shape[1]
-
-    def stacked(self):
-        """The 2N-by-n first-order iterate ``[prev; curr]``."""
-        return np.vstack([self.prev, self.curr])
 
 
 @dataclass(frozen=True)
@@ -121,26 +90,13 @@ class RecursionConfig:
                 raise BadParameters(f"max_steps must be >= 1, got {self.max_steps}")
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
-    """Retained singular values of one step.
-
-    ``sigma_s``/``sigma_r`` drive the controllability/observability side
-    updates; for the Hankel variant both equal the retained cross-product
-    singular values.
-    """
-
-    sigma_s: np.ndarray
-    sigma_r: np.ndarray
-
-
 @dataclass
 class RecursionDiagnostics:
     """Per-step history of a recursion run.
 
-    ``final_window_s``/``final_window_r`` hold the complete two-iterate
-    windows at termination (the run itself returns only the current
-    halves); their stack is the final first-order iterate.
+    ``final_s``/``final_r`` hold the final stacked 2N-by-n iterates
+    ``[prev; curr]`` of the two sides; the run itself returns their current
+    halves, as views of these arrays.
     """
 
     steps_taken: int = 0
@@ -149,8 +105,8 @@ class RecursionDiagnostics:
     angles_s: list = field(default_factory=list)
     angles_r: list = field(default_factory=list)
     termination: str = ""
-    final_window_s: SubspaceWindow | None = None
-    final_window_r: SubspaceWindow | None = None
+    final_s: np.ndarray | None = None
+    final_r: np.ndarray | None = None
 
     def to_csv(self, path_or_file):
         """Write one row per step: step index, the n retained singular
@@ -176,18 +132,16 @@ def _require_discrete(dsos):
         raise DomainMismatch("the subspace recursion runs on difference systems")
 
 
-def _check_window(dsos, window, name):
-    if window.prev.shape[0] != dsos.order:
+def _checked_iterate(dsos, z):
+    """C-ordered float64 copy of the stacked iterate `z`; raises
+    DimensionMismatch unless `z` is a matrix with 2N rows and at most N
+    columns."""
+    z = np.array(z, dtype=float, order="C")
+    if z.ndim != 2 or z.shape[0] != 2 * dsos.order or z.shape[1] > dsos.order:
         raise DimensionMismatch(
-            f"{name} has {window.prev.shape[0]} rows, system order is {dsos.order}"
+            f"iterate must be 2N-by-n with n <= N = {dsos.order}, got shape "
+            f"{z.shape}"
         )
-
-
-def _stacked(prev, curr):
-    """C-contiguous 2N-by-n copy of the stacked iterate ``[prev; curr]``."""
-    N = prev.shape[0]
-    z = np.empty((2 * N, prev.shape[1]))
-    z[:N], z[N:] = prev, curr
     return z
 
 
@@ -227,8 +181,8 @@ class _Workspace:
     """The arrays one recursion run writes in place, allocated once.
 
     ``z_s`` and ``z_r`` are the stacked 2N-by-n iterates ``[prev; curr]``
-    of the two sides, starting from copies of the ``(prev, curr)`` pairs
-    `s_halves` and `r_halves`.  ``m1`` and ``m2`` are the controllability
+    of the two sides, C-ordered float64 arrays that the workspace owns and
+    overwrites at each step.  ``m1`` and ``m2`` are the controllability
     and observability update matrices, 2N-by-(n+m) and 2N-by-(n+p); their
     input and output columns ``[0; M^{-1} F]`` and ``[0; G^T]`` are
     written here once, and each step writes only their first n columns.
@@ -236,11 +190,10 @@ class _Workspace:
 
     __slots__ = ("dsos", "z_s", "z_r", "m1", "m2")
 
-    def __init__(self, dsos, s_halves, r_halves):
-        self.dsos = dsos
-        self.z_s, self.z_r = _stacked(*s_halves), _stacked(*r_halves)
-        self.m1 = _update_matrix(self.z_s, dsos._mass_input)
-        self.m2 = _update_matrix(self.z_r, dsos.G.T)
+    def __init__(self, dsos, z_s, z_r):
+        self.dsos, self.z_s, self.z_r = dsos, z_s, z_r
+        self.m1 = _update_matrix(z_s, dsos._mass_input)
+        self.m2 = _update_matrix(z_r, dsos.G.T)
 
     def step(self, hankel, stacklevel):
         """Advance both iterates one step in place: assemble both update
@@ -277,34 +230,28 @@ class _Workspace:
         _require_finite(z_s, z_r)
         return sigma_s[:n].copy(), sigma_r[:n].copy()
 
-    def windows(self):
-        """The S and R windows: views of the stacked iterates' halves."""
-        N = self.dsos.order
-        return (SubspaceWindow(self.z_s[:N], self.z_s[N:]),
-                SubspaceWindow(self.z_r[:N], self.z_r[N:]))
 
-
-def assemble_controllability(dsos, window):
-    """Controllability update matrix ``[A @ [prev; curr] | B]`` assembled
-    blockwise from the quintuplet, shape 2N-by-(n+m).
+def assemble_controllability(dsos, S):
+    """Controllability update matrix ``[A @ S | B]`` of the stacked 2N-by-n
+    iterate ``S = [prev; curr]``, assembled blockwise from the quintuplet,
+    shape 2N-by-(n+m).
 
     The top N rows are ``[curr | 0]``; the bottom rows are
     ``[-M^{-1}(K prev + D curr) | M^{-1} F]``; for sparse storage
-    ``K prev + D curr`` is one product of the stored ``[K D]`` with the
-    stacked window.  This is the assembly a recursion step writes into
-    its workspace.
+    ``K prev + D curr`` is one product of the stored ``[K D]`` with ``S``.
+    This is the assembly a recursion step writes into its workspace.
     """
     _require_discrete(dsos)
-    _check_window(dsos, window, "window")
-    z_s = _stacked(window.prev, window.curr)
+    z_s = _checked_iterate(dsos, S)
     m1 = _update_matrix(z_s, dsos._mass_input)
     _write_controllability(dsos, z_s, m1)
     return m1
 
 
-def assemble_observability(dsos, window):
-    """Observability update matrix ``[A^T @ [prev; curr] | C^T]`` assembled
-    blockwise from the quintuplet, shape 2N-by-(n+p).
+def assemble_observability(dsos, R):
+    """Observability update matrix ``[A^T @ R | C^T]`` of the stacked
+    2N-by-n iterate ``R = [prev; curr]``, assembled blockwise from the
+    quintuplet, shape 2N-by-(n+p).
 
     The top N rows are ``[-K^T M^{-T} curr | 0]``; the bottom rows are
     ``[prev - D^T M^{-T} curr | G^T]``; for sparse storage the ``K^T`` and
@@ -313,8 +260,7 @@ def assemble_observability(dsos, window):
     its workspace.
     """
     _require_discrete(dsos)
-    _check_window(dsos, window, "window")
-    z_r = _stacked(window.prev, window.curr)
+    z_r = _checked_iterate(dsos, R)
     m2 = _update_matrix(z_r, dsos.G.T)
     _write_observability(dsos, z_r, m2)
     return m2
@@ -361,27 +307,26 @@ def _svd(mat, left=True):
     return u, s, vt
 
 
-def _public_step(dsos, window_s, window_r, hankel):
+def _public_step(dsos, S, R, hankel):
     """One recursion step on a fresh workspace holding copies of the
-    windows; a RankCollapseWarning points at the caller of the public
+    iterates; a RankCollapseWarning points at the caller of the public
     step function."""
-    if window_r.n_columns != window_s.n_columns:
-        raise DimensionMismatch("S and R windows must have the same width")
     _require_discrete(dsos)
-    _check_window(dsos, window_s, "window")
-    _check_window(dsos, window_r, "window")
-    ws = _Workspace(dsos, (window_s.prev, window_s.curr),
-                    (window_r.prev, window_r.curr))
+    z_s, z_r = _checked_iterate(dsos, S), _checked_iterate(dsos, R)
+    if z_s.shape[1] != z_r.shape[1]:
+        raise DimensionMismatch("S and R iterates must have the same width")
+    ws = _Workspace(dsos, z_s, z_r)
     with np.errstate(over="ignore", invalid="ignore"):
         sigma_s, sigma_r = ws.step(hankel, stacklevel=3)
-    return (*ws.windows(), StepDiagnostics(sigma_s=sigma_s, sigma_r=sigma_r))
+    return ws.z_s, ws.z_r, sigma_s, sigma_r
 
 
-def srlrg_step(dsos, window_s, window_r):
+def srlrg_step(dsos, S, R):
     """One step of the recursive low-rank Gramian iteration.
 
     Truncates the controllability and observability update matrices with
-    two independent SVDs and maps both windows forward:
+    two independent SVDs and maps both stacked 2N-by-n iterates
+    ``S = [prev; curr]`` and ``R = [prev; curr]`` forward:
 
     * S side: ``prev' = curr @ V1``,
       ``curr' = -M^{-1}(K prev + D curr) @ V1 + M^{-1} F @ V2``
@@ -392,27 +337,31 @@ def srlrg_step(dsos, window_s, window_r):
     vectors of the controllability (resp. observability) update matrix.
 
     This is one step of :func:`run_recursion`'s loop on a workspace of its
-    own, so a chain of calls from the same windows reproduces a run bit for
-    bit.  The inputs are copied, not modified.
+    own, so a chain of calls from the same iterates reproduces a run bit
+    for bit.  The inputs are copied, not modified; any array-like with 2N
+    rows and at most N columns is accepted, and S and R must have the same
+    width.
 
     Returns
     -------
-    (SubspaceWindow, SubspaceWindow, StepDiagnostics)
-        Updated S window, updated R window, retained singular values.
+    (ndarray, ndarray, ndarray, ndarray)
+        Updated S and R iterates, 2N-by-n, and the n retained singular
+        values ``sigma_s`` and ``sigma_r`` that drive the S and R sides.
     """
-    return _public_step(dsos, window_s, window_r, hankel=False)
+    return _public_step(dsos, S, R, hankel=False)
 
 
-def srlrh_step(dsos, window_s, window_r):
+def srlrh_step(dsos, S, R):
     """One step of the recursive low-rank Hankel iteration.
 
     Computes the single SVD of the (n+p)-by-(n+m) cross product of the
     observability and controllability update matrices; the right singular
-    vectors update the S window and the left ones update the R window,
-    with the same split as :func:`srlrg_step`, and like it on a workspace
-    of its own.
+    vectors update S and the left ones update R, with the same split and
+    return value as :func:`srlrg_step` (``sigma_s`` and ``sigma_r`` are
+    both the retained cross-product singular values), and like it on a
+    workspace of its own.
     """
-    return _public_step(dsos, window_s, window_r, hankel=True)
+    return _public_step(dsos, S, R, hankel=True)
 
 
 def _orthonormal(rng, N, n):
@@ -540,18 +489,20 @@ def _max_principal_angle(qa, qb):
 def run_recursion(dsos, config, algorithm="srlrg"):
     """Run a full subspace recursion and return the final subspaces.
 
-    All four window halves start as seeded Gaussian matrices orthonormalized
-    by thin QR.  With a fixed step count the loop runs exactly ``tau`` steps
-    (default: three times the first-order dimension).  With an angle
-    tolerance it stops once the principal angle between consecutive current
-    iterates stays below the tolerance on both sides for two steps in a row,
-    and raises MaxStepsExceeded if that never happens within ``max_steps``.
+    Both stacked iterates start as ``[prev; curr]`` of seeded Gaussian
+    N-by-n matrices orthonormalized by thin QR, drawn in the order S prev,
+    S curr, R prev, R curr.  With a fixed step count the loop runs exactly
+    ``tau`` steps (default: three times the first-order dimension).  With
+    an angle tolerance it stops once the principal angle between
+    consecutive current iterates stays below the tolerance on both sides
+    for two steps in a row, and raises MaxStepsExceeded if that never
+    happens within ``max_steps``.
 
     The loop runs on one workspace allocated per run: both update matrices
     and both stacked iterates are written in place, and each step makes the
     calls of :func:`srlrg_step` or :func:`srlrh_step`, in the same order and
     on the same values, so a chain of those calls from the same seeded
-    windows gives the same result bit for bit.  The histories grow by one
+    iterates gives the same result bit for bit.  The histories grow by one
     entry per step taken, never sized from the step budget.
 
     Parameters
@@ -566,7 +517,8 @@ def run_recursion(dsos, config, algorithm="srlrg"):
     -------
     (ndarray, ndarray, RecursionDiagnostics)
         Final N-by-n controllability-side and observability-side subspace
-        matrices, plus the per-step history.
+        matrices (the current halves of ``final_s`` and ``final_r``), plus
+        the per-step history.
     """
     _require_discrete(dsos)
     if algorithm not in ALGORITHMS:
@@ -579,7 +531,8 @@ def run_recursion(dsos, config, algorithm="srlrg"):
 
     N, n = dsos.order, config.n
     rng = np.random.default_rng(config.seed)
-    ws = _Workspace(dsos, *[(_orthonormal(rng, N, n), _orthonormal(rng, N, n))
+    ws = _Workspace(dsos, *[np.vstack([_orthonormal(rng, N, n),
+                                       _orthonormal(rng, N, n)])
                             for _ in range(2)])
     curr_s, curr_r = ws.z_s[N:], ws.z_r[N:]  # views of the in-place iterates
 
@@ -620,5 +573,5 @@ def run_recursion(dsos, config, algorithm="srlrg"):
                 )
             diag.termination = "fixed-steps"
     diag.steps_taken = len(sigmas_s)
-    diag.final_window_s, diag.final_window_r = ws.windows()
-    return diag.final_window_s.curr, diag.final_window_r.curr, diag
+    diag.final_s, diag.final_r = ws.z_s, ws.z_r
+    return curr_s, curr_r, diag

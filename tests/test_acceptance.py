@@ -30,7 +30,6 @@ from morso.oracle import dense_balanced_truncation, stein_gramians, subspace_ang
 from morso.projection import build_projection, reduce_model, verify_structure_conditions
 from morso.recursion import (
     RecursionConfig,
-    SubspaceWindow,
     run_recursion,
     srlrg_step,
     srlrh_step,
@@ -44,28 +43,28 @@ def _report(num, name, ok, detail):
     print(f"[acceptance {num}] {name}: {detail} -> {'PASS' if ok else 'FAIL'}")
 
 
-def _suite_windows(rng_seed_offset=1000):
-    """Initial windows per suite case, matching the equivalence runs."""
+def _suite_iterates(rng_seed_offset=1000):
+    """Initial stacked iterates ``[prev; curr]`` per suite case, matching
+    the equivalence runs."""
     for seed, N, n, mp in equivalence_suite():
         dsos = random_stable_discrete(seed, N, m=mp, p=mp)
         rng = np.random.default_rng(seed + rng_seed_offset)
-        ws = SubspaceWindow(*(np.linalg.qr(rng.standard_normal((N, n)))[0]
-                              for _ in range(2)))
-        wr = SubspaceWindow(*(np.linalg.qr(rng.standard_normal((N, n)))[0]
-                              for _ in range(2)))
-        yield dsos, n, ws, wr
+        S, R = (np.vstack([np.linalg.qr(rng.standard_normal((N, n)))[0]
+                           for _ in range(2)]) for _ in range(2))
+        yield dsos, n, S, R
 
 
 @pytest.fixture(scope="module")
 def suite_final_subspaces():
     """Final (S, R) of a full recursion for every suite case and algorithm."""
     results = []
-    for dsos, n, ws, wr in _suite_windows():
+    for dsos, n, S0, R0 in _suite_iterates():
+        N = dsos.order
         for algo, step in (("srlrg", srlrg_step), ("srlrh", srlrh_step)):
-            s_win, r_win = ws, wr
-            for _ in range(3 * 2 * dsos.order):
-                s_win, r_win, _ = step(dsos, s_win, r_win)
-            results.append((dsos, algo, s_win.curr, r_win.curr))
+            S, R = S0, R0
+            for _ in range(3 * 2 * N):
+                S, R, _, _ = step(dsos, S, R)
+            results.append((dsos, algo, S[N:], R[N:]))
     return results
 
 
@@ -73,28 +72,27 @@ def test_criterion_1_stacked_equivalence():
     worst_step = 0.0
     worst_acc = 0.0
     t0 = time.monotonic()
-    for dsos, n, ws, wr in _suite_windows():
+    for dsos, n, S0, R0 in _suite_iterates():
         A, B, C = firstorder.state_space(dsos)
         for algo, step, ostep in (
             ("srlrg", srlrg_step, firstorder.rlrg_step),
             ("srlrh", srlrh_step, firstorder.rlrh_step),
         ):
-            s_win, r_win = ws, wr
-            S_fo, R_fo = ws.stacked(), wr.stacked()
+            S, R = S0, R0
+            S_fo, R_fo = S0, R0
             for _ in range(3 * 2 * dsos.order):
-                s_ref, r_ref = ostep(A, B, C, s_win.stacked(), r_win.stacked(), n)
-                new_s, new_r, _ = step(dsos, s_win, r_win)
+                s_ref, r_ref = ostep(A, B, C, S, R, n)
+                S, R, _, _ = step(dsos, S, R)
                 worst_step = max(
                     worst_step,
-                    float(np.max(np.abs(new_s.stacked() - s_ref))),
-                    float(np.max(np.abs(new_r.stacked() - r_ref))),
+                    float(np.max(np.abs(S - s_ref))),
+                    float(np.max(np.abs(R - r_ref))),
                 )
                 S_fo, R_fo = ostep(A, B, C, S_fo, R_fo, n)
-                s_win, r_win = new_s, new_r
             worst_acc = max(
                 worst_acc,
-                float(np.max(np.abs(s_win.stacked() - S_fo))),
-                float(np.max(np.abs(r_win.stacked() - R_fo))),
+                float(np.max(np.abs(S - S_fo))),
+                float(np.max(np.abs(R - R_fo))),
             )
     elapsed = time.monotonic() - t0
     ok = worst_step <= 1e-10 and worst_acc <= 1e-8
@@ -149,8 +147,7 @@ def test_criterion_4_gramian_subspace_convergence():
             continue
         _, _, diag = run_recursion(dsos, RecursionConfig(n=n, seed=seed),
                                    "srlrg")
-        angle = float(np.max(subspace_angles(diag.final_window_s.stacked(),
-                                             V[:, :2 * n])))
+        angle = float(np.max(subspace_angles(diag.final_s, V[:, :2 * n])))
         worst = max(worst, angle)
         checked += 1
     elapsed = time.monotonic() - t0

@@ -76,15 +76,20 @@ class TestMsdChain:
 class TestBenchmarkRoundtrip:
     def test_write_load_bit_exact(self, tmp_path):
         sos = random_stable_discrete(0, 6, m=2, p=2)
-        spec_path = write_benchmark(tmp_path, "model", sos, suggested_halforder=2)
+        spec_path = write_benchmark(tmp_path, "model", sos)
         spec = BenchmarkSpec.read(spec_path)
         assert spec.name == "model"
         assert spec.h == sos.h
-        assert spec.expected == {"2N": 12, "m": 2, "p": 2, "2n": 4}
+        assert spec.expected == {"2N": 12, "m": 2, "p": 2}
         loaded = load_matrix_market(spec)
         for name in ("M", "D", "K", "F", "G"):
             assert np.array_equal(getattr(loaded, name), getattr(sos, name))
         assert loaded.h == sos.h
+        # A suggested reduced order in the spec is written and read back.
+        spec.expected["2n"] = 4
+        spec.write(spec_path)
+        assert BenchmarkSpec.read(spec_path).expected == {
+            "2N": 12, "m": 2, "p": 2, "2n": 4}
 
     def test_continuous_spec_has_no_step(self, tmp_path):
         sos = generate_msd_chain(4, damping=0.5)

@@ -14,11 +14,13 @@ from morso.discretize import (
     write_consistency_curve,
 )
 from morso.errors import (
+    BadParameters,
     DomainMismatch,
     NonPositiveStep,
     UnstableDiscretizationWarning,
 )
 from morso.bench import generate_msd_chain
+from morso.metrics import rre
 from morso.systems import SecondOrderSystem, stability_report
 
 from helpers import random_sos, random_spd_sos
@@ -141,6 +143,30 @@ def test_central_with_zero_damping_is_palindromic():
                           np.diag([3.0, 1.0]), np.ones((2, 1)), np.ones((1, 2)))
     d = discretize(s, 0.1, Scheme.CENTRAL_VELOCITY, stability_check=False)
     assert np.array_equal(d.M, d.K)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_scheme_name_gives_the_member_bits(scheme):
+    chain = generate_msd_chain(6, damping=1.0, seed=2)
+    by_member = discretize(chain, 0.1, scheme)
+    by_name = discretize(chain, 0.1, scheme.value)
+    back_member = inverse_discretize(by_member, scheme)
+    back_name = inverse_discretize(by_member, scheme.value)
+    for a, b in ((by_member, by_name), (back_member, back_name)):
+        for role in ("M", "D", "K", "F", "G"):
+            assert getattr(a, role).tobytes() == getattr(b, role).tobytes()
+    assert (rre(chain, by_member, scheme=scheme)
+            == rre(chain, by_member, scheme=scheme.value))
+
+
+def test_unknown_scheme_name_is_bad_parameters():
+    chain = generate_msd_chain(6, damping=1.0, seed=2)
+    d = discretize(chain, 0.5)
+    for call in (lambda: discretize(chain, 0.5, "bogus"),
+                 lambda: inverse_discretize(d, "bogus"),
+                 lambda: rre(chain, d, scheme="bogus")):
+        with pytest.raises(BadParameters, match="unknown scheme 'bogus'"):
+            call()
 
 
 def test_domain_guards():

@@ -29,7 +29,6 @@ from morso.recursion import (
     _orth,
     _svd,
     RecursionConfig,
-    SubspaceWindow,
     assemble_controllability,
     assemble_observability,
     default_step_count,
@@ -40,16 +39,16 @@ from morso.recursion import (
 from morso.systems import SecondOrderSystem, linearize
 
 
-def _window(rng, N, n):
-    return SubspaceWindow(*(np.linalg.qr(rng.standard_normal((N, n)))[0]
-                            for _ in range(2)))
+def _iterate(rng, N, n):
+    """Stacked 2N-by-n iterate ``[prev; curr]`` of two orthonormal halves."""
+    return np.vstack([np.linalg.qr(rng.standard_normal((N, n)))[0]
+                      for _ in range(2)])
 
 
 class TestAssembly:
     def test_zero_window_controllability(self):
         dsos = random_stable_discrete(0, 4, m=1)
-        w = SubspaceWindow(np.zeros((4, 2)), np.zeros((4, 2)))
-        m1 = assemble_controllability(dsos, w)
+        m1 = assemble_controllability(dsos, np.zeros((8, 2)))
         assert m1.shape == (8, 3)
         assert np.array_equal(m1[:, :2], np.zeros((8, 2)))
         assert np.allclose(m1[4:, 2:], dsos.solve_mass(dsos.F))
@@ -57,8 +56,7 @@ class TestAssembly:
 
     def test_zero_window_observability(self):
         dsos = random_stable_discrete(0, 4, p=2)
-        w = SubspaceWindow(np.zeros((4, 2)), np.zeros((4, 2)))
-        m2 = assemble_observability(dsos, w)
+        m2 = assemble_observability(dsos, np.zeros((8, 2)))
         assert m2.shape == (8, 4)
         assert np.array_equal(m2[:, :2], np.zeros((8, 2)))
         assert np.array_equal(m2[4:, 2:], dsos.G.T)
@@ -73,30 +71,29 @@ class TestAssembly:
             kernel = getattr(dsos, name)
             monkeypatch.setattr(dsos, name, lambda rhs, kernel=kernel, name=name:
                                 calls.append(name) or kernel(rhs))
-        assemble_observability(dsos, _window(np.random.default_rng(0), 4, 2))
+        assemble_observability(dsos, _iterate(np.random.default_rng(0), 4, 2))
         assert calls == ["solve_mass_t"]
-        assemble_controllability(dsos, _window(np.random.default_rng(1), 4, 2))
+        assemble_controllability(dsos, _iterate(np.random.default_rng(1), 4, 2))
         assert sorted(calls[1:]) == ["solve_mass", "solve_mass"]
 
     def test_matches_linearization(self):
         dsos = random_stable_discrete(1, 6, m=2, p=2)
         fos = linearize(dsos)
         rng = np.random.default_rng(2)
-        ws = _window(rng, 6, 3)
-        wr = _window(rng, 6, 3)
-        m1 = assemble_controllability(dsos, ws)
-        m2 = assemble_observability(dsos, wr)
-        ref1 = np.hstack([fos.A @ ws.stacked(), fos.B])
-        ref2 = np.hstack([fos.A.T @ wr.stacked(), fos.C.T])
+        S = _iterate(rng, 6, 3)
+        R = _iterate(rng, 6, 3)
+        m1 = assemble_controllability(dsos, S)
+        m2 = assemble_observability(dsos, R)
+        ref1 = np.hstack([fos.A @ S, fos.B])
+        ref2 = np.hstack([fos.A.T @ R, fos.C.T])
         assert np.max(np.abs(m1 - ref1)) <= 1e-13
         assert np.max(np.abs(m2 - ref2)) <= 1e-13
 
     def test_continuous_rejected(self):
         from helpers import random_sos
         sos = random_sos(3, 4)
-        w = SubspaceWindow(np.zeros((4, 2)), np.zeros((4, 2)))
         with pytest.raises(DomainMismatch):
-            assemble_controllability(sos, w)
+            assemble_controllability(sos, np.zeros((8, 2)))
 
 
 @pytest.mark.parametrize("step,variant", [(srlrg_step, "srlrg"),
@@ -105,51 +102,119 @@ class TestSteps:
     def test_shapes(self, step, variant):
         dsos = random_stable_discrete(4, 5, m=1, p=2)
         rng = np.random.default_rng(5)
-        ws, wr = _window(rng, 5, 2), _window(rng, 5, 2)
-        ns, nr, info = step(dsos, ws, wr)
-        for mat in (ns.prev, ns.curr, nr.prev, nr.curr):
-            assert mat.shape == (5, 2)
-        assert info.sigma_s.shape == (2,)
-        assert info.sigma_r.shape == (2,)
+        S, R = _iterate(rng, 5, 2), _iterate(rng, 5, 2)
+        ns, nr, sigma_s, sigma_r = step(dsos, S, R)
+        assert ns.shape == (10, 2) and nr.shape == (10, 2)
+        assert sigma_s.shape == (2,)
+        assert sigma_r.shape == (2,)
 
     def test_singular_values_ordered(self, step, variant):
         dsos = random_stable_discrete(5, 6, m=2, p=2)
         rng = np.random.default_rng(6)
-        ws, wr = _window(rng, 6, 3), _window(rng, 6, 3)
+        S, R = _iterate(rng, 6, 3), _iterate(rng, 6, 3)
         for _ in range(10):
-            ws, wr, info = step(dsos, ws, wr)
-            assert np.all(np.diff(info.sigma_s) <= 0)
-            assert np.all(info.sigma_s >= 0)
-            assert np.all(np.diff(info.sigma_r) <= 0)
+            S, R, sigma_s, sigma_r = step(dsos, S, R)
+            assert np.all(np.diff(sigma_s) <= 0)
+            assert np.all(sigma_s >= 0)
+            assert np.all(np.diff(sigma_r) <= 0)
 
     def test_single_step_matches_first_order(self, step, variant):
         dsos = random_stable_discrete(6, 8, m=2, p=1)
         A, B, C = firstorder.state_space(dsos)
         rng = np.random.default_rng(7)
-        ws, wr = _window(rng, 8, 3), _window(rng, 8, 3)
+        S, R = _iterate(rng, 8, 3), _iterate(rng, 8, 3)
         ostep = firstorder.rlrg_step if variant == "srlrg" else firstorder.rlrh_step
-        s_ref, r_ref = ostep(A, B, C, ws.stacked(), wr.stacked(), 3)
-        ns, nr, _ = step(dsos, ws, wr)
-        assert np.max(np.abs(ns.stacked() - s_ref)) <= 1e-12
-        assert np.max(np.abs(nr.stacked() - r_ref)) <= 1e-12
+        s_ref, r_ref = ostep(A, B, C, S, R, 3)
+        ns, nr, _, _ = step(dsos, S, R)
+        assert np.max(np.abs(ns - s_ref)) <= 1e-12
+        assert np.max(np.abs(nr - r_ref)) <= 1e-12
 
     def test_nonfinite_detected(self, step, variant):
         # a blatantly unstable difference system diverges fast
         dsos = SecondOrderSystem(np.eye(3), np.eye(3) * -5.0, np.eye(3) * 6.0,
                                  np.ones((3, 1)), np.ones((1, 3)), h=1.0)
         rng = np.random.default_rng(8)
-        ws, wr = _window(rng, 3, 2), _window(rng, 3, 2)
+        S, R = _iterate(rng, 3, 2), _iterate(rng, 3, 2)
         with pytest.raises(NonFiniteIterate):
             for _ in range(4000):
-                ws, wr, _ = step(dsos, ws, wr)
+                S, R, _, _ = step(dsos, S, R)
+
+
+# Malformed iterates for a system of order N = 4 (update matrices have
+# 2N = 8 rows), each paired with a well-formed 8-by-2 iterate.  The last
+# case is well formed on its own; only the steps, which take both sides,
+# reject it.
+_MALFORMED = [
+    ("1-D", np.zeros(8), True),
+    ("odd row count", np.zeros((7, 2)), True),
+    ("N rows", np.zeros((4, 2)), True),
+    ("more columns than N", np.zeros((8, 5)), True),
+    ("other width", np.zeros((8, 3)), False),
+]
+
+
+@pytest.mark.parametrize("name,bad,alone", _MALFORMED,
+                         ids=[case[0] for case in _MALFORMED])
+def test_malformed_iterate_raises_dimension_mismatch(name, bad, alone):
+    dsos = random_stable_discrete(0, 4, m=1, p=1)
+    good = _iterate(np.random.default_rng(0), 4, 2)
+    for step in (srlrg_step, srlrh_step):
+        for S, R in ((bad, good), (good, bad)):
+            with pytest.raises(DimensionMismatch):
+                step(dsos, S, R)
+    for assemble in (assemble_controllability, assemble_observability):
+        if alone:
+            with pytest.raises(DimensionMismatch):
+                assemble(dsos, bad)
+        else:
+            assemble(dsos, bad)
+
+
+def _step_and_assembly_bytes(dsos, S, R):
+    """Bytes of both steps' outputs and both assemblies of (S, R)."""
+    out = [assemble_controllability(dsos, S), assemble_observability(dsos, R)]
+    for step in (srlrg_step, srlrh_step):
+        out.extend(step(dsos, S, R))
+    return [a.tobytes() for a in out]
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("kind", ["fortran order", "integer"])
+def test_iterate_layout_and_dtype_do_not_change_bits(kind, sparse):
+    """An F-ordered or integer-valued iterate steps and assembles to the
+    same bits as its C-ordered float64 copy."""
+    rng = np.random.default_rng(10)
+    N, n = (60, 3) if sparse else (6, 3)
+    dsos = (_banded_sos(rng, N, 2, 1) if sparse
+            else random_stable_discrete(10, N, m=2, p=1))
+    if kind == "integer":
+        S, R = (rng.integers(-3, 4, (2 * N, n)) for _ in range(2))
+    else:
+        S, R = (np.asfortranarray(_iterate(rng, N, n)) for _ in range(2))
+    copies = [np.ascontiguousarray(x, dtype=float) for x in (S, R)]
+    assert not S.flags.c_contiguous or S.dtype != float
+    assert (_step_and_assembly_bytes(dsos, S, R)
+            == _step_and_assembly_bytes(dsos, *copies))
+
+
+def test_step_leaves_its_inputs_unchanged():
+    dsos = random_stable_discrete(4, 5, m=1, p=2)
+    rng = np.random.default_rng(11)
+    S, R = _iterate(rng, 5, 2), _iterate(rng, 5, 2)
+    before = S.copy(), R.copy()
+    for step in (srlrg_step, srlrh_step):
+        new_s, new_r, _, _ = step(dsos, S, R)
+        assert not np.shares_memory(new_s, S) and not np.shares_memory(new_r, R)
+        assert S.tobytes() == before[0].tobytes()
+        assert R.tobytes() == before[1].tobytes()
 
 
 def test_rank_collapse_warning_points_at_caller():
-    # zero windows leave one nonzero block, G M^{-1} F, in the cross product
+    # zero iterates leave one nonzero block, G M^{-1} F, in the cross product
     dsos = random_stable_discrete(0, 3)
-    w = SubspaceWindow(np.zeros((3, 2)), np.zeros((3, 2)))
+    zero = np.zeros((6, 2))
     with pytest.warns(RankCollapseWarning) as record:
-        srlrh_step(dsos, w, w)
+        srlrh_step(dsos, zero, zero)
     assert [r.filename for r in record] == [__file__]
 
 
@@ -158,16 +223,15 @@ def test_zero_input_side_stays_zero():
                                 np.diag([0.2, 0.1, 0.05]),
                                 np.zeros((3, 1)), np.ones((1, 3)), h=1.0)
     rng = np.random.default_rng(9)
-    ws = SubspaceWindow(np.zeros((3, 2)), np.zeros((3, 2)))
-    wr = _window(rng, 3, 2)
+    S = np.zeros((6, 2))
+    R = _iterate(rng, 3, 2)
     for _ in range(5):
-        ws, wr, _ = srlrg_step(dsos_f0, ws, wr)
-        assert np.array_equal(ws.prev, np.zeros((3, 2)))
-        assert np.array_equal(ws.curr, np.zeros((3, 2)))
+        S, R, _, _ = srlrg_step(dsos_f0, S, R)
+        assert np.array_equal(S, np.zeros((6, 2)))
 
 
 def test_hankel_symmetric_duality():
-    # Symmetric quintuplet with F = G^T: pairing the windows through the
+    # Symmetric quintuplet with F = G^T: pairing the iterates through the
     # energy metric blkdiag(-K, M) keeps the cross product symmetric, so
     # the two sides evolve in lockstep (equal current column spaces).
     rng = np.random.default_rng(3)
@@ -182,15 +246,15 @@ def test_hankel_symmetric_duality():
 
     sp = np.linalg.qr(rng.standard_normal((N, n)))[0]
     sc = np.linalg.qr(rng.standard_normal((N, n)))[0]
-    ws = SubspaceWindow(sp, sc)
-    wr = SubspaceWindow(-Kb @ sp, sc)
+    S = np.vstack([sp, sc])
+    R = np.vstack([-Kb @ sp, sc])
     for _ in range(40):
-        m1 = assemble_controllability(dsos, ws)
-        m2 = assemble_observability(dsos, wr)
+        m1 = assemble_controllability(dsos, S)
+        m2 = assemble_observability(dsos, R)
         cross = m2.T @ m1
         assert np.max(np.abs(cross - cross.T)) <= 1e-12 * np.max(np.abs(cross))
-        ws, wr, _ = srlrh_step(dsos, ws, wr)
-        angle = np.max(scipy.linalg.subspace_angles(ws.curr, wr.curr))
+        S, R, _, _ = srlrh_step(dsos, S, R)
+        angle = np.max(scipy.linalg.subspace_angles(S[N:], R[N:]))
         assert angle < 1e-8
 
 
@@ -237,7 +301,7 @@ class TestRunRecursion:
 
     def test_stacked_window_tracks_gramian_subspace(self):
         # module-level variant of the convergence property: the stacked
-        # window approaches the dominant n-eigenspace of the reachability
+        # iterate approaches the dominant n-eigenspace of the reachability
         # Gramian when the spectrum has a gap there
         found = 0
         for seed in range(1, 30):
@@ -252,8 +316,7 @@ class TestRunRecursion:
                 continue
             _, _, diag = run_recursion(dsos, RecursionConfig(n=n, seed=seed),
                                        "srlrg")
-            stack = diag.final_window_s.stacked()
-            angle = np.max(subspace_angles(stack, V[:, :n]))
+            angle = np.max(subspace_angles(diag.final_s, V[:, :n]))
             assert angle < 0.15
             found += 1
             if found >= 5:
@@ -278,12 +341,6 @@ class TestRunRecursion:
         with pytest.raises(BadParameters, match="needs angle_tol"):
             RecursionConfig(n=2, tau=tau, max_steps=3)
         assert RecursionConfig(n=2, angle_tol=0.1, max_steps=3).max_steps == 3
-
-    def test_window_validation(self):
-        with pytest.raises(DimensionMismatch):
-            SubspaceWindow(np.zeros((4, 2)), np.zeros((3, 2)))
-        with pytest.raises(DimensionMismatch):
-            SubspaceWindow(np.zeros((2, 4)), np.zeros((2, 4)))
 
 
 def test_diagnostics_csv(tmp_path):
@@ -486,43 +543,43 @@ def test_logged_angles_are_subspace_angles_of_consecutive_iterates():
                                "srlrh")
     rng = np.random.default_rng(4)
     start = [np.linalg.qr(rng.standard_normal((8, 3)))[0] for _ in range(4)]
-    ws, wr = SubspaceWindow(*start[:2]), SubspaceWindow(*start[2:])
+    S, R = np.vstack(start[:2]), np.vstack(start[2:])
     for i in range(6):
-        new_s, new_r, _ = srlrh_step(dsos, ws, wr)
+        new_s, new_r, _, _ = srlrh_step(dsos, S, R)
         _assert_angle_close(diag.angles_s[i], np.max(
-            scipy.linalg.subspace_angles(ws.curr, new_s.curr)))
+            scipy.linalg.subspace_angles(S[8:], new_s[8:])))
         _assert_angle_close(diag.angles_r[i], np.max(
-            scipy.linalg.subspace_angles(wr.curr, new_r.curr)))
-        ws, wr = new_s, new_r
+            scipy.linalg.subspace_angles(R[8:], new_r[8:])))
+        S, R = new_s, new_r
 
 
 def _replayed_run(dsos, config, algorithm):
     """:func:`run_recursion` replayed with public step calls: the same
-    seeded start, angle kernels and stopping rule.  Returns the final S and
-    R windows, the run's sigma and angle histories, and whether the angles
-    settled."""
+    seeded start, angle kernels and stopping rule.  Returns the final
+    stacked S and R iterates, the run's sigma and angle histories, and
+    whether the angles settled."""
     step = srlrg_step if algorithm == "srlrg" else srlrh_step
     N, n, tol = dsos.order, config.n, config.angle_tol
     rng = np.random.default_rng(config.seed)
     start = [np.linalg.qr(rng.standard_normal((N, n)))[0] for _ in range(4)]
-    ws, wr = SubspaceWindow(*start[:2]), SubspaceWindow(*start[2:])
+    S, R = np.vstack(start[:2]), np.vstack(start[2:])
     history = {"sigma_s": [], "sigma_r": [], "angles_s": [], "angles_r": []}
-    basis_s, basis_r = _orth(ws.curr), _orth(wr.curr)
+    basis_s, basis_r = _orth(S[N:]), _orth(R[N:])
     streak = 0
     for _ in range(config.tau if tol is None else config.max_steps):
-        ws, wr, info = step(dsos, ws, wr)
-        new_s, new_r = _orth(ws.curr), _orth(wr.curr)
+        S, R, sigma_s, sigma_r = step(dsos, S, R)
+        new_s, new_r = _orth(S[N:]), _orth(R[N:])
         angle_s = _max_principal_angle(basis_s, new_s)
         angle_r = _max_principal_angle(basis_r, new_r)
         basis_s, basis_r = new_s, new_r
-        for key, value in (("sigma_s", info.sigma_s), ("sigma_r", info.sigma_r),
+        for key, value in (("sigma_s", sigma_s), ("sigma_r", sigma_r),
                            ("angles_s", angle_s), ("angles_r", angle_r)):
             history[key].append(value)
         if tol is not None:
             streak = streak + 1 if angle_s < tol and angle_r < tol else 0
             if streak >= 2:
-                return ws, wr, history, True
-    return ws, wr, history, False
+                return S, R, history, True
+    return S, R, history, False
 
 
 def _one_algorithm_cases():
@@ -545,22 +602,24 @@ def _one_algorithm_cases():
                          ids=lambda c: c[0])
 def test_run_is_a_chain_of_public_steps(case, algorithm):
     """One algorithm: the run's loop and a chain of public step calls from
-    the same seeded windows agree bit for bit, in the subspaces, every
-    sigma, the final windows and the angles of consecutive iterates."""
+    the same seeded iterates agree bit for bit, in the subspaces, every
+    sigma, the final stacked iterates and the angles of consecutive
+    iterates."""
     name, make, config = case
     dsos = make()
     assert dsos.is_sparse == name.startswith("csr")
     S, R, diag = run_recursion(dsos, config, algorithm)
-    ws, wr, history, settled = _replayed_run(dsos, config, algorithm)
+    final_s, final_r, history, settled = _replayed_run(dsos, config, algorithm)
     if config.angle_tol is None:
         assert diag.termination == "fixed-steps" and not settled
     else:
         assert diag.termination == "angle-converged" and settled
     assert diag.steps_taken == len(history["sigma_s"])
-    assert S.tobytes() == ws.curr.tobytes() and R.tobytes() == wr.curr.tobytes()
-    for got, want in ((diag.final_window_s, ws), (diag.final_window_r, wr)):
-        assert got.prev.tobytes() == want.prev.tobytes()
-        assert got.curr.tobytes() == want.curr.tobytes()
+    N = dsos.order
+    assert S.tobytes() == final_s[N:].tobytes()
+    assert R.tobytes() == final_r[N:].tobytes()
+    assert diag.final_s.tobytes() == final_s.tobytes()
+    assert diag.final_r.tobytes() == final_r.tobytes()
     for key in ("sigma_s", "sigma_r"):
         assert (np.concatenate(getattr(diag, key)).tobytes()
                 == np.concatenate(history[key]).tobytes())
@@ -671,10 +730,10 @@ def test_stacked_equivalence_random_systems(case):
     else:
         dsos = random_stable_discrete(seed, N, m=m, p=p)
     A, B, C = firstorder.state_space(dsos)
-    ws, wr = _window(rng, N, n), _window(rng, N, n)
+    S, R = _iterate(rng, N, n), _iterate(rng, N, n)
     for step, ostep in ((srlrg_step, firstorder.rlrg_step),
                         (srlrh_step, firstorder.rlrh_step)):
-        s_ref, r_ref = ostep(A, B, C, ws.stacked(), wr.stacked(), n)
-        new_s, new_r, _ = step(dsos, ws, wr)
-        assert np.max(np.abs(new_s.stacked() - s_ref)) <= 1e-10
-        assert np.max(np.abs(new_r.stacked() - r_ref)) <= 1e-10
+        s_ref, r_ref = ostep(A, B, C, S, R, n)
+        new_s, new_r, _, _ = step(dsos, S, R)
+        assert np.max(np.abs(new_s - s_ref)) <= 1e-10
+        assert np.max(np.abs(new_r - r_ref)) <= 1e-10

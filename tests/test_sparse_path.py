@@ -43,7 +43,6 @@ from morso.projection import (
 )
 from morso.recursion import (
     RecursionConfig,
-    SubspaceWindow,
     run_recursion,
     srlrg_step,
     srlrh_step,
@@ -63,9 +62,10 @@ def _chain(N):
     return discretize(sos, STEP)
 
 
-def _window(rng, N, n):
-    return SubspaceWindow(*(np.linalg.qr(rng.standard_normal((N, n)))[0]
-                            for _ in range(2)))
+def _iterate(rng, N, n):
+    """Stacked 2N-by-n iterate ``[prev; curr]`` of two orthonormal halves."""
+    return np.vstack([np.linalg.qr(rng.standard_normal((N, n)))[0]
+                      for _ in range(2)])
 
 
 @pytest.mark.parametrize("N", [80, 200])
@@ -94,7 +94,7 @@ def test_small_chain_stays_dense():
     assert not dsos.is_sparse
     assert type(dsos.K) is np.ndarray
     rng = np.random.default_rng(0)
-    srlrg_step(dsos, _window(rng, 32, 4), _window(rng, 32, 4))
+    srlrg_step(dsos, _iterate(rng, 32, 4), _iterate(rng, 32, 4))
     assert "_KD" not in vars(dsos)  # no N-by-2N copy of dense K and D
 
 
@@ -184,7 +184,7 @@ def test_srlrg_truncates_every_tall_update_matrix_through_geqrf(monkeypatch):
     the R factor: geqrf sees both update matrices, gesdd only their R."""
     dsos = _chain(200)
     rng = np.random.default_rng(12)
-    window_s, window_r = _window(rng, 200, 12), _window(rng, 200, 12)
+    S, R = _iterate(rng, 200, 12), _iterate(rng, 200, 12)
     calls = []
     for name in ("_GESDD", "_GEQRF"):
         def recording(a, *args, name=name, kernel=getattr(recursion, name),
@@ -192,7 +192,7 @@ def test_srlrg_truncates_every_tall_update_matrix_through_geqrf(monkeypatch):
             calls.append((name, a.shape))
             return kernel(a, *args, **kwargs)
         monkeypatch.setattr(recursion, name, recording)
-    srlrg_step(dsos, window_s, window_r)
+    srlrg_step(dsos, S, R)
     assert calls == [("_GEQRF", (400, 13)), ("_GESDD", (13, 13))] * 2
 
 
@@ -216,30 +216,29 @@ STEPS = {"srlrg": (srlrg_step, firstorder.rlrg_step),
 
 
 def _trajectories(dsos, algo, dense_twin=None, n=6):
-    """Run 6N steps from seeded windows.  Return the worst per-step
+    """Run 6N steps from seeded iterates.  Return the worst per-step
     deviation from the first-order oracle applied to the same iterate, and
-    the final windows of the run, the oracle's own run and (if given) the
+    the final iterates of the run, the oracle's own run and (if given) the
     same recursion on ``dense_twin``."""
     step, ostep = STEPS[algo]
     N = dsos.order
     A, B, C = firstorder.state_space(dsos)
     rng = np.random.default_rng(N + 1)
-    s_win, r_win = _window(rng, N, n), _window(rng, N, n)
-    S_fo, R_fo = s_win.stacked(), r_win.stacked()
-    s_dense, r_dense = s_win, r_win
+    S, R = _iterate(rng, N, n), _iterate(rng, N, n)
+    S_fo, R_fo = S, R
+    S_dense, R_dense = S, R
     worst_step = 0.0
     for _ in range(6 * N):
-        s_ref, r_ref = ostep(A, B, C, s_win.stacked(), r_win.stacked(), n)
-        s_win, r_win, _ = step(dsos, s_win, r_win)
+        s_ref, r_ref = ostep(A, B, C, S, R, n)
+        S, R, _, _ = step(dsos, S, R)
         worst_step = max(worst_step,
-                         float(np.max(np.abs(s_win.stacked() - s_ref))),
-                         float(np.max(np.abs(r_win.stacked() - r_ref))))
+                         float(np.max(np.abs(S - s_ref))),
+                         float(np.max(np.abs(R - r_ref))))
         S_fo, R_fo = ostep(A, B, C, S_fo, R_fo, n)
         if dense_twin is not None:
-            s_dense, r_dense, _ = step(dense_twin, s_dense, r_dense)
-    final = np.hstack([s_win.stacked(), r_win.stacked()])
-    return (worst_step, final, np.hstack([S_fo, R_fo]),
-            np.hstack([s_dense.stacked(), r_dense.stacked()]))
+            S_dense, R_dense, _, _ = step(dense_twin, S_dense, R_dense)
+    return (worst_step, np.hstack([S, R]), np.hstack([S_fo, R_fo]),
+            np.hstack([S_dense, R_dense]))
 
 
 @pytest.mark.parametrize("N", [80, 200])
