@@ -37,7 +37,7 @@ from .errors import (
     UnstableReductionWarning,
     ValidationError,
 )
-from .metrics import default_grid, error_response, frequency_response
+from .metrics import RRE_MODES, default_grid, error_response, frequency_response
 from .oracle import balancing_factors
 from .projection import build_projection, check_rank_tol, reduce_model
 from .recursion import ALGORITHMS, RecursionConfig, run_recursion
@@ -104,7 +104,7 @@ def _build_parser():
                        help="comma-separated reduced half-orders")
     p_cmp.add_argument("--methods", default=",".join(_METHODS),
                        help=f"comma-separated subset of {','.join(_METHODS)}")
-    p_cmp.add_argument("--rre-mode", choices=("discrete", "continuous"),
+    p_cmp.add_argument("--rre-mode", choices=RRE_MODES,
                        default=None,
                        help="error evaluation domain for a continuous model: "
                             "on the unit circle against its discretization "
@@ -147,10 +147,9 @@ def _set_up(args, orders=None):
             setattr(cfg, fld.name, value)
         elif getattr(cfg, fld.name) is None and type(None) not in get_args(fld.type):
             raise BadParameters(f"configuration key {fld.name!r} needs a value")
-    if cfg.rre_mode not in ("discrete", "continuous"):
-        raise BadParameters(
-            f"rre_mode must be 'discrete' or 'continuous', got {cfg.rre_mode!r}"
-        )
+    if cfg.rre_mode not in RRE_MODES:
+        raise BadParameters(f"rre_mode must be {' or '.join(map(repr, RRE_MODES))}"
+                            f", got {cfg.rre_mode!r}")
     env_seed = os.environ.get("MORSO_SEED")
     if env_seed is not None and args.seed is None and "seed" not in data:
         cfg.seed = _parse_int("MORSO_SEED", env_seed)
@@ -224,14 +223,6 @@ def _cmd_reduce(args):
     return 0
 
 
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6e}"
-    return str(value)
-
-
 def _cmd_compare(args):
     orders = [_parse_int("--orders", tok) for tok in args.orders.split(",")
               if tok.strip()]
@@ -249,7 +240,6 @@ def _cmd_compare(args):
     cfg, spec, sos, dsos, scheme, rec_cfg = _set_up(args, orders)
     table_grid = default_grid(sos, cfg.grid_count, cfg.omega_min, cfg.omega_max)
     circle_grid = default_grid(dsos, cfg.grid_count, cfg.omega_min, cfg.omega_max)
-    continuous_cells = cfg.rre_mode == "continuous" and sos.is_continuous
     # Linearized for bt before anything is written: it refuses a sparse
     # model above DENSE_ORDER_LIMIT.
     bt_model = linearize(dsos) if "bt" in methods else None
@@ -259,13 +249,20 @@ def _cmd_compare(args):
     full_resp.write_summary(os.path.join(args.out, "hinf_full.json"))
     circle_full = frequency_response(dsos, circle_grid)
     circle_full.to_csv(os.path.join(args.out, "sigma_full.csv"))
-    if continuous_cells:
+    # The full model and response the srlrg/srlrh cells are scored against;
+    # continuous mode compares on the imaginary axis against the back-mapped
+    # reductions.  bt cells are always scored on the circle.
+    target = (dsos, circle_full)
+    if cfg.rre_mode == "continuous" and sos.is_continuous:
         full_resp.to_csv(os.path.join(args.out, "sigma_full_continuous.csv"))
+        target = (sos, full_resp)
 
-    rows = []
+    rows, statuses = [], []
+    hinf_full = f"{full_resp.hinf_estimate:.6e}"
     bt_factors = None  # built on the first bt cell, shared by the others
     for n in orders:
         for method in methods:
+            full, ref = (dsos, circle_full) if method == "bt" else target
             try:
                 if method == "bt":  # linearized, order 2n
                     if bt_factors is None:
@@ -274,45 +271,33 @@ def _cmd_compare(args):
                 else:
                     red, _ = _reduce_cell(dsos, method, replace(rec_cfg, n=n),
                                           cfg.rank_tol)
-                if continuous_cells and method != "bt":
-                    # imaginary-axis comparison against the back-mapped model
-                    err = error_response(sos, red, table_grid, scheme=scheme,
-                                         mode="continuous")
-                    rre_val = err.hinf_estimate / full_resp.hinf_estimate
-                else:
-                    err = error_response(dsos, red, circle_grid, scheme=scheme)
-                    rre_val = err.hinf_estimate / circle_full.hinf_estimate
-                stable = stability_report(red).is_stable
-                retained = red.order // 2 if method == "bt" else red.order
+                err = error_response(full, red, ref.grid, scheme=scheme,
+                                     mode=cfg.rre_mode)
+                rre_val = err.hinf_estimate / ref.hinf_estimate
+                stable = str(bool(stability_report(red).is_stable)).lower()
                 err.to_csv(os.path.join(args.out, f"sigma_error_{method}_{n}.csv"))
-                rows.append((method, n, full_resp.hinf_estimate, rre_val,
-                             stable, retained, None))
+                cells = (f"{rre_val:.6e}", stable, "")
+                status = f"rre={rre_val:.4e} stable={stable}"
+                retained = red.order // 2 if method == "bt" else red.order
+                if retained < n:
+                    status += f" retained={retained}"
             except ValidationError:
                 raise  # a bad run parameter fails the run (exit 1), not a cell
             except MorsoError as exc:
-                rows.append((method, n, full_resp.hinf_estimate, None, None,
-                             None, type(exc).__name__))
+                cells = ("", "", type(exc).__name__)
+                status = type(exc).__name__
+            rows.append(",".join((spec.name, method, str(n), hinf_full, *cells)))
+            statuses.append(f"  {method:6s} n={n:<4d} {status}")
 
     csv_path = os.path.join(args.out, "comparison.csv")
     with open(csv_path, "w", encoding="utf-8") as f:
         f.write("model,method,order,hinf_full,rre,stable_reduced,error\n")
-        for method, n, hinf, rre_val, stable, _, err_name in rows:
-            cells = [spec.name, method, str(n), _format_cell(hinf),
-                     _format_cell(rre_val),
-                     "" if stable is None else str(bool(stable)).lower(),
-                     err_name or ""]
-            f.write(",".join(cells) + "\n")
+        f.writelines(row + "\n" for row in rows)
     cfg.to_manifest(os.path.join(args.out, "manifest.txt"), version=__version__)
 
     print(f"comparison table: {csv_path}")
-    for method, n, _, rre_val, stable, retained, err_name in rows:
-        status = err_name if err_name else (
-            f"rre={rre_val:.4e} stable={str(bool(stable)).lower()}"
-        )
-        if retained is not None and retained < n:
-            status += f" retained={retained}"
-        print(f"  {method:6s} n={n:<4d} {status}")
-    print(f"hinf_full = {full_resp.hinf_estimate:.6e}")
+    print(*statuses, sep="\n")
+    print(f"hinf_full = {hinf_full}")
     return 0
 
 

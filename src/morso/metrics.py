@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .discretize import DEFAULT_SCHEME, discretize, inverse_discretize
+from .discretize import DEFAULT_SCHEME, Scheme, discretize, inverse_discretize
 from .errors import BadParameters, DimensionMismatch, DomainMismatch
 from .mmio import text_output
 
@@ -36,6 +36,10 @@ DEFAULT_OMEGA_MAX = 1e4
 MAX_GRID_COUNT = 10**6
 
 _REFINE_SAMPLES = 10
+
+# Domains in which a reduction of a discretized continuous model can be
+# scored against it; see :func:`rre`.
+RRE_MODES = ("discrete", "continuous")
 
 
 def _check_count(count):
@@ -189,6 +193,18 @@ def _sampled_response(transfer_at, grid, refinement_rounds):
     )
 
 
+def _checked_grid(sys, grid, domain):
+    """``grid``, or the default grid of ``sys`` when it is None;
+    DomainMismatch if its kind does not match the ``domain`` of ``sys``."""
+    if grid is None:
+        return default_grid(sys)
+    if grid.is_discrete != sys.is_discrete:
+        raise DomainMismatch(
+            f"grid kind {grid.kind!r} does not match the {domain} domain"
+        )
+    return grid
+
+
 def frequency_response(sys, grid=None, refinement_rounds=3):
     """Sample the largest singular value of the transfer matrix on a grid
     and refine the peak.
@@ -205,34 +221,31 @@ def frequency_response(sys, grid=None, refinement_rounds=3):
     -------
     FrequencyResponse
     """
-    if grid is None:
-        grid = default_grid(sys)
-    if grid.is_discrete != sys.is_discrete:
-        raise DomainMismatch(
-            f"grid kind {grid.kind!r} does not match the system domain"
-        )
+    grid = _checked_grid(sys, grid, "system")
     return _sampled_response(sys.transfer, grid, refinement_rounds)
 
 
 def _align_domains(full, reduced, scheme, mode):
+    scheme = Scheme.from_name(scheme)
+    if mode not in RRE_MODES:
+        raise BadParameters(f"mode must be {' or '.join(map(repr, RRE_MODES))}"
+                            f", got {mode!r}")
     if full.is_discrete == reduced.is_discrete:
         return full, reduced
-    if full.is_continuous and reduced.is_discrete:
-        if mode == "discrete":
-            # Compare on the unit circle: discretize the full model with the
-            # reduced model's own step.
-            return discretize(full, reduced.h, scheme, stability_check=False), reduced
-        if mode == "continuous":
-            if not hasattr(reduced, "M"):
-                raise DomainMismatch(
-                    "continuous-mode comparison needs a second-order "
-                    "reduction (first-order models cannot be mapped back)"
-                )
-            return full, inverse_discretize(reduced, scheme)
-        raise BadParameters(f"mode must be 'discrete' or 'continuous', got {mode!r}")
-    raise DomainMismatch(
-        "cannot compare a discrete full system against a continuous reduction"
-    )
+    if full.is_discrete:
+        raise DomainMismatch(
+            "cannot compare a discrete full system against a continuous reduction"
+        )
+    if mode == "discrete":
+        # Compare on the unit circle: discretize the full model with the
+        # reduced model's own step.
+        return discretize(full, reduced.h, scheme, stability_check=False), reduced
+    if not hasattr(reduced, "M"):
+        raise DomainMismatch(
+            "continuous-mode comparison needs a second-order "
+            "reduction (first-order models cannot be mapped back)"
+        )
+    return full, inverse_discretize(reduced, scheme)
 
 
 def error_response(full, reduced, grid=None, *, scheme=DEFAULT_SCHEME,
@@ -257,12 +270,7 @@ def error_response(full, reduced, grid=None, *, scheme=DEFAULT_SCHEME,
             f"({reduced.n_outputs}x{reduced.n_inputs})"
         )
     f_sys, r_sys = _align_domains(full, reduced, scheme, mode)
-    if grid is None:
-        grid = default_grid(f_sys)
-    if grid.is_discrete != f_sys.is_discrete:
-        raise DomainMismatch(
-            f"grid kind {grid.kind!r} does not match the comparison domain"
-        )
+    grid = _checked_grid(f_sys, grid, "comparison")
 
     def transfer_difference(points):
         return f_sys.transfer(points) - r_sys.transfer(points)
@@ -281,7 +289,8 @@ def rre(full, reduced, grid=None, *, scheme=DEFAULT_SCHEME, mode="discrete",
     the unit circle; ``"continuous"`` maps the reduced model back to
     continuous form (this requires a second-order reduction) and evaluates
     on the imaginary axis.  ``scheme`` names the discretization used either
-    way.
+    way.  An unknown ``scheme`` or ``mode`` raises BadParameters whatever
+    the domains of the two models.
 
     Both the error curve and the full-system curve are evaluated on the
     same grid with the same refinement, so identical models give exactly 0

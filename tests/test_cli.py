@@ -1,3 +1,4 @@
+import io
 import os
 import warnings
 
@@ -5,8 +6,14 @@ import numpy as np
 import pytest
 
 from morso import cli, oracle, systems
-from morso.bench import BenchmarkSpec, load_matrix_market
+from morso.bench import (
+    BenchmarkSpec,
+    generate_msd_chain,
+    load_matrix_market,
+    write_benchmark,
+)
 from morso.cli import cli_main
+from morso.discretize import DEFAULT_SCHEME, discretize
 from morso.errors import (
     MorsoError,
     ParseError,
@@ -14,6 +21,9 @@ from morso.errors import (
     UnstableReductionWarning,
     ValidationError,
 )
+from morso.metrics import default_grid, frequency_response, rre
+from morso.projection import build_projection, reduce_model
+from morso.recursion import RecursionConfig, run_recursion
 
 from helpers import count_solves
 
@@ -95,6 +105,71 @@ def test_compare_table(chain_spec, tmp_path):
     assert (out / "sigma_full.csv").exists()
     assert (out / "sigma_error_bt_2.csv").exists()
     assert (out / "sigma_error_srlrh_4.csv").exists()
+
+
+def test_compare_continuous_mode(chain_spec, tmp_path):
+    """Continuous mode scores srlrg/srlrh on the imaginary axis against the
+    inverse-discretized reductions and bt on the circle, as discrete mode
+    does."""
+    outs = {mode: tmp_path / mode for mode in ("discrete", "continuous")}
+    for mode, out in outs.items():
+        assert cli_main(["compare", chain_spec, "--orders", "2,3", "--h",
+                         "0.5", "--seed", "1", "--rre-mode", mode,
+                         "--out", str(out)]) == 0
+    out = outs["continuous"]
+    assert not (outs["discrete"] / "sigma_full_continuous.csv").exists()
+    sos = load_matrix_market(BenchmarkSpec.read(chain_spec))
+    grid = default_grid(sos)
+    table = io.StringIO()
+    frequency_response(sos, grid).to_csv(table)
+    assert (out / "sigma_full_continuous.csv").read_text() == table.getvalue()
+
+    rows = {mode: [line.split(",") for line in
+                   (o / "comparison.csv").read_text().splitlines()[1:]]
+            for mode, o in outs.items()}
+    assert ([r for r in rows["continuous"] if r[1] == "bt"]
+            == [r for r in rows["discrete"] if r[1] == "bt"])
+    for name in ("sigma_error_bt_2.csv", "sigma_error_bt_3.csv"):
+        assert (out / name).read_bytes() == (outs["discrete"] / name).read_bytes()
+    dsos = discretize(sos, 0.5)
+    cells = [r for r in rows["continuous"] if r[1] != "bt"]
+    assert len(cells) == 4
+    for _, method, n, _, value, _, error in cells:
+        S, R, _ = run_recursion(dsos, RecursionConfig(n=int(n), seed=1), method)
+        red = reduce_model(dsos, build_projection(S, R, 1e-7))
+        assert error == ""
+        expected = rre(sos, red, grid, scheme=DEFAULT_SCHEME, mode="continuous")
+        assert value == f"{expected:.6e}"
+
+
+@pytest.fixture(scope="module")
+def discrete_spec(tmp_path_factory):
+    dsos = discretize(generate_msd_chain(12, damping=1.0), 0.5)
+    return write_benchmark(tmp_path_factory.mktemp("dbench"), "dchain", dsos)
+
+
+@pytest.mark.parametrize("command", [["reduce", "--order", "2"],
+                                     ["compare", "--orders", "2"]])
+def test_discrete_spec_runs_at_its_own_step(discrete_spec, tmp_path, capsys,
+                                            command):
+    name, *flags = command
+    outs = []
+    for h_flag in ([], ["--h", "0.5"]):
+        outs.append(tmp_path / f"run{len(outs)}")
+        assert cli_main([name, discrete_spec, *flags, *h_flag, "--seed", "1",
+                         "--out", str(outs[-1])]) == 0
+    # the manifest records --h; every other output is the same either way
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert files == sorted(p.name for p in outs[1].iterdir())
+    for fname in files:
+        if fname != "manifest.txt":
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+    capsys.readouterr()
+    bad = tmp_path / "bad"
+    assert cli_main([name, discrete_spec, *flags, "--h", "0.25",
+                     "--out", str(bad)]) == 1
+    assert "conflicts with the model's own step" in capsys.readouterr().err
+    assert not bad.exists()
 
 
 def test_compare_has_failure_rows_not_omissions(tmp_path):

@@ -1,3 +1,4 @@
+import importlib
 import io
 import warnings
 
@@ -24,6 +25,9 @@ from morso.metrics import rre
 from morso.systems import SecondOrderSystem, stability_report
 
 from helpers import random_sos, random_spd_sos
+
+# The package exports the function under the module's name.
+discretize_module = importlib.import_module("morso.discretize")
 
 ALL_SCHEMES = list(Scheme)
 
@@ -270,6 +274,15 @@ def test_consistency_curve_csv():
     assert len(text) == 3
     assert float(text[1].split(",")[0]) == 0.02
     assert rows[0][1] > rows[1][1]
+
+
+def test_default_step_blocks_match_one_block(monkeypatch):
+    chain = generate_msd_chain(64, damping=1.0)
+    assert chain.is_sparse
+    whole = default_step(chain)
+    # 22 columns of K at a time: three blocks
+    monkeypatch.setattr(discretize_module, "_STEP_BLOCK_ENTRIES", 22 * 64)
+    assert default_step(chain) == pytest.approx(whole, rel=1e-15, abs=0)
 
 
 def test_default_step_positive():

@@ -186,6 +186,16 @@ class TestRre:
         assert val == (err.hinf_estimate
                        / frequency_response(f_sys, err.grid).hinf_estimate)
 
+    def test_unknown_scheme_or_mode_rejected_in_every_domain(self):
+        chain = generate_msd_chain(6)
+        dsos = discretize(chain, 0.5)
+        for f in (rre, error_response):
+            for full, red in ((dsos, dsos), (chain, chain)):
+                with pytest.raises(BadParameters, match="unknown scheme"):
+                    f(full, red, scheme="bogus")
+                with pytest.raises(BadParameters, match="mode must be"):
+                    f(full, red, mode="bogus")
+
     def test_reversed_mismatch_rejected(self):
         chain = generate_msd_chain(6, damping=1.0)
         dsos = discretize(chain, 0.5)

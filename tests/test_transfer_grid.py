@@ -191,14 +191,16 @@ def test_grid_fails_at_first_pole(sparse, chunk_points):
 
 
 def test_grid_fails_at_first_numerically_singular_point():
-    sos = SecondOrderSystem(np.diag([1.0, 2.0]), np.zeros((2, 2)),
-                            np.diag([4.0, 2.0]), np.ones((2, 1)),
-                            np.ones((1, 2)))
-    make = lambda: SecondOrderSystem(sos.M, sos.D, sos.K, sos.F, sos.G)  # noqa: E731
+    dense = SecondOrderSystem(np.diag([1.0, 2.0]), np.zeros((2, 2)),
+                              np.diag([4.0, 2.0]), np.ones((2, 1)),
+                              np.ones((1, 2)))
     near = 1j * (1 + 1e-15)
-    kind, message = _scalar_error(make, near)
-    assert kind is SingularAtPoint and "numerically singular" in message
-    _assert_grid_fails_like(make, np.array([0.5j, near, 2j]), 1)
+    # the CSR model fails through the sparse factor's condition estimate
+    for sos in (dense, _undamped(True)):
+        make = lambda sos=sos: SecondOrderSystem(sos.M, sos.D, sos.K, sos.F, sos.G)  # noqa: E731
+        kind, message = _scalar_error(make, near)
+        assert kind is SingularAtPoint and "numerically singular" in message
+        _assert_grid_fails_like(make, np.array([0.5j, near, 2j]), 1)
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
