@@ -16,7 +16,9 @@ for the continuous case and a positive step ``h`` for the difference case.
 """
 
 from dataclasses import dataclass, field
+import functools
 from functools import cached_property
+import math
 import sys
 import warnings
 
@@ -143,14 +145,33 @@ def _densified(sos, consumer):
 
 
 # Most bytes of dense characteristic matrices that a grid of points builds
-# at a time.  The points of one chunk are built, normed and checked together
-# and then factored one by one, so a grid never holds more than this (or one
+# at a time.  The points of one chunk are built and normed together and
+# then factored one by one, so a grid never holds more than this (or one
 # matrix, if that is larger) of them.
 _CHUNK_BYTES = 64 * 1024
 
-# LAPACK routines of the dense point solves, looked up once.
-_POINT_GETRF, _POINT_GECON, _POINT_GETRS = get_lapack_funcs(
-    ("getrf", "gecon", "getrs"), dtype=np.complex128)
+# What a failed factor of the mass matrix, and of the characteristic matrix
+# at {point}, raises: the error type, and the message templates for a
+# matrix with a non-finite entry, one whose factorization breaks down and
+# one whose rcond is too small.  (A checked M has no non-finite entry; the
+# mass template reads as a breakdown.)
+_MASS_FAILURE = SingularMass, {
+    "nonfinite": "mass matrix M is singular: LU factorization failed",
+    "broken": "mass matrix M is singular: LU factorization failed",
+    "singular": "mass matrix M is numerically singular (rcond={rcond})",
+}
+_POINT_FAILURE = SingularAtPoint, {
+    "nonfinite": "characteristic matrix is not finite at point {point}",
+    "broken": "characteristic matrix is singular at point {point}",
+    "singular": "characteristic matrix is numerically singular at point "
+                "{point} (rcond={rcond:.2e})",
+}
+
+
+@functools.cache
+def _lapack(dtype):
+    """LAPACK ``getrf``, ``gecon`` and ``getrs`` for arrays of `dtype`."""
+    return get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=dtype)
 
 
 def _one_norms(mats):
@@ -160,101 +181,76 @@ def _one_norms(mats):
     return np.abs(mats).sum(axis=-2).max(axis=-1)
 
 
-def _dense_lu(lus, anorms, getrf, gecon, fail, rcond_min=0.0):
-    """Checked LAPACK LU factors of the stack `lus` of dense square
-    matrices, each Fortran-ordered and factored in place by ``getrf``,
-    whose 1-norms (of :func:`_one_norms`) are `anorms`.
-
-    Yields ``(lu, piv, rcond)`` for each matrix in order: the factor of
-    ``scipy.linalg.lu_factor`` without its finiteness check, and the
-    ``gecon`` reciprocal condition estimate.  At the first matrix ``k`` that
-    fails, raises ``fail(k, "nonfinite")`` when it has a non-finite entry,
-    ``fail(k, "broken")`` when its factorization meets a non-finite or zero
-    pivot, and ``fail(k, "singular", rcond)`` when ``rcond`` is zero, not
-    finite or below `rcond_min`.
-    """
-    finite = np.isfinite(anorms)
-    for k in np.flatnonzero(~finite):
-        finite[k] = np.all(np.isfinite(lus[k]))
-    pivots = [getrf(lu, overwrite_a=True)[1] if ok else None
-              for lu, ok in zip(lus, finite)]
-    broken = ~np.isfinite(lus).all(axis=(1, 2))
-    broken |= (np.diagonal(lus, axis1=1, axis2=2) == 0.0).any(axis=1)
-    for k, (lu, piv) in enumerate(zip(lus, pivots)):
-        if not finite[k]:
-            raise fail(k, "nonfinite")
-        if broken[k]:
-            raise fail(k, "broken")
-        rcond = gecon(lu, anorms[k])[0]
-        if rcond == 0.0 or not np.isfinite(rcond) or rcond < rcond_min:
-            raise fail(k, "singular", rcond)
-        yield lu, piv, rcond
-
-
-def _failure(error, broken, singular, nonfinite=None):
-    """The `fail` of :func:`_dense_lu` that builds ``error(nonfinite)``
-    (default ``error(broken)``), ``error(broken)`` or
-    ``error(singular.format(rcond))``."""
-    def fail(_, reason, rcond=None):
-        if reason == "singular":
-            return error(singular.format(rcond))
-        return error(nonfinite or broken if reason == "nonfinite" else broken)
-    return fail
-
-
 class _Factor:
-    """Checked LU factor of a square dense ndarray or CSR matrix `mat`.
+    """Checked LU factor of a square dense ndarray or CSR matrix `mat`: the
+    mass matrix, or the characteristic matrix at `point`.
 
-    A dense `mat` is factored by :func:`_dense_lu` and solved by LAPACK
-    ``getrs``: the results of ``scipy.linalg.lu_factor``/``lu_solve``
-    without their finiteness checks, so non-finite right-hand sides pass
-    through.  Its ``rcond`` is the ``gecon`` estimate.  A CSR `mat` is
-    factored by SuperLU, and its ``rcond`` is ``1 / (||mat||_1 est)``,
-    where ``est`` is the one-column ``scipy.sparse.linalg.onenormest`` of
-    ``mat^{-1}`` (the Hager-Higham estimator of ``gecon``), applied through
-    the factor's solves; it draws no random vectors, so it is the same on
-    every call.
+    A dense `mat` is factored by LAPACK ``getrf`` and solved by ``getrs``:
+    the results of ``scipy.linalg.lu_factor``/``lu_solve`` without their
+    finiteness checks, so non-finite right-hand sides pass through.  Its
+    ``rcond`` is the ``gecon`` estimate.  A Fortran-ordered `mat` given with
+    its 1-norm `anorm` (of :func:`_one_norms`) is factored in place, any
+    other a copy.  A CSR `mat` is factored by SuperLU, and its ``rcond`` is
+    ``1 / (||mat||_1 est)``, where ``est`` is the one-column
+    ``scipy.sparse.linalg.onenormest`` of ``mat^{-1}`` (the Hager-Higham
+    estimator of ``gecon``), applied through the factor's solves; it draws
+    no random vectors, so it is the same on every call.
 
-    Raises ``error(nonfinite)`` (default ``error(broken)``) when `mat` has a
-    non-finite entry, ``error(broken)`` when the factorization breaks down
-    or a CSR `mat` has no nonzeros, and ``error(singular.format(rcond))``
-    when ``rcond`` is zero, not finite or below ``rcond_min``.
+    Raises SingularMass, or SingularAtPoint naming `point`, at the first
+    check that fails, in this order: `mat` has a non-finite entry (looked
+    for only when its 1-norm is not finite); the factorization meets a zero
+    or non-finite pivot, or a CSR `mat` has no nonzeros; ``rcond`` is zero,
+    not finite or, at a point, below ``_RCOND_SINGULAR``.
     """
 
-    def __init__(self, mat, error, broken, singular, rcond_min=0.0,
-                 nonfinite=None):
-        fail = _failure(error, broken, singular, nonfinite)
-        self._sparse = _issparse(mat)
-        if not self._sparse:
-            getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (mat,))
-            lus = np.array(mat, order="F")[None]
-            lu, piv, self.rcond = next(_dense_lu(
-                lus, _one_norms(mat)[None], getrf, gecon, fail, rcond_min))
+    def __init__(self, mat, point=None, anorm=None):
+        self._point = point
+        self._sparse = not isinstance(mat, np.ndarray)
+        if self._sparse:
+            rcond = self._splu(mat)
+        else:
+            if anorm is None:
+                mat, anorm = np.array(mat, order="F"), float(_one_norms(mat))
+            getrf, gecon, _ = _lapack(mat.dtype)
+            if not math.isfinite(anorm) and not np.isfinite(mat).all():
+                raise self._error("nonfinite")
+            lu, piv, info = getrf(mat, overwrite_a=True)
+            # count_nonzero: a quicker all() on the small matrices of a grid
+            if info > 0 or np.count_nonzero(np.isfinite(lu)) < lu.size:
+                raise self._error("broken")
             self._lu = lu, piv
-            self._getrs = get_lapack_funcs("getrs", (lu,))
-            return
-        if not np.all(np.isfinite(mat.data)):
-            raise fail(0, "nonfinite")
-        self.rcond = rcond = self._splu(mat, fail)
-        if rcond == 0.0 or not np.isfinite(rcond) or rcond < rcond_min:
-            raise fail(0, "singular", rcond)
+            rcond = gecon(lu, anorm)[0]
+        rcond_min = 0.0 if point is None else _RCOND_SINGULAR
+        if rcond == 0.0 or not math.isfinite(rcond) or rcond < rcond_min:
+            raise self._error("singular", rcond)
+        self.rcond = rcond
 
-    def _splu(self, mat, fail):
+    def _error(self, reason, rcond=None):
+        error, messages = (_MASS_FAILURE if self._point is None
+                           else _POINT_FAILURE)
+        return error(messages[reason].format(point=self._point, rcond=rcond))
+
+    def _splu(self, mat):
+        """``rcond`` of a CSR `mat`, whose SuperLU factor it keeps."""
         # Imported here so that dense models never load scipy.sparse.linalg.
         from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
 
+        with np.errstate(over="ignore"):
+            anorm = norm(mat, 1)
+        if not math.isfinite(anorm) and not np.isfinite(mat.data).all():
+            raise self._error("nonfinite")
         if mat.nnz == 0:
-            raise fail(0, "broken")
+            raise self._error("broken")
         try:
             self._lu = lu = splu(mat.tocsc())
         except RuntimeError:
-            raise fail(0, "broken") from None
+            raise self._error("broken") from None
         self._mat = mat
         inverse = LinearOperator(
             mat.shape, dtype=mat.dtype, matvec=lu.solve,
             rmatvec=lambda x: lu.solve(x, trans="H"))
         with np.errstate(over="ignore", invalid="ignore"):
-            return 1.0 / (norm(mat, 1) * onenormest(inverse, t=1))
+            return 1.0 / (anorm * onenormest(inverse, t=1))
 
     @cached_property
     def _lu_t(self):
@@ -271,8 +267,7 @@ class _Factor:
         parts."""
         if not self._sparse:
             lu, piv = self._lu
-            getrs = (self._getrs if rhs.dtype == lu.dtype
-                     else get_lapack_funcs("getrs", (lu, rhs)))
+            getrs = _lapack(np.promote_types(lu.dtype, rhs.dtype))[2]
             return getrs(lu, piv, rhs, trans=int(trans))[0]
         lu = self._lu_t if trans else self._lu
         if not np.iscomplexobj(rhs) or np.iscomplexobj(self._mat.data):
@@ -282,25 +277,15 @@ class _Factor:
         return x
 
 
-def _point_messages(point):
-    """``(broken, singular, nonfinite)`` messages of :class:`_Factor` for a
-    characteristic matrix at `point`."""
-    return (f"characteristic matrix is singular at point {point}",
-            f"characteristic matrix is numerically singular at point {point} "
-            "(rcond={:.2e})",
-            f"characteristic matrix is not finite at point {point}")
-
-
 def _solve_grid(system, points):
     """Transfer matrices of `system` at `points`, a sequence of points as
     the caller gave them, as a ``(P, p, m)`` complex stack.
 
     Dense storage builds the characteristic matrices of at most
-    ``_CHUNK_BYTES`` of points at a time with the expressions of
-    ``characteristic``, takes their 1-norms (and so their finiteness) at
-    once, and factors, checks and solves each with LAPACK ``getrf``,
-    ``gecon`` and ``getrs`` through :func:`_dense_lu`.  CSR storage builds
-    one :class:`_Factor` per point.  Every point must be nonzero for a
+    ``_CHUNK_BYTES`` of points at a time with the expression of
+    ``characteristic`` and takes their 1-norms at once; CSR storage builds
+    each point's matrix alone.  Either way one :class:`_Factor` per point
+    factors, checks and solves it.  Every point must be nonzero for a
     difference system.  Raises SingularAtPoint, naming the point as given,
     at the first point in order whose matrix is not finite or is
     (numerically) singular.
@@ -312,10 +297,8 @@ def _solve_grid(system, points):
     stack = np.empty((len(points), out.shape[0], rhs.shape[1]), complex)
     if sparse:
         for k, point in enumerate(points):
-            broken, singular, nonfinite = _point_messages(point)
-            stack[k] = out @ _Factor(
-                system.characteristic(point), SingularAtPoint, broken,
-                singular, _RCOND_SINGULAR, nonfinite).solve(rhs)
+            stack[k] = out @ _Factor(system.characteristic(point),
+                                     point).solve(rhs)
         return stack
     n = system.order
     per_chunk = max(1, _CHUNK_BYTES // (16 * n * n))
@@ -328,22 +311,15 @@ def _solve_grid(system, points):
     solves = np.empty((size, rhs.shape[1], n), complex).transpose(0, 2, 1)
     rhs = np.asfortranarray(rhs, dtype=complex)
     out = out.astype(complex)
-    zs = np.asarray(points, dtype=complex)
+    zs = np.asarray(points, dtype=complex)[:, None, None]
     for start in range(0, len(points), per_chunk):
         stop = min(start + per_chunk, len(points))
         mats = system._characteristics(zs[start:stop])
         lus[:stop - start] = mats
-        anorms = _one_norms(mats)
+        anorms = _one_norms(mats).tolist()
         del mats  # not to be held while the next chunk is built
-
-        def fail(k, *why):
-            messages = _point_messages(points[start + k])
-            return _failure(SingularAtPoint, *messages)(k, *why)
-
-        factors = _dense_lu(lus[:stop - start], anorms, _POINT_GETRF,
-                            _POINT_GECON, fail, _RCOND_SINGULAR)
-        for x, (lu, piv, _) in zip(solves, factors):
-            x[...] = _POINT_GETRS(lu, piv, rhs)[0]
+        for k, anorm in enumerate(anorms):
+            solves[k] = _Factor(lus[k], points[start + k], anorm).solve(rhs)
         np.matmul(out, solves[:stop - start], out=stack[start:stop])
     return stack
 
@@ -437,9 +413,7 @@ class SecondOrderSystem:
         self.F = _freeze(F)
         self.G = _freeze(G)
         self.h = h
-        self._mass_factor = _Factor(
-            self.M, SingularMass, "mass matrix M is singular: LU factorization failed",
-            "mass matrix M is numerically singular (rcond={})")
+        self._mass_factor = _Factor(self.M)
         self.mass_condition = 1.0 / self._mass_factor.rcond
         if self.mass_condition > COND_WARN_THRESHOLD:
             warnings.warn(
@@ -541,19 +515,17 @@ class SecondOrderSystem:
         M, D and K are: a complex ndarray or CSR matrix.
         """
         pt = complex(point)
-        if self.is_continuous:
-            return self.M * pt * pt + self.D * pt + self.K
-        if pt == 0:
+        if self.is_discrete and pt == 0:
             raise ZeroPoint("discrete characteristic matrix is undefined at z = 0")
-        return self.M * pt + self.D + self.K / pt
+        return self._characteristics(pt)
 
     def _characteristics(self, z):
-        """``characteristic`` at each nonzero point of the 1-D complex array
-        `z`, as a C-ordered ``(len(z), N, N)`` stack with the same bits
-        (dense storage only).  Each product has a fresh output, as in
-        ``characteristic``: numpy's complex products may round differently
+        """``characteristic`` at a nonzero complex scalar `z`, or at each
+        nonzero point of a ``(k, 1, 1)`` complex array `z` as a C-ordered
+        ``(k, N, N)`` stack (dense storage only), with the same bits.  The
+        sums are in place, so as to hold few temporaries, and each product
+        has a fresh output: numpy's complex products may round differently
         in place."""
-        z = z[:, None, None]
         if self.is_continuous:
             P = self.M * z * z
             P += self.D * z
@@ -653,9 +625,9 @@ class FirstOrderSystem:
         return self.h is None
 
     def _characteristics(self, z):
-        """``z[k] I - A`` for each point of the 1-D complex array `z`, as a
-        C-ordered stack."""
-        P = z[:, None, None] * np.eye(self.order, dtype=complex)
+        """``z[k] I - A`` for each point of the ``(k, 1, 1)`` complex array
+        `z`, as a C-ordered stack."""
+        P = z * np.eye(self.order, dtype=complex)
         P -= self.A
         return P
 

@@ -466,6 +466,24 @@ def test_compare_empty_list_exit_1(chain_spec, tmp_path, capsys, flags,
     assert not out.exists()
 
 
+def test_compare_unknown_method_exit_1(chain_spec, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    assert cli_main(["compare", chain_spec, "--orders", "2", "--h", "0.5",
+                     "--methods", "foo", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unknown method 'foo'\n"
+    assert not out.exists()
+
+
+def test_config_bad_value_exit_1(chain_spec, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau=abc\n")
+    out = tmp_path / "x"
+    assert cli_main(["reduce", chain_spec, "--h", "0.5", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: bad value for 'tau': 'abc'\n"
+    assert not out.exists()
+
+
 def test_reduce_warns_about_unstable_reduced_model(tmp_path, capsys):
     """An unstable reduced model is written as before, with a warning that
     gives its stability margin."""

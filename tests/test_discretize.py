@@ -5,8 +5,10 @@ import warnings
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
+import scipy.sparse
 
 from morso.discretize import (
+    DEFAULT_SCHEME,
     Scheme,
     consistency_error,
     default_step,
@@ -197,6 +199,26 @@ def test_unstable_discretization_warns():
     chain = generate_msd_chain(6, damping=0.3)
     with pytest.warns(UnstableDiscretizationWarning):
         discretize(chain, 5.0, Scheme.FORWARD_VELOCITY)
+
+
+def test_non_symmetric_model_is_decided_by_its_spectra():
+    """No energy certificate applies to a non-symmetric D, so the spectra
+    decide: at h = 5 the difference model is unstable (margin -1.94) and
+    discretize warns, at h = 0.5 it is stable and discretize is silent."""
+    sos = SecondOrderSystem(np.eye(2), [[1.0, 0.5], [0.0, 1.0]], np.eye(2),
+                            np.ones((2, 1)), np.ones((1, 2)))
+    assert not discretize_module._certified_stable(sos)
+    warned, dsos = _warns(sos, 5.0, DEFAULT_SCHEME)
+    assert warned
+    assert stability_report(dsos).margin == pytest.approx(-1.94, abs=5e-3)
+    warned, dsos = _warns(sos, 0.5, DEFAULT_SCHEME)
+    assert not warned and stability_report(dsos).is_stable
+
+
+@pytest.mark.parametrize("P", [np.diag([1.0, -1.0]), np.diag([1.0, 0.0])],
+                         ids=["indefinite", "zero pivot"])
+def test_sparse_positive_definite_rejects(P):
+    assert not discretize_module._positive_definite(scipy.sparse.csr_array(P))
 
 
 def _warns(sos, h, scheme):

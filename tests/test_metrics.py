@@ -15,9 +15,10 @@ from morso.metrics import (
     frequency_response,
     rre,
 )
+from morso.oracle import dense_balanced_truncation
 from morso.projection import build_projection, reduce_model
 from morso.recursion import RecursionConfig, run_recursion
-from morso.systems import SecondOrderSystem
+from morso.systems import SecondOrderSystem, linearize
 
 from helpers import count_solves, random_stable_discrete
 
@@ -195,6 +196,14 @@ class TestRre:
                     f(full, red, scheme="bogus")
                 with pytest.raises(BadParameters, match="mode must be"):
                     f(full, red, mode="bogus")
+
+    def test_continuous_mode_needs_second_order_reduction(self):
+        chain = generate_msd_chain(8, damping=1.0)
+        bt = dense_balanced_truncation(linearize(discretize(chain, 0.5)), 2)[0]
+        with pytest.raises(DomainMismatch, match="^continuous-mode comparison "
+                           r"needs a second-order reduction \(first-order "
+                           r"models cannot be mapped back\)$"):
+            rre(chain, bt, mode="continuous")
 
     def test_reversed_mismatch_rejected(self):
         chain = generate_msd_chain(6, damping=1.0)

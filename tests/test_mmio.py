@@ -170,6 +170,49 @@ def test_array_reader_non_utf8_past_first_block(tmp_path):
     assert exc.value.lineno == lineno
 
 
+_ARRAY_HEADER = "%%MatrixMarket matrix array real general\n"
+
+
+def test_missing_size_line_after_comments_and_blanks(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(_ARRAY_HEADER + "% only a comment\n\n")
+    with pytest.raises(ParseError, match="missing size line") as exc:
+        read_matrix(path)
+    assert exc.value.lineno == 3
+
+
+def test_blank_lines_before_size_line(tmp_path):
+    path = tmp_path / "b.mtx"
+    path.write_text(_ARRAY_HEADER + "% note\n\n  \n2 1\n1.5\n-2.5\n")
+    assert np.array_equal(read_matrix(path), [[1.5], [-2.5]])
+
+
+def test_array_file_without_trailing_newline(tmp_path):
+    path = tmp_path / "t.mtx"
+    path.write_text(_ARRAY_HEADER + "2 2\n1\n2\n3\n4.25")
+    assert np.array_equal(read_matrix(path), [[1.0, 3.0], [2.0, 4.25]])
+
+
+def test_bad_value_after_comment_in_array_data(tmp_path):
+    path = tmp_path / "c.mtx"
+    path.write_text(_ARRAY_HEADER + "2 1\n1.0\n% a comment\nx\n")
+    with pytest.raises(ParseError, match="bad value 'x'") as exc:
+        read_matrix(path)
+    assert exc.value.lineno == 5
+
+
+def test_tiny_blocks_split_lines(tmp_path, monkeypatch):
+    """Blocks of a few characters split lines, and some hold no newline at
+    all; the values read are those of one whole block."""
+    a = np.random.default_rng(5).standard_normal((6, 4)) * 1e-7
+    path = tmp_path / "s.mtx"
+    write_matrix(path, a)
+    whole = read_matrix(path)
+    monkeypatch.setattr(mmio, "_BLOCK_CHARS", 5)
+    split = read_matrix(path)
+    assert split.tobytes() == whole.tobytes() == a.tobytes()
+
+
 def test_coordinate_count_checked_before_allocating(tmp_path):
     path = tmp_path / "t.mtx"
     path.write_text(

@@ -343,6 +343,15 @@ class TestRunRecursion:
         assert RecursionConfig(n=2, angle_tol=0.1, max_steps=3).max_steps == 3
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tau": 0}, "tau must be >= 1, got 0"),
+    ({"angle_tol": 0.1, "max_steps": 0}, "max_steps must be >= 1, got 0"),
+], ids=["tau", "max_steps"])
+def test_step_counts_below_one_rejected(kwargs, message):
+    with pytest.raises(BadParameters, match=f"^{message}$"):
+        RecursionConfig(n=1, **kwargs)
+
+
 def test_diagnostics_csv(tmp_path):
     dsos = random_stable_discrete(15, 5, m=1, p=1)
     _, _, diag = run_recursion(dsos, RecursionConfig(n=2, seed=3, tau=4),

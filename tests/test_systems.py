@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.sparse.linalg import splu
 
 from morso.bench import generate_msd_chain
@@ -71,6 +72,74 @@ class TestConstruction:
             FirstOrderSystem([[0.5]], [[1.0]], [[1.0]], h=h)
 
 
+class TestValidation:
+    """Malformed matrices and points raise DimensionMismatch (or ZeroPoint)
+    with a message that names what is wrong."""
+
+    @pytest.mark.parametrize("M, message", [
+        ([[1.0, np.nan], [0.0, 1.0]], "M contains non-finite entries"),
+        (np.zeros((0, 0)), r"M must be nonempty, got shape \(0, 0\)"),
+        (np.ones((2, 2, 2)), "M must be a matrix, got ndim=3"),
+        (scipy.sparse.coo_array(np.ones((2, 2, 2))),
+         "M must be a matrix, got ndim=3"),
+        (np.ones((2, 3)), r"M must be square, got \(2, 3\)"),
+    ], ids=["nonfinite", "empty", "3-D", "sparse 3-D", "not square"])
+    def test_bad_mass(self, M, message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            SecondOrderSystem(M, 0, 0, 1, 1)
+
+    @pytest.mark.parametrize("A, B, C, message", [
+        (np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 3)),
+         r"A must be square, got \(2, 3\)"),
+        (np.eye(2), np.ones((3, 1)), np.ones((1, 2)),
+         r"B must have 2 rows, got \(3, 1\)"),
+        (np.eye(2), np.ones((2, 1)), np.ones((1, 3)),
+         r"C must have 2 columns, got \(1, 3\)"),
+    ], ids=["A", "B", "C"])
+    def test_bad_first_order_shapes(self, A, B, C, message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            FirstOrderSystem(A, B, C)
+
+    def test_two_dimensional_points(self):
+        s = SecondOrderSystem(1, 1, 1, 1, 1)
+        with pytest.raises(DimensionMismatch, match="^points must be one "
+                           "point or a 1-D array, got ndim=2$"):
+            s.transfer(np.ones((2, 2)))
+
+    def test_characteristic_at_zero_of_difference_model(self):
+        s = SecondOrderSystem(1, 0, 0.25, 1, 1, h=0.1)
+        with pytest.raises(ZeroPoint, match="^discrete characteristic "
+                           "matrix is undefined at z = 0$"):
+            s.characteristic(0)
+
+    def test_repr(self):
+        assert repr(SecondOrderSystem(1, 0, 1, np.ones((1, 2)), 1)) == (
+            "SecondOrderSystem(N=1, m=2, p=1, continuous)")
+        assert repr(SecondOrderSystem(1, 0, 1, 1, 1, h=0.5)) == (
+            "SecondOrderSystem(N=1, m=1, p=1, discrete, h=0.5)")
+
+
+# Finite, but its LU factor is not: the second pivot is -1e308 - 1e308.
+_OVERFLOWING_LU = np.array([[1.0, 1e308], [1.0, -1e308]])
+
+
+def test_overflowing_lu_is_a_failed_factorization():
+    """A finite matrix whose LU factor overflows fails its factorization:
+    as M, and, negated, as K of a continuous model with M = I and D = 0,
+    whose characteristic matrix at 0 it is, alone and first in a grid."""
+    with np.errstate(over="ignore"):
+        with pytest.raises(SingularMass, match=r"^mass matrix M is singular: "
+                           r"LU factorization failed$"):
+            SecondOrderSystem(_OVERFLOWING_LU, np.zeros((2, 2)), np.eye(2),
+                              np.ones((2, 1)), np.ones((1, 2)))
+        s = SecondOrderSystem(np.eye(2), np.zeros((2, 2)), -_OVERFLOWING_LU,
+                              np.ones((2, 1)), np.ones((1, 2)))
+        for points in (0j, [0j, 1j]):
+            with pytest.raises(SingularAtPoint, match=r"^characteristic "
+                               r"matrix is singular at point 0j$"):
+                s.transfer(points)
+
+
 @pytest.mark.parametrize("kind", ["real", "complex", "real factor, complex rhs"])
 def test_lu_helper_matches_scipy(kind):
     rng = np.random.default_rng(3)
@@ -80,7 +149,7 @@ def test_lu_helper_matches_scipy(kind):
         b = b + 1j * rng.standard_normal((7, 3))
     if kind == "complex":
         a = a + 1j * rng.standard_normal((7, 7))
-    factor = _Factor(a, SingularMass, "broken", "singular {}")
+    factor = _Factor(a)
     lu, piv = factor._lu
     ref_lu, ref_piv = scipy.linalg.lu_factor(a)
     assert np.array_equal(lu, ref_lu)
