@@ -5,8 +5,12 @@ the array format (general, symmetric), real or integer valued.  Complex,
 pattern and hermitian files are rejected: the benchmark pipeline is real
 throughout.  A coordinate file is read into a ``scipy.sparse.csr_array``,
 in memory proportional to its entries whatever its declared size; an
-array file into a dense ndarray, parsed by numpy in blocks of whole lines,
-so reading costs one pass over the text, not one Python call per value.
+array file into a dense ndarray, read in blocks of whole lines, so reading
+costs one pass over the text, not one Python call per value.  A block of at
+least ``_FAST_MIN_CHARS`` characters holding one decimal number per line is
+converted by scipy's C++ Matrix Market reader, and kept only where the
+result is certified to be what numpy would read; every other block is
+parsed by numpy, and its errors are found and reported by Python.
 A size line that declares more than ``MAX_DIMENSION`` rows or columns is
 rejected before anything is allocated: a CSR array stores one pointer per
 row whatever its entries.
@@ -16,10 +20,12 @@ file for a matrix with at most ``systems.SPARSE_DENSITY`` of its entries
 nonzero and no negative zero (``symmetric``, lower triangle, when it equals
 its transpose), and a dense array file otherwise.  Values carry 17
 significant digits, so a read-back reproduces the matrix bit for bit in
-either format.
+either format.  A large finite array is formatted by scipy's C++ writer, in
+the same bytes as Python's ``'{:.16e}'``; any other matrix by Python.
 """
 
 from contextlib import contextmanager
+import io
 import os
 import re
 
@@ -34,6 +40,20 @@ _BANNER = "%%matrixmarket"
 
 # Characters of an array file's data section read and parsed at a time.
 _BLOCK_CHARS = 1 << 20
+
+# Characters of array text from which a block, or a written matrix, goes
+# through scipy's C++ Matrix Market reader or writer.  Smaller inputs never
+# import scipy.io.
+_FAST_MIN_CHARS = 1 << 16
+
+# The bytes of a block the C++ reader may convert: one decimal number per
+# line.  Any other byte (a space, a tab, a comment, a letter) sends the block
+# to the Python parser.
+_DECIMAL = b"0123456789.eE+-\n"
+
+# Characters of one written value at most: '{:.16e}' with a sign and a
+# three-digit exponent, and its newline.
+_LINE_CHARS = 25
 
 # Largest number of rows or columns a file may declare (a CSR row pointer
 # array of 80 MB).
@@ -228,9 +248,68 @@ def _line_blocks(f):
         yield tail
 
 
+@contextmanager
+def _one_fmm_thread():
+    """Run scipy's C++ Matrix Market reader and writer on one thread.
+
+    Its default, one thread per core, read a 6 MB file more slowly on a
+    2-core host and raised peak memory.  The setting is a module global of
+    scipy's, restored on exit.
+    """
+    import scipy.io._fast_matrix_market as fmm
+
+    saved, fmm.PARALLELISM = fmm.PARALLELISM, 1
+    try:
+        yield
+    finally:
+        fmm.PARALLELISM = saved
+
+
+def _convert_decimal_block(text):
+    """The values of a block of one decimal number per line, converted by
+    scipy's C++ reader, or None where that reader cannot certify them.
+
+    Each line x is read as the complex entry ``x nan``.  The reader takes
+    the longest number prefix of x as the real part and starts the
+    imaginary part right after it, so a character of x that is not part of
+    that number becomes the imaginary part or an error, never the NaN.  The
+    reader drops the sign of a zero; it is put back from the text.
+    """
+    data = text.encode()
+    newline = np.frombuffer(data, dtype=np.uint8) == ord("\n")
+    # A blank line is a newline first or right after another.
+    if (data.translate(None, _DECIMAL) or newline[0]
+            or (newline[1:] & newline[:-1]).any()):
+        return None
+    last = b"" if newline[-1] else b"\n"
+    head = (b"%%%%MatrixMarket matrix array complex general\n%d 1\n"
+            % (np.count_nonzero(newline) + len(last)))
+    import scipy.io
+
+    with _one_fmm_thread():
+        try:
+            z = scipy.io.mmread(io.BytesIO(
+                head + (data + last).replace(b"\n", b" nan\n")))[:, 0]
+        except ValueError:
+            return None
+    if not np.isnan(z.imag).all():
+        return None
+    values = z.real.copy()
+    zeros = np.flatnonzero(values == 0)
+    if len(zeros):
+        lines = text.split("\n")
+        values[zeros] = [-0.0 if lines[i].startswith("-") else 0.0
+                         for i in zeros]
+    return values
+
+
 def _parse_block(path, text, lineno):
     """The values of a block of lines whose first line is ``lineno``,
     skipping comment lines."""
+    if len(text) >= _FAST_MIN_CHARS:
+        values = _convert_decimal_block(text)
+        if values is not None:
+            return values
     data = text
     if "%" in text:
         data = "\n".join(line for line in text.split("\n")
@@ -321,8 +400,13 @@ def write_matrix(path_or_file, a, comment=None):
                 f.write(f"%{line}\n")
         if not coordinate:
             f.write(f"{rows} {cols}\n")
-            for j in range(cols):
-                f.write("".join(map("{:.16e}\n".format, a[:, j].tolist())))
+            if (rows * cols * _LINE_CHARS >= _FAST_MIN_CHARS
+                    and np.isfinite(a).all()):
+                _write_array_values(f, a)
+            else:
+                for j in range(cols):
+                    f.write("".join(map("{:.16e}\n".format,
+                                        a[:, j].tolist())))
             return
         # Column-major order: the columns of the CSC form, rows ascending.
         i, v = a.indices, a.data
@@ -332,3 +416,26 @@ def write_matrix(path_or_file, a, comment=None):
         f.write(f"{rows} {cols} {len(i)}\n")
         f.write("".join(map("{} {} {:.16e}\n".format, (i + 1).tolist(),
                             (j + 1).tolist(), v.tolist())))
+
+
+def _write_array_values(f, a):
+    """Write the values of a finite dense matrix column-major, one
+    ``'{:.16e}'`` line each, through scipy's C++ writer in blocks of whole
+    columns of at most _BLOCK_CHARS characters.
+
+    At 17 significant digits that writer formats a finite double as
+    ``'{:.16e}'`` does; it writes an infinity as ``Infinity``, so only a
+    finite matrix comes here.
+    """
+    import scipy.io
+
+    rows, cols = a.shape
+    step = max(1, _BLOCK_CHARS // (_LINE_CHARS * rows))
+    with _one_fmm_thread():
+        for j in range(0, cols, step):
+            block = a[:, j:j + step]
+            buf = io.BytesIO()
+            scipy.io.mmwrite(buf, block, precision=17, symmetry="general")
+            out = buf.getvalue()
+            size_line = b"\n%d %d\n" % block.shape
+            f.write(out[out.index(size_line) + len(size_line):].decode())

@@ -1,10 +1,13 @@
 import io
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import morso
 from morso import cli, oracle, systems
 from morso.bench import (
     BenchmarkSpec,
@@ -616,3 +619,28 @@ def test_default_step_manifest_reusable_as_config(chain_spec, tmp_path):
                      str(out1 / "manifest.txt"), "--out", str(out2)]) == 0
     for path in out1.iterdir():
         assert (out2 / path.name).read_bytes() == path.read_bytes()
+
+
+def test_small_models_never_load_scipy_io(tmp_path):
+    """An N = 32 chain's files are below the size from which mmio hands
+    array text to scipy's C++ reader and writer, so generating, reducing,
+    comparing and inspecting it never imports scipy.io."""
+    script = """
+import sys
+from morso.cli import cli_main
+spec = "b/msd_chain.spec"
+for argv in (["gen-msd", "--n", "32", "--out", "b"],
+             ["reduce", spec, "--h", "0.5", "--out", "r"],
+             ["compare", spec, "--orders", "2", "--h", "0.5", "--out", "c"],
+             ["info", spec]):
+    assert cli_main(argv) == 0, argv
+print("scipy.io" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(morso.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                            env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"

@@ -170,6 +170,176 @@ def test_array_reader_non_utf8_past_first_block(tmp_path):
     assert exc.value.lineno == lineno
 
 
+@pytest.mark.parametrize("junk", ["1-2", "1.2.3", "1e5.0", "0.-1"])
+def test_array_reader_junk_the_fast_reader_would_cut_short(tmp_path, junk):
+    """scipy's C++ reader stops at the longest number prefix; at the real
+    size gate the line still fails as a whole, at its own line."""
+    def bad(data, k):
+        data[k] = junk
+    _, lineno = _big_array_file(tmp_path / "j.mtx", bad)
+    with pytest.raises(ParseError, match=f"bad value '{junk}'") as exc:
+        read_matrix(tmp_path / "j.mtx")
+    assert exc.value.lineno == lineno
+
+
+def test_array_reader_keeps_the_sign_of_zero(tmp_path, monkeypatch):
+    """scipy's C++ reader reads -0 and -1e-400 as +0.0; the values read
+    through it keep the sign bit Python's float gives them."""
+    tokens = ["-0.0", "-1e-400", "-0", "0", "1e-400", "0.0"]
+
+    def zeros(data, k):
+        data[k:k + len(tokens)] = tokens
+        data[10:10 + len(tokens)] = tokens
+    certified = []
+
+    def spy(text):
+        values = convert(text)
+        certified.append(values is not None)
+        return values
+    convert = mmio._convert_decimal_block
+    monkeypatch.setattr(mmio, "_convert_decimal_block", spy)
+    a, lineno = _big_array_file(tmp_path / "z.mtx", zeros)
+    b = read_matrix(tmp_path / "z.mtx").ravel(order="F")
+    assert all(certified) and len(certified) >= 2
+    rest = np.ones(b.size, dtype=bool)
+    for k in (10, lineno - 4):  # the value on line lineno is data[lineno - 4]
+        assert b[k:k + len(tokens)].tolist() == [0.0] * len(tokens)
+        assert np.signbit(b[k:k + len(tokens)]).tolist() == [
+            True, True, True, False, False, False]
+        rest[k:k + len(tokens)] = False
+    assert b[rest].tobytes() == a.ravel(order="F")[rest].tobytes()
+
+
+# Lines that scipy's C++ reader converts otherwise than Python's float, or
+# not at all: it reads a number prefix, drops the sign of a zero, and would
+# read "1 nan" as one complex entry.
+_MISREAD = ["1-2", "1.2.3", "1e5.0", "1e5e5", "1e", "1.5-", "0.-1", "+1.5",
+            "+0", "-0", "-0.0", "-1e-400", "1e-400", "1e999", "-1e999",
+            "1e99999999999999999999", "-1e-99999999999999999999", "1 nan",
+            "nan", "-inf"]
+_DECIMALS = st.builds(
+    str.format,
+    st.sampled_from(["{:.16e}", "{!r}", "{:.3e}", "{:.6f}", "{:E}", "{:.0f}"]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+
+
+def _outcome(path, fast_min_chars, block_chars):
+    """The array read from ``path``, or the ParseError raised, with the
+    fast reader's size gate and the block size set as given."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mmio, "_FAST_MIN_CHARS", fast_min_chars)
+        mp.setattr(mmio, "_BLOCK_CHARS", block_chars)
+        try:
+            a = read_matrix(path)
+        except ParseError as exc:
+            return type(exc), str(exc), exc.lineno
+    return a.shape, a.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_fast_array_reader_matches_python_reader(tmp_path_factory, data):
+    """With the size gate at 0, every block goes first to scipy's C++
+    reader.  An array file of decimals, edited with what that reader
+    misreads, reads to the same bytes or the same error and line as with
+    the gate above the file's size."""
+    sym = data.draw(st.sampled_from(["general", "symmetric"]))
+    rows = data.draw(st.integers(1, 6))
+    cols = rows if sym == "symmetric" else data.draw(st.integers(1, 6))
+    count = rows * (rows + 1) // 2 if sym == "symmetric" else rows * cols
+    lines = data.draw(st.lists(_DECIMALS, min_size=count, max_size=count))
+    for _ in range(data.draw(st.integers(0, 3))):
+        edit = data.draw(st.sampled_from(
+            ["junk", "junk", "blank", "comment", "whitespace", "non-ascii",
+             "count"]))
+        i = data.draw(st.integers(0, len(lines)))
+        if edit == "blank":
+            lines.insert(i, data.draw(st.sampled_from(["", " "])))
+        elif edit == "comment":
+            lines.insert(i, "% note")
+        elif edit == "count":
+            if data.draw(st.booleans()) and lines:
+                del lines[min(i, len(lines) - 1)]
+            else:
+                lines.insert(i, data.draw(_DECIMALS))
+        elif lines:
+            i = min(i, len(lines) - 1)
+            if edit == "junk":
+                lines[i] = data.draw(st.sampled_from(_MISREAD))
+            else:
+                chars = ([" ", "\t", "\r"] if edit == "whitespace"
+                         else ["\u00e9", "\udce9"])  # the latter as byte 0xe9
+                char = data.draw(st.sampled_from(chars))
+                at = data.draw(st.integers(0, len(lines[i])))
+                lines[i] = lines[i][:at] + char + lines[i][at:]
+    text = (f"%%MatrixMarket matrix array real {sym}\n{rows} {cols}\n"
+            + "\n".join(lines) + data.draw(st.sampled_from(["\n", ""])))
+    path = tmp_path_factory.getbasetemp() / "fast_reader.mtx"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    block_chars = data.draw(st.sampled_from([7, 64, mmio._BLOCK_CHARS]))
+    assert (_outcome(path, 0, block_chars)
+            == _outcome(path, len(text) + 1, block_chars))
+
+
+def _python_array_text(a):
+    """A general array file as written one '{:.16e}' line per value."""
+    return ("%%MatrixMarket matrix array real general\n"
+            f"{a.shape[0]} {a.shape[1]}\n"
+            + "".join(map("{:.16e}\n".format, a.ravel(order="F").tolist())))
+
+
+def _bit_patterns(rows, cols, seed):
+    """Finite doubles from random bit patterns, with zeros of both signs,
+    subnormals, +-max, integers and short decimals among them."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2**64, rows * cols, dtype=np.uint64).view(float)
+    a[~np.isfinite(a)] = 1.5
+    special = [0.0, -0.0, 5e-324, -2.2250738585072009e-308,
+               np.finfo(float).max, -np.finfo(float).max, 42.0, -7.0, 0.1, 2.5]
+    a[::97][:len(special)] = special
+    return a.reshape((rows, cols), order="F")
+
+
+@pytest.mark.parametrize("rows, cols", [(1000, 60), (44000, 2)])
+def test_array_writer_blocks_match_python_format(rows, cols):
+    """Column blocks of scipy's C++ writer, across a block boundary
+    (41 columns per block) and at one column per block, give the bytes of
+    '{:.16e}'."""
+    a = _bit_patterns(rows, cols, seed=rows)
+    buf = io.StringIO()
+    write_matrix(buf, a)
+    assert buf.getvalue() == _python_array_text(a)
+
+
+def test_array_writer_keeps_python_format_for_infinities():
+    """scipy's writer would write ``Infinity``; a non-finite matrix above
+    the size gate is written as before."""
+    a = _bit_patterns(1000, 10, seed=4)
+    a[5, 3], a[7, 3], a[9, 9] = np.inf, -np.inf, np.nan
+    buf = io.StringIO()
+    write_matrix(buf, a)
+    assert buf.getvalue() == _python_array_text(a)
+    assert buf.getvalue().count("inf\n") == 2 and "Infinity" not in buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fast_array_writer_matches_python_format(data):
+    """With the size gate at 0, every finite dense matrix is written by
+    scipy's C++ writer, in the bytes of '{:.16e}'."""
+    rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    a = np.array(data.draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0),
+        min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    a[0, 0] = -0.0  # an array file, whatever the other values
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mmio, "_FAST_MIN_CHARS", 0)
+        mp.setattr(mmio, "_BLOCK_CHARS", data.draw(st.sampled_from([1, 100])))
+        write_matrix(buf, a)
+    assert buf.getvalue() == _python_array_text(a)
+
+
 _ARRAY_HEADER = "%%MatrixMarket matrix array real general\n"
 
 
