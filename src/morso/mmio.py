@@ -267,23 +267,27 @@ def _one_fmm_thread():
 
 def _convert_decimal_block(text):
     """The values of a block of one decimal number per line, converted by
-    scipy's C++ reader, or None where that reader cannot certify them.
+    scipy's C++ reader, and the block's number of lines; or None where that
+    reader cannot certify the values.
 
     Each line x is read as the complex entry ``x nan``.  The reader takes
     the longest number prefix of x as the real part and starts the
     imaginary part right after it, so a character of x that is not part of
     that number becomes the imaginary part or an error, never the NaN.  The
-    reader drops the sign of a zero; it is put back from the text.
+    reader drops the sign of a zero; it is put back from the first byte of
+    the zero's line.
     """
     data = text.encode()
-    newline = np.frombuffer(data, dtype=np.uint8) == ord("\n")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    newline = raw == ord("\n")
     # A blank line is a newline first or right after another.
     if (data.translate(None, _DECIMAL) or newline[0]
             or (newline[1:] & newline[:-1]).any()):
         return None
+    # A line starts at the first byte and after every newline but the last.
+    starts = np.flatnonzero(np.r_[True, newline[:-1]])
     last = b"" if newline[-1] else b"\n"
-    head = (b"%%%%MatrixMarket matrix array complex general\n%d 1\n"
-            % (np.count_nonzero(newline) + len(last)))
+    head = b"%%%%MatrixMarket matrix array complex general\n%d 1\n" % len(starts)
     import scipy.io
 
     with _one_fmm_thread():
@@ -295,27 +299,25 @@ def _convert_decimal_block(text):
     if not np.isnan(z.imag).all():
         return None
     values = z.real.copy()
-    zeros = np.flatnonzero(values == 0)
-    if len(zeros):
-        lines = text.split("\n")
-        values[zeros] = [-0.0 if lines[i].startswith("-") else 0.0
-                         for i in zeros]
-    return values
+    zeros = values == 0
+    values[zeros] = np.where(raw[starts[zeros]] == ord("-"), -0.0, 0.0)
+    return values, len(starts)
 
 
 def _parse_block(path, text, lineno):
     """The values of a block of lines whose first line is ``lineno``,
-    skipping comment lines."""
+    skipping comment lines, and the block's number of lines."""
     if len(text) >= _FAST_MIN_CHARS:
-        values = _convert_decimal_block(text)
-        if values is not None:
-            return values
+        converted = _convert_decimal_block(text)
+        if converted is not None:
+            return converted
+    lines = text.count("\n") + (not text.endswith("\n"))
     data = text
     if "%" in text:
         data = "\n".join(line for line in text.split("\n")
                          if not line.strip().startswith("%"))
     try:
-        return np.array(data.split(), dtype=float)
+        return np.array(data.split(), dtype=float), lines
     except ValueError:
         pass
     for offset, line in enumerate(text.split("\n")):
@@ -336,8 +338,9 @@ def _read_array(path, f, lineno, rows, cols, sym):
     size_lineno = lineno
     parts = [np.empty(0)]
     for text in _line_blocks(f):
-        parts.append(_parse_block(path, text, lineno + 1))
-        lineno += text.count("\n") + (not text.endswith("\n"))
+        values, lines = _parse_block(path, text, lineno + 1)
+        parts.append(values)
+        lineno += lines
     values = np.concatenate(parts)
     if sym == "general":
         expected = rows * cols

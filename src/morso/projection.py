@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadParameters,
@@ -27,7 +26,7 @@ from .errors import (
     RankCollapse,
     ShrunkRankWarning,
 )
-from .systems import SecondOrderSystem, _densified, linearize
+from .systems import SecondOrderSystem, _dense, linearize
 
 __all__ = [
     "ProjectionPair",
@@ -185,56 +184,35 @@ def verify_structure_conditions(proj, sos):
     """Check that the block-diagonal lift of a projection pair preserves the
     second-order block pattern of the full system's first-order pencil.
 
-    Returns a :class:`StructureReport`; this is a diagnostic and never
-    raises on pattern violations.  It forms the dense first-order pencil,
-    so a sparse system above ``DENSE_ORDER_LIMIT`` raises BadParameters.
+    The lifted pencil ``blkdiag(Y, Y)^T (E, A, B) blkdiag(X, X)`` and output
+    row ``C blkdiag(X, X)`` are assembled from ``T1 = Y^T X`` and the
+    reduced quintuplet of :func:`reduce_model`, so the check costs O(N k)
+    and never densifies sparse storage.  Returns a :class:`StructureReport`;
+    this is a diagnostic and never raises on pattern violations.
     """
-    X, Y = proj.X, proj.Y
-    if X.shape[0] != sos.order:
-        raise DimensionMismatch(
-            f"projection has {X.shape[0]} rows, system order is {sos.order}"
-        )
-    M, D, K = _densified(sos, "verify_structure_conditions")
-    N, k = X.shape
-    Xb = scipy.linalg.block_diag(X, X)
-    Yb = scipy.linalg.block_diag(Y, Y)
+    reduced = reduce_model(sos, proj)
+    fos = linearize(reduced)
+    k = proj.order
+    T1 = proj.Y.T @ proj.X
+    zero = np.zeros((k, k))
 
-    eye_n = np.eye(N)
-    E = scipy.linalg.block_diag(eye_n, M)
-    A = np.block([[np.zeros((N, N)), eye_n], [-K, -D]])
-    B = np.vstack([np.zeros_like(sos.F), sos.F])
-
-    T1 = Y.T @ X
-    t1_dev = float(np.max(np.abs(T1 - np.eye(k))))
-    t_cond = float(np.linalg.cond(T1))
-
-    Er = Yb.T @ E @ Xb
-    Ar = Yb.T @ A @ Xb
-    Br = Yb.T @ B
+    Er = np.block([[T1, zero], [zero, _dense(reduced.M)]])
+    Ar = np.block([[zero, T1], [-_dense(reduced.K), -_dense(reduced.D)]])
+    Br = np.vstack([np.zeros_like(reduced.F), reduced.F])
     e_off = float(max(np.max(np.abs(Er[:k, k:])), np.max(np.abs(Er[k:, :k]))))
     a_off = float(np.max(np.abs(Ar[:k, :k])))
     b_zero = float(np.max(np.abs(Br[:k])))
 
     # The output row [G, 0] (positions) or [0, G] (current state of the
-    # difference stack) must keep its zero block after projection.
-    C = np.zeros((sos.n_outputs, 2 * N))
-    if sos.is_continuous:
-        C[:, :N] = sos.G
-        Cr = C @ Xb
-        c_zero = float(np.max(np.abs(Cr[:, k:])))
-    else:
-        C[:, N:] = sos.G
-        Cr = C @ Xb
-        c_zero = float(np.max(np.abs(Cr[:, :k])))
+    # difference stack), as linearize lays it out, must keep its zero block.
+    zero_cols = slice(k, None) if sos.is_continuous else slice(None, k)
+    c_zero = float(np.max(np.abs(fos.C[:, zero_cols])))
 
-    reduced = reduce_model(sos, proj)
-    a_reduced = linearize(reduced).A
-    a_block = np.linalg.solve(Er, Ar)
-    gap = float(np.max(np.abs(a_reduced - a_block)))
+    gap = float(np.max(np.abs(fos.A - np.linalg.solve(Er, Ar))))
 
     return StructureReport(
-        t1_condition=t_cond,
-        t1_deviation=t1_dev,
+        t1_condition=float(np.linalg.cond(T1)),
+        t1_deviation=proj.biorthogonality_deviation(),
         e_off_pattern=e_off,
         a_off_pattern=a_off,
         b_zero_block=b_zero,

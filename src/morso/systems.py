@@ -54,9 +54,9 @@ COND_WARN_THRESHOLD = 1e12
 SPARSE_DENSITY = 0.05
 
 # Largest order N up to which consumers that need dense matrices
-# (linearize, stability_report, the BT oracle, verify_structure_conditions
-# and the spectral fallback of discretize) densify sparse storage; above it
-# they raise BadParameters instead of allocating O(N^2) memory.
+# (linearize, stability_report, the BT oracle and the spectral fallback of
+# discretize) densify sparse storage; above it they raise BadParameters
+# instead of allocating O(N^2) memory.
 DENSE_ORDER_LIMIT = 2000
 
 # Reciprocal condition below which a polynomial matrix counts as singular
@@ -131,17 +131,6 @@ def _nonzeros(a):
 
 def _dense(a):
     return a.toarray() if _issparse(a) else a
-
-
-def _densified(sos, consumer):
-    """``(M, D, K)`` of `sos` as dense arrays, for a consumer that needs
-    them dense.  Sparse storage is densified up to DENSE_ORDER_LIMIT;
-    above it BadParameters is raised instead."""
-    if sos.is_sparse and sos.order > DENSE_ORDER_LIMIT:
-        raise BadParameters(
-            f"{consumer} needs dense matrices, and a sparse model of order "
-            f"N={sos.order} is above DENSE_ORDER_LIMIT={DENSE_ORDER_LIMIT}")
-    return tuple(_dense(a) for a in (sos.M, sos.D, sos.K))
 
 
 # Most bytes of dense characteristic matrices that a grid of points builds
@@ -370,12 +359,12 @@ class SecondOrderSystem:
     Otherwise they are dense ndarrays.  Sparse storage has a SuperLU factor
     of ``M`` and, from the first :meth:`solve_mass_t`, one of ``M^T``;
     dense storage an LU factor.  The subspace recursion,
-    :meth:`solve_mass`, :meth:`transfer`, ``discretize`` and
-    ``reduce_model`` work on either without densifying, so a sparse model
-    costs memory in proportion to its nonzeros.  ``linearize``,
-    ``stability_report``, the BT oracle and ``verify_structure_conditions``
-    need dense matrices: they densify sparse storage up to
-    ``DENSE_ORDER_LIMIT`` (N = 2000) and raise BadParameters above it.
+    :meth:`solve_mass`, :meth:`transfer`, ``discretize``, ``reduce_model``
+    and ``verify_structure_conditions`` work on either without densifying,
+    so a sparse model costs memory in proportion to its nonzeros.
+    ``linearize``, ``stability_report`` and the BT oracle need dense
+    matrices: they densify sparse storage up to ``DENSE_ORDER_LIMIT``
+    (N = 2000) and raise BadParameters above it.
     ``scipy.sparse`` is imported only when a sparse matrix is given, and
     ``scipy.sparse.linalg`` only when a system is stored sparse.
     """
@@ -670,11 +659,14 @@ def linearize(sos):
     """
     N = sos.order
     m = sos.n_inputs
-    _, D, K = _densified(sos, "linearize")
+    if sos.is_sparse and N > DENSE_ORDER_LIMIT:
+        raise BadParameters(
+            "linearize needs dense matrices, and a sparse model of order "
+            f"N={N} is above DENSE_ORDER_LIMIT={DENSE_ORDER_LIMIT}")
     A = np.zeros((2 * N, 2 * N))
     A[:N, N:] = np.eye(N)
-    A[N:, :N] = -sos.solve_mass(K)
-    A[N:, N:] = -sos.solve_mass(D)
+    A[N:, :N] = -sos.solve_mass(_dense(sos.K))
+    A[N:, N:] = -sos.solve_mass(_dense(sos.D))
 
     B = np.zeros((2 * N, m))
     B[N:] = sos.solve_mass(sos.F)

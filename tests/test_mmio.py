@@ -457,6 +457,40 @@ def test_coordinate_symmetric_expands(tmp_path):
     assert np.array_equal(a.toarray(), expected)
 
 
+def test_coordinate_comments_and_blanks_between_entries(tmp_path):
+    path = tmp_path / "g.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 2\n"
+        "1 1 1.0\n"
+        "% note\n"
+        "\n"
+        "2 2 2.0\n"
+    )
+    assert np.array_equal(read_matrix(path).toarray(), np.diag([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("sym, entry, message", [
+    ("general", "1 1", "expected 'i j value', got '1 1'"),
+    ("general", "1 1 1.0 0.0", "expected 'i j value', got '1 1 1.0 0.0'"),
+    ("symmetric", "1 2 1.0", "symmetric file stores lower triangle only"),
+    ("skew-symmetric", "2 2 1.0",
+     "skew-symmetric file stores strict lower triangle only"),
+])
+def test_coordinate_entry_errors_have_line_number(tmp_path, sym, entry,
+                                                  message):
+    path = tmp_path / "e.mtx"
+    path.write_text(
+        f"%%MatrixMarket matrix coordinate real {sym}\n"
+        "2 2 2\n"
+        "2 1 1.0\n"
+        f"{entry}\n"
+    )
+    with pytest.raises(ParseError, match=message) as exc:
+        read_matrix(path)
+    assert exc.value.lineno == 4
+
+
 def test_coordinate_skew_symmetric(tmp_path):
     path = tmp_path / "k.mtx"
     path.write_text(

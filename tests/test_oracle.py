@@ -13,6 +13,7 @@ from morso.errors import (
 )
 from morso.metrics import error_response
 from morso.oracle import (
+    balancing_factors,
     dense_balanced_truncation,
     stein_gramians,
     subspace_angles,
@@ -175,6 +176,15 @@ class TestBalancedTruncation:
             dense_balanced_truncation(fos, 11)
         with pytest.raises(OrderTooLarge):
             dense_balanced_truncation(fos, 0)
+
+    def test_order_above_hankel_rank(self):
+        # the input never reaches the second state: one Hankel singular
+        # value is nonzero
+        fos = FirstOrderSystem(np.diag([0.5, 0.5]), [[1.0], [0.0]],
+                               [[1.0, 1.0]], h=1.0)
+        factors = balancing_factors(fos)
+        with pytest.raises(OrderTooLarge, match="numerical Hankel rank"):
+            factors.truncate(2)
 
 
 class TestSubspaceAngles:

@@ -6,6 +6,7 @@ import pytest
 
 from morso.errors import (
     BadParameters,
+    BiorthogonalityError,
     DimensionMismatch,
     RankCollapse,
     ShrunkRankWarning,
@@ -63,6 +64,17 @@ class TestBuildProjection:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             build_projection(np.zeros((5, 2)), np.zeros((6, 2)))
+
+    def test_ill_conditioned_coupling_rejected(self):
+        # S^T R has singular values 1 and 1e-20: with rank_tol = 0 both are
+        # kept, and scaling by the reciprocal square root of a singular
+        # value at round-off level destroys biorthogonality
+        rng = np.random.default_rng(0)
+        S, _ = np.linalg.qr(rng.standard_normal((8, 2)))
+        rot, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        R = S @ np.diag([1.0, 1e-20]) @ rot
+        with pytest.raises(BiorthogonalityError, match="ill-conditioned"):
+            build_projection(S, R, rank_tol=0.0)
 
     @pytest.mark.parametrize("rank_tol", [np.nan, np.inf, 2.0])
     def test_rank_tol_above_one_rejected(self, rank_tol):
@@ -145,6 +157,13 @@ class TestStructureConditions:
         proj = build_projection(S, R)
         rep = verify_structure_conditions(proj, dsos)
         assert rep.reduced_linearization_gap <= 1e-8
+
+    def test_projection_rows_must_match_order(self):
+        dsos = random_stable_discrete(7, 5)
+        _, S, R = _pipeline(7, N=6)
+        with pytest.raises(DimensionMismatch,
+                           match="projection has 6 rows, system order is 5"):
+            verify_structure_conditions(build_projection(S, R), dsos)
 
     def test_continuous_system_pattern(self):
         sos = random_sos(11, 8, m=2, p=2)

@@ -371,9 +371,44 @@ def test_dense_consumers_refuse_sparse_models_above_limit(small_dense_limit):
         balancing_factors(linearize(dsos))
     S, R, _ = run_recursion(dsos, RecursionConfig(n=4, tau=20))
     proj = build_projection(S, R)
-    with pytest.raises(BadParameters, match=message):
-        verify_structure_conditions(proj, dsos)
     assert reduce_model(dsos, proj).order == 4  # needs nothing dense
+
+
+def test_structure_report_above_limit_matches_dense_twin(small_dense_limit,
+                                                         monkeypatch):
+    """The report is read off the reduced model, so a sparse model above
+    the limit gets one, equal to its dense twin's."""
+    dsos = _chain(80)
+    S, R, _ = run_recursion(dsos, RecursionConfig(n=4, tau=20))
+    proj = build_projection(S, R)
+    sparse = verify_structure_conditions(proj, dsos)
+    monkeypatch.setattr(systems, "SPARSE_DENSITY", 0.0)
+    twin = _chain(80)
+    assert dsos.is_sparse and not twin.is_sparse
+    dense = verify_structure_conditions(proj, twin)
+    for name in ("t1_condition", "t1_deviation"):
+        assert (np.float64(getattr(sparse, name)).tobytes()
+                == np.float64(getattr(dense, name)).tobytes())
+    for rep in (sparse, dense):
+        assert (rep.e_off_pattern, rep.a_off_pattern, rep.b_zero_block,
+                rep.c_zero_block) == (0.0, 0.0, 0.0, 0.0)
+        assert rep.reduced_linearization_gap <= 1e-12
+
+
+def test_structure_report_memory_in_proportion_to_nonzeros():
+    """The report of an N = 2000 chain peaks below 5 MB of traced memory:
+    it never forms the 4000 x 4000 first-order pencil (128 MB a matrix)."""
+    dsos = discretize(generate_msd_chain(2000, damping=1.0, seed=1), STEP)
+    S, R, _ = run_recursion(dsos, RecursionConfig(n=6, tau=30))
+    proj = build_projection(S, R)
+    tracemalloc.start()
+    try:
+        rep = verify_structure_conditions(proj, dsos)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.off_pattern_max == 0.0
+    assert peak < 5e6
 
 
 def test_dense_consumers_densify_below_limit(small_dense_limit):

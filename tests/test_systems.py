@@ -31,6 +31,12 @@ class TestConstruction:
         assert s.order == 1 and s.n_inputs == 1 and s.n_outputs == 1
         assert s.is_continuous and not s.is_discrete
 
+    def test_vector_input_becomes_column(self):
+        eye = np.eye(3)
+        s = SecondOrderSystem(eye, eye, eye, [1.0, 2.0, 3.0], np.ones((1, 3)))
+        assert s.F.shape == (3, 1)
+        assert s.F[:, 0].tolist() == [1.0, 2.0, 3.0]
+
     def test_dimension_checks(self):
         eye = np.eye(3)
         with pytest.raises(DimensionMismatch):
