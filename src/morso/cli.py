@@ -177,10 +177,11 @@ def _set_up(args, orders=None):
     return cfg, spec, sos, discretize(sos, cfg.h, scheme), scheme, rec_cfg
 
 
-def _reduce_cell(dsos, method, rec_cfg, rank_tol):
+def _reduce_cell(dsos, method, rec_cfg, rank_tol, *, angle_trace=True):
     """Reduce a discrete model with srlrg or srlrh under ``rec_cfg``;
-    returns ``(reduced, diagnostics)``."""
-    S, R, diag = run_recursion(dsos, rec_cfg, method)
+    returns ``(reduced, diagnostics)``.  ``angle_trace`` goes to
+    :func:`run_recursion`."""
+    S, R, diag = run_recursion(dsos, rec_cfg, method, angle_trace=angle_trace)
     return reduce_model(dsos, build_projection(S, R, rank_tol)), diag
 
 
@@ -268,9 +269,9 @@ def _cmd_compare(args):
                     if bt_factors is None:
                         bt_factors = balancing_factors(bt_model)
                     red, _ = bt_factors.truncate(2 * n)
-                else:
+                else:  # no diagnostics.csv, so no fixed-step angle trace
                     red, _ = _reduce_cell(dsos, method, replace(rec_cfg, n=n),
-                                          cfg.rank_tol)
+                                          cfg.rank_tol, angle_trace=False)
                 err = error_response(full, red, ref.grid, scheme=scheme,
                                      mode=cfg.rre_mode)
                 rre_val = err.hinf_estimate / ref.hinf_estimate

@@ -96,7 +96,10 @@ class RecursionDiagnostics:
 
     ``final_s``/``final_r`` hold the final stacked 2N-by-n iterates
     ``[prev; curr]`` of the two sides; the run itself returns their current
-    halves, as views of these arrays.
+    halves, as views of these arrays.  ``sigma_s``/``sigma_r`` hold one
+    entry per step taken, and so do ``angles_s``/``angles_r`` unless the run
+    kept no angle trace (``run_recursion(..., angle_trace=False)`` with a
+    fixed step count), in which case both angle lists are empty.
     """
 
     steps_taken: int = 0
@@ -110,7 +113,14 @@ class RecursionDiagnostics:
 
     def to_csv(self, path_or_file):
         """Write one row per step: step index, the n retained singular
-        values of the S side, and the (larger of the two) subspace angle."""
+        values of the S side, and the (larger of the two) subspace angle.
+
+        Raises BadParameters, before anything is written, for a run that
+        kept no angle trace.
+        """
+        if min(len(self.angles_s), len(self.angles_r)) < self.steps_taken:
+            raise BadParameters("the diagnostics hold no angle trace: the run "
+                                "was made with angle_trace=False")
         with text_output(path_or_file) as f:
             n = len(self.sigma_s[0]) if self.sigma_s else 0
             header = ",".join(["step"] + [f"sigma_{k + 1}" for k in range(n)] + ["angle"])
@@ -486,7 +496,7 @@ def _max_principal_angle(qa, qb):
     return float(np.max(angles))
 
 
-def run_recursion(dsos, config, algorithm="srlrg"):
+def run_recursion(dsos, config, algorithm="srlrg", *, angle_trace=True):
     """Run a full subspace recursion and return the final subspaces.
 
     Both stacked iterates start as ``[prev; curr]`` of seeded Gaussian
@@ -505,6 +515,14 @@ def run_recursion(dsos, config, algorithm="srlrg"):
     iterates gives the same result bit for bit.  The histories grow by one
     entry per step taken, never sized from the step budget.
 
+    Each step's principal angles cost two orthonormal bases and two angle
+    computations.  With ``angle_trace`` false, a fixed-step run skips them:
+    it records every singular value, the step count, the termination and the
+    final iterates, which are bitwise those of a traced run, but leaves the
+    angle lists empty, and its diagnostics refuse ``to_csv``.  An angle-tol
+    run computes and records the angles whatever ``angle_trace`` says,
+    because its stopping rule needs them.
+
     Parameters
     ----------
     dsos : SecondOrderSystem
@@ -512,6 +530,8 @@ def run_recursion(dsos, config, algorithm="srlrg"):
         reported as NonFiniteIterate).
     config : RecursionConfig
     algorithm : {"srlrg", "srlrh"}
+    angle_trace : bool, keyword-only
+        Keep the per-step angle trace of a fixed-step run (default).
 
     Returns
     -------
@@ -538,6 +558,7 @@ def run_recursion(dsos, config, algorithm="srlrg"):
 
     angle_tol = config.angle_tol
     angle_mode = angle_tol is not None
+    trace = angle_trace or angle_mode
     limit = (config.max_steps if angle_mode else config.tau) or default_step_count(dsos)
 
     diag = RecursionDiagnostics()
@@ -545,15 +566,17 @@ def run_recursion(dsos, config, algorithm="srlrg"):
     angles_s, angles_r = diag.angles_s, diag.angles_r
     below_tol_streak = 0
     # Each iterate's basis is computed once and reused on the next step.
-    basis_s, basis_r = _orth(curr_s), _orth(curr_r)
+    basis_s, basis_r = (_orth(curr_s), _orth(curr_r)) if trace else (None, None)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(limit):
             sigma_s, sigma_r = ws.step(hankel, stacklevel=2)
+            sigmas_s.append(sigma_s)
+            sigmas_r.append(sigma_r)
+            if not trace:
+                continue
             new_basis_s, new_basis_r = _orth(curr_s), _orth(curr_r)
             angle_s = _max_principal_angle(basis_s, new_basis_s)
             angle_r = _max_principal_angle(basis_r, new_basis_r)
-            sigmas_s.append(sigma_s)
-            sigmas_r.append(sigma_r)
             angles_s.append(angle_s)
             angles_r.append(angle_r)
             basis_s, basis_r = new_basis_s, new_basis_r

@@ -6,7 +6,7 @@ same systems.
 
 import numpy as np
 
-from morso import systems
+from morso import recursion, systems
 from morso.systems import FirstOrderSystem, SecondOrderSystem
 
 
@@ -23,6 +23,19 @@ def count_solves(monkeypatch, order):
 
     monkeypatch.setattr(systems, "_solve_grid", counting_solve)
     return points
+
+
+def count_angle_kernels(monkeypatch):
+    """Count the calls of the recursion's two angle kernels."""
+    calls = {"_orth": 0, "_max_principal_angle": 0}
+    for name in calls:
+        kernel = getattr(recursion, name)
+
+        def counted(*args, kernel=kernel, name=name):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(recursion, name, counted)
+    return calls
 
 
 def random_sos(seed, N, m=1, p=1):

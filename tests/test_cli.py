@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -24,11 +25,16 @@ from morso.errors import (
     UnstableReductionWarning,
     ValidationError,
 )
-from morso.metrics import default_grid, frequency_response, rre
+from morso.metrics import (
+    default_grid,
+    error_response,
+    frequency_response,
+    rre,
+)
 from morso.projection import build_projection, reduce_model
 from morso.recursion import RecursionConfig, run_recursion
 
-from helpers import count_solves
+from helpers import count_angle_kernels, count_solves
 
 
 @pytest.fixture(scope="module")
@@ -408,6 +414,56 @@ def test_compare_honours_config_recursion_settings(chain_spec, tmp_path):
     errors = {row[1]: row[6] for row in rows}
     assert errors == {"srlrg": "MaxStepsExceeded",
                       "srlrh": "MaxStepsExceeded", "bt": ""}
+
+
+@pytest.mark.parametrize("config", ["", "angle_tol=1e-6\nmax_steps=3000\n"],
+                         ids=["fixed-steps", "angle-converged"])
+# Some of these reductions of the chain are unstable; reduce warns of it.
+@pytest.mark.filterwarnings("ignore::morso.errors.UnstableReductionWarning")
+def test_compare_scores_the_model_reduce_writes(tmp_path, capsys, monkeypatch,
+                                                config):
+    """Each srlrg/srlrh cell of compare scores the very reduced model that
+    reduce writes under the same settings: its error curve is byte for
+    byte the curve of reduce's reloaded spec.  Compare keeps no angle trace
+    in a fixed-step run, so it calls no angle kernel there; an angle-tol
+    cell computes every angle its stopping rule reads, as reduce does."""
+    bench = tmp_path / "bench"
+    assert cli_main(["gen-msd", "--n", "32", "--damping", "1.0", "--seed",
+                     "1", "--out", str(bench)]) == 0
+    spec = str(bench / "msd_chain.spec")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    run = ["--h", "0.5", "--seed", "1", "--config", str(cfg)]
+    cmp_out = tmp_path / "cmp"
+    calls = count_angle_kernels(monkeypatch)
+    assert cli_main(["compare", spec, "--orders", "2,4", "--methods",
+                     "srlrg,srlrh", *run, "--out", str(cmp_out)]) == 0
+    compare_calls = dict(calls)
+    dsos = discretize(load_matrix_market(BenchmarkSpec.read(spec)), 0.5)
+    termination = "angle-converged" if config else "fixed-steps"
+    traced_calls = {"_orth": 0, "_max_principal_angle": 0}
+    for algo in ("srlrg", "srlrh"):
+        for n in (2, 4):
+            out = tmp_path / f"{algo}-{n}"
+            capsys.readouterr()
+            assert cli_main(["reduce", spec, "--algo", algo, "--order",
+                             str(n), *run, "--out", str(out)]) == 0
+            taken = re.search(rf"steps taken: +(\d+) \({termination}\)",
+                              capsys.readouterr().out)
+            assert taken is not None
+            traced_calls["_orth"] += 2 * int(taken[1]) + 2
+            traced_calls["_max_principal_angle"] += 2 * int(taken[1])
+            reduced = load_matrix_market(
+                BenchmarkSpec.read(out / "msd_chain_reduced.spec"))
+            buf = io.StringIO()
+            error_response(dsos, reduced, default_grid(dsos),
+                           scheme=DEFAULT_SCHEME, mode="discrete").to_csv(buf)
+            assert (buf.getvalue().encode()
+                    == (cmp_out / f"sigma_error_{algo}_{n}.csv").read_bytes())
+    if config:
+        assert compare_calls == traced_calls
+    else:
+        assert compare_calls == {"_orth": 0, "_max_principal_angle": 0}
 
 
 def test_compare_tau_with_config_angle_tol_exit_1(chain_spec, tmp_path,

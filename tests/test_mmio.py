@@ -182,6 +182,19 @@ def test_array_reader_junk_the_fast_reader_would_cut_short(tmp_path, junk):
     assert exc.value.lineno == lineno
 
 
+def test_array_reader_two_values_on_one_line_past_the_gate(tmp_path):
+    """scipy's C++ reader would take the line "1 nan" for one complex
+    entry; the fast path refuses the block for its space, so the line
+    counts as two values, as Python's float reads it."""
+    def two(data, k):
+        data[k] = "1 nan"
+    _big_array_file(tmp_path / "t.mtx", two)
+    with pytest.raises(ParseError,
+                       match="expected 100000 values, found 100001") as exc:
+        read_matrix(tmp_path / "t.mtx")
+    assert exc.value.lineno == 3 + 100000  # the last line
+
+
 def test_array_reader_keeps_the_sign_of_zero(tmp_path, monkeypatch):
     """scipy's C++ reader reads -0 and -1e-400 as +0.0; the values read
     through it keep the sign bit Python's float gives them."""

@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse
 
 import firstorder
-from helpers import random_stable_discrete
+from helpers import count_angle_kernels, random_stable_discrete
 
 from morso.errors import (
     BadParameters,
@@ -21,6 +21,8 @@ from morso.errors import (
     SvdFailure,
 )
 from morso import recursion
+from morso.bench import generate_msd_chain
+from morso.discretize import discretize
 from morso.oracle import stein_gramians, subspace_angles
 from morso.recursion import (
     ALGORITHMS,
@@ -655,6 +657,78 @@ def test_budget_exceeded_after_the_replayed_steps(algorithm, monkeypatch):
         run_recursion(dsos, config, algorithm)
     assert angles[0::2] == history["angles_s"]
     assert angles[1::2] == history["angles_r"]
+
+
+def _chain(N):
+    """The damped MSD chain at h = 0.5: dense storage below N = 60, CSR
+    from there on."""
+    return discretize(generate_msd_chain(N, damping=1.0, seed=1), 0.5)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("N, sparse", [(32, False), (80, True)],
+                         ids=["dense-32", "csr-80"])
+def test_fixed_step_run_without_angle_trace(N, sparse, algorithm,
+                                             monkeypatch):
+    """``angle_trace=False`` skips every basis and angle of a fixed-step
+    run, and leaves its iterates, singular values, step count and
+    termination bitwise those of the traced run."""
+    dsos = _chain(N)
+    assert dsos.is_sparse == sparse
+    tau = 40
+    config = RecursionConfig(n=4, seed=1, tau=tau)
+    calls = count_angle_kernels(monkeypatch)
+    S, R, diag = run_recursion(dsos, config, algorithm)
+    assert calls == {"_orth": 2 * tau + 2, "_max_principal_angle": 2 * tau}
+    calls.update(_orth=0, _max_principal_angle=0)
+    S0, R0, bare = run_recursion(dsos, config, algorithm, angle_trace=False)
+    assert calls == {"_orth": 0, "_max_principal_angle": 0}
+    assert S0.tobytes() == S.tobytes() and R0.tobytes() == R.tobytes()
+    assert bare.final_s.tobytes() == diag.final_s.tobytes()
+    assert bare.final_r.tobytes() == diag.final_r.tobytes()
+    for key in ("sigma_s", "sigma_r"):
+        assert len(getattr(bare, key)) == tau
+        assert (np.concatenate(getattr(bare, key)).tobytes()
+                == np.concatenate(getattr(diag, key)).tobytes())
+    assert (bare.steps_taken, bare.termination) == (tau, "fixed-steps")
+    assert bare.angles_s == [] and bare.angles_r == []
+    assert len(diag.angles_s) == len(diag.angles_r) == tau
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("case", [c for c in _one_algorithm_cases()
+                                  if c[2].angle_tol is not None],
+                         ids=lambda c: c[0])
+def test_angle_mode_ignores_angle_trace(case, algorithm, monkeypatch):
+    """An angle-tol run needs its angles to stop, so ``angle_trace=False``
+    changes neither its kernel calls, its steps, its angles nor its
+    termination."""
+    _, make, config = case
+    dsos = make()
+    calls = count_angle_kernels(monkeypatch)
+    S, R, diag = run_recursion(dsos, config, algorithm)
+    traced_calls = dict(calls)
+    calls.update(_orth=0, _max_principal_angle=0)
+    S0, R0, bare = run_recursion(dsos, config, algorithm, angle_trace=False)
+    assert calls == traced_calls == {
+        "_orth": 2 * diag.steps_taken + 2,
+        "_max_principal_angle": 2 * diag.steps_taken}
+    assert diag.termination == bare.termination == "angle-converged"
+    assert diag.steps_taken == bare.steps_taken
+    assert diag.angles_s == bare.angles_s and diag.angles_r == bare.angles_r
+    assert S0.tobytes() == S.tobytes() and R0.tobytes() == R.tobytes()
+
+
+def test_diagnostics_csv_needs_angle_trace(tmp_path):
+    """A run without an angle trace has no angle column to write: to_csv
+    refuses it before it opens the file."""
+    _, _, diag = run_recursion(_chain(32), RecursionConfig(n=2, seed=1, tau=5),
+                               "srlrg", angle_trace=False)
+    path = tmp_path / "diagnostics.csv"
+    for target in (io.StringIO(), path):
+        with pytest.raises(BadParameters, match="no angle trace"):
+            diag.to_csv(target)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
