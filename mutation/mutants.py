@@ -32,6 +32,7 @@ DISCRETIZE = "src/morso/discretize.py"
 SYSTEMS = "src/morso/systems.py"
 MMIO = "src/morso/mmio.py"
 PROJECTION = "src/morso/projection.py"
+ERRORS = "src/morso/errors.py"
 
 MUTANTS = (
     # -- the recursion's angle trace ---------------------------------------
@@ -73,6 +74,66 @@ MUTANTS = (
         "run_recursion(dsos, rec_cfg, method)",
         ("tests/test_cli.py::test_compare_scores_the_model_reduce_writes"
          "[fixed-steps]",),
+    ),
+    # -- the first-order operator -------------------------------------------
+    Mutant(
+        "apply-a-copies-prev", SYSTEMS,
+        "out[:N] = z[N:]",
+        "out[:N] = z[:N]",
+        ("tests/test_systems.py::test_operator_is_the_linearized_matrix",
+         "tests/test_recursion.py::test_run_is_a_chain_of_public_steps"),
+    ),
+    Mutant(
+        "apply-at-adds-damping", SYSTEMS,
+        "np.subtract(z[:N], d_t, out=out[N:])",
+        "np.add(z[:N], d_t, out=out[N:])",
+        ("tests/test_systems.py::test_operator_is_the_linearized_matrix",),
+    ),
+    # -- validation of parameters -------------------------------------------
+    Mutant(
+        "integer-check-passes-anything", ERRORS,
+        "        return operator.index(value)\n",
+        "        return value\n",
+        ("tests/test_recursion.py::test_config_integers_must_be_integers",
+         "tests/test_metrics.py::TestGrid::test_count_must_be_an_integer",
+         "tests/test_bench.py::TestMsdChain::test_size_and_seed_must_be_"
+         "integers",
+         "tests/test_oracle.py::TestBalancedTruncation::test_order_must_be_"
+         "an_integer"),
+    ),
+    Mutant(
+        "config-integers-unchecked", RECURSION,
+        "if check_integer(value, name) < least:",
+        "if value < least:",
+        ("tests/test_recursion.py::test_config_integers_must_be_integers",),
+    ),
+    Mutant(
+        "grid-count-unchecked", METRICS,
+        'if not 2 <= check_integer(count, "grid count") <= MAX_GRID_COUNT:',
+        "if not 2 <= count <= MAX_GRID_COUNT:",
+        ("tests/test_metrics.py::TestGrid::test_count_must_be_an_integer",),
+    ),
+    Mutant(
+        "max-steps-without-angle-tol", RECURSION,
+        "if self.max_steps is not None and self.angle_tol is None:",
+        "if False:",
+        ("tests/test_recursion.py::TestRunRecursion::test_max_steps_needs_"
+         "angle_tol",),
+    ),
+    Mutant(
+        "projection-takes-zero-columns", PROJECTION,
+        "S.shape != R.shape or not S.shape[1]:",
+        "S.shape != R.shape:",
+        ("tests/test_projection.py::TestBuildProjection::test_zero_columns_"
+         "are_a_dimension_mismatch",),
+    ),
+    Mutant(
+        "jury-drops-alternating-sum", DISCRETIZE,
+        "tests = (r * r * P2 - P0, r * r * P2 + r * P1 + P0,\n"
+        "                 r * r * P2 - r * P1 + P0)",
+        "tests = (r * r * P2 - P0, r * r * P2 + r * P1 + P0)",
+        ("tests/test_discretize.py::test_unstable_discretization_warns",
+         "tests/test_discretize.py::test_warning_matches_spectra"),
     ),
     # -- the stacked iterate ------------------------------------------------
     Mutant(
@@ -245,5 +306,12 @@ MUTANTS = (
         "zero_cols = slice(k, None) if sos.is_continuous else slice(None, k)",
         "zero_cols = slice(None, k) if sos.is_continuous else slice(k, None)",
         ("tests/test_projection.py::TestStructureConditions",),
+    ),
+    Mutant(
+        "reduced-damping-and-stiffness-swapped", PROJECTION,
+        "        Y.T @ sos.D @ X,\n        Y.T @ sos.K @ X,\n",
+        "        Y.T @ sos.K @ X,\n        Y.T @ sos.D @ X,\n",
+        ("tests/test_projection.py::test_projection_equivalence_with_block_"
+         "first_order",),
     ),
 )

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one
+check of integer parameters."""
+
+import operator
 
 
 class MorsoError(Exception):
@@ -74,6 +77,17 @@ class RankDeficient(MorsoError):
 
 class BadParameters(ValidationError):
     """Invalid scalar parameters (sizes, tolerances, physical constants)."""
+
+
+def check_integer(value, name):
+    """`value` as a Python int if it is an integer: a Python or numpy
+    integer, or anything else ``operator.index`` accepts.  Raises
+    BadParameters otherwise; a float with an integral value, such as
+    ``3.0``, is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParameters(f"{name} must be an integer, got {value!r}") from None
 
 
 class ParseError(ValidationError):

@@ -15,7 +15,8 @@ import json
 import numpy as np
 
 from .discretize import DEFAULT_SCHEME, Scheme, discretize, inverse_discretize
-from .errors import BadParameters, DimensionMismatch, DomainMismatch
+from .errors import (BadParameters, DimensionMismatch, DomainMismatch,
+                     check_integer)
 from .mmio import text_output
 
 __all__ = [
@@ -43,9 +44,9 @@ RRE_MODES = ("discrete", "continuous")
 
 
 def _check_count(count):
-    """Raise BadParameters unless a grid of ``count`` points has at least 2
-    and at most MAX_GRID_COUNT, before anything is allocated."""
-    if not 2 <= count <= MAX_GRID_COUNT:
+    """Raise BadParameters unless ``count`` is an integer from 2 to
+    MAX_GRID_COUNT, before anything is allocated."""
+    if not 2 <= check_integer(count, "grid count") <= MAX_GRID_COUNT:
         raise BadParameters(
             f"grid needs 2 to {MAX_GRID_COUNT} points, got {count}")
 

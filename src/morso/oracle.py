@@ -20,6 +20,7 @@ from .errors import (
     OrderTooLarge,
     RankDeficient,
     UnstableSystem,
+    check_integer,
 )
 from .systems import FirstOrderSystem, stability_report
 
@@ -117,7 +118,7 @@ def _psd_sqrt_factor(W):
 
 
 def _check_order(full, order):
-    if not 1 <= order <= full:
+    if not 1 <= check_integer(order, "order") <= full:
         raise OrderTooLarge(f"order must lie in [1, {full}], got {order}")
 
 

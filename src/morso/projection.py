@@ -77,6 +77,8 @@ def build_projection(S, R, rank_tol=1e-12):
 
     Raises
     ------
+    DimensionMismatch
+        If S and R are not matrices of one shape with at least one column.
     BadParameters
         If ``rank_tol`` is NaN or above 1, which would discard every
         direction.
@@ -89,9 +91,10 @@ def build_projection(S, R, rank_tol=1e-12):
     """
     S = np.asarray(S, dtype=float)
     R = np.asarray(R, dtype=float)
-    if S.ndim != 2 or R.ndim != 2 or S.shape != R.shape:
+    if S.ndim != 2 or R.ndim != 2 or S.shape != R.shape or not S.shape[1]:
         raise DimensionMismatch(
-            f"S and R must be equal-shaped matrices, got {S.shape} and {R.shape}"
+            "S and R must be equal-shaped matrices with at least one column, "
+            f"got {S.shape} and {R.shape}"
         )
     check_rank_tol(rank_tol)
     n = S.shape[1]

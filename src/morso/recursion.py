@@ -5,7 +5,8 @@ subspaces of a difference second-order system without ever forming its
 first-order matrices.  Because the first-order state stacks two
 consecutive position vectors, each subspace is carried as the stacked
 2N-by-n first-order iterate ``[prev; curr]`` of two consecutive N-by-n
-iterates, and one step computes both halves from the N-sized blocks of
+iterates, and one step computes both halves with the system's
+``apply_a`` and ``apply_at``, which act through the N-sized blocks of
 the quintuplet:
 
 * the Gramian variant (``srlrg``) truncates the controllability and
@@ -34,6 +35,7 @@ from .errors import (
     NonFiniteIterate,
     RankCollapseWarning,
     SvdFailure,
+    check_integer,
 )
 from .mmio import text_output
 
@@ -59,7 +61,9 @@ class RecursionConfig:
     to three times the full first-order dimension when neither is given) or
     an ``angle_tol`` on the principal angle between consecutive subspaces,
     bounded by ``max_steps``.  ``max_steps`` bounds only that rule, so it
-    needs ``angle_tol``.
+    needs ``angle_tol``.  ``n``, ``seed``, ``tau`` and ``max_steps`` must be
+    integers (numpy integers included): ``n``, ``tau`` and ``max_steps`` at
+    least 1, ``seed`` at least 0.
     """
 
     n: int
@@ -69,25 +73,21 @@ class RecursionConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise BadParameters(f"reduced half-order must be >= 1, got {self.n}")
-        if self.seed < 0:
-            raise BadParameters(f"seed must be >= 0, got {self.seed}")
-        if self.tau is not None:
-            if self.angle_tol is not None:
-                raise BadParameters("give either tau or angle_tol, not both")
-            if self.tau < 1:
-                raise BadParameters(f"tau must be >= 1, got {self.tau}")
+        for name, least in (("n", 1), ("seed", 0), ("tau", 1), ("max_steps", 1)):
+            value = getattr(self, name)
+            if value is None and name in ("tau", "max_steps"):
+                continue
+            if check_integer(value, name) < least:
+                raise BadParameters(f"{name} must be >= {least}, got {value}")
+        if self.tau is not None and self.angle_tol is not None:
+            raise BadParameters("give either tau or angle_tol, not both")
         if self.angle_tol is not None and not 0.0 < self.angle_tol < 1.0:
             raise BadParameters(
                 f"angle_tol must lie in (0, 1), got {self.angle_tol}"
             )
-        if self.max_steps is not None:
-            if self.angle_tol is None:
-                raise BadParameters("max_steps bounds the angle_tol stopping "
-                                    "rule and needs angle_tol")
-            if self.max_steps < 1:
-                raise BadParameters(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.max_steps is not None and self.angle_tol is None:
+            raise BadParameters("max_steps bounds the angle_tol stopping rule "
+                                "and needs angle_tol")
 
 
 @dataclass
@@ -143,9 +143,11 @@ def _require_discrete(dsos):
 
 
 def _checked_iterate(dsos, z):
-    """C-ordered float64 copy of the stacked iterate `z`; raises
+    """C-ordered float64 copy of the stacked iterate `z` of a difference
+    system `dsos`; raises DomainMismatch for a continuous `dsos`, and
     DimensionMismatch unless `z` is a matrix with 2N rows and at most N
     columns."""
+    _require_discrete(dsos)
     z = np.array(z, dtype=float, order="C")
     if z.ndim != 2 or z.shape[0] != 2 * dsos.order or z.shape[1] > dsos.order:
         raise DimensionMismatch(
@@ -165,26 +167,13 @@ def _update_matrix(z, block):
     return m
 
 
-def _write_controllability(dsos, z_s, m1):
-    """Write ``A @ z_s`` into the first n columns of ``m1``: ``curr`` on
-    top, ``-M^{-1}(K prev + D curr)`` below; for sparse storage
-    ``K prev + D curr`` is one product of the stored ``[K D]`` with
-    ``z_s``."""
-    N, n = dsos.order, z_s.shape[1]
-    m1[:N, :n] = z_s[N:]
-    np.negative(dsos.solve_mass(dsos._stiffness_damping(z_s)),
-                out=m1[N:, :n])
-
-
-def _write_observability(dsos, z_r, m2):
-    """Write ``A^T @ z_r`` into the first n columns of ``m2``:
-    ``-K^T M^{-T} curr`` on top, ``prev - D^T M^{-T} curr`` below; for
-    sparse storage both blocks come from one product of the stored
-    ``[K D]^T`` with ``M^{-T} curr``."""
-    N, n = dsos.order, z_r.shape[1]
-    kd_t = dsos._stiffness_damping_t(dsos.solve_mass_t(z_r[N:]))
-    np.negative(kd_t[:N], out=m2[:N, :n])
-    np.subtract(z_r[:N], kd_t[N:], out=m2[N:, :n])
+def _assembled(z, apply, block):
+    """The update matrix of :func:`_update_matrix`, with ``apply(z)`` (the
+    system's ``apply_a`` or ``apply_at``) written into its first n
+    columns."""
+    m = _update_matrix(z, block)
+    apply(z, m[:, :z.shape[1]])
+    return m
 
 
 class _Workspace:
@@ -195,7 +184,8 @@ class _Workspace:
     overwrites at each step.  ``m1`` and ``m2`` are the controllability
     and observability update matrices, 2N-by-(n+m) and 2N-by-(n+p); their
     input and output columns ``[0; M^{-1} F]`` and ``[0; G^T]`` are
-    written here once, and each step writes only their first n columns.
+    written here once, and each step writes only their first n columns,
+    with the system's ``apply_a`` and ``apply_at``.
     """
 
     __slots__ = ("dsos", "z_s", "z_r", "m1", "m2")
@@ -219,8 +209,8 @@ class _Workspace:
         """
         z_s, z_r, m1, m2 = self.z_s, self.z_r, self.m1, self.m2
         n = z_s.shape[1]
-        _write_controllability(self.dsos, z_s, m1)
-        _write_observability(self.dsos, z_r, m2)
+        self.dsos.apply_a(z_s, m1[:, :n])
+        self.dsos.apply_at(z_r, m2[:, :n])
         if hankel:
             u, s, vt = _svd(m2.T @ m1)
             if s[0] == 0.0 or s[min(n, len(s)) - 1] / s[0] < 1e-14:
@@ -247,15 +237,11 @@ def assemble_controllability(dsos, S):
     shape 2N-by-(n+m).
 
     The top N rows are ``[curr | 0]``; the bottom rows are
-    ``[-M^{-1}(K prev + D curr) | M^{-1} F]``; for sparse storage
-    ``K prev + D curr`` is one product of the stored ``[K D]`` with ``S``.
-    This is the assembly a recursion step writes into its workspace.
+    ``[-M^{-1}(K prev + D curr) | M^{-1} F]``.  The first n columns are
+    ``dsos.apply_a(S)``, as a recursion step writes them into its
+    workspace.
     """
-    _require_discrete(dsos)
-    z_s = _checked_iterate(dsos, S)
-    m1 = _update_matrix(z_s, dsos._mass_input)
-    _write_controllability(dsos, z_s, m1)
-    return m1
+    return _assembled(_checked_iterate(dsos, S), dsos.apply_a, dsos._mass_input)
 
 
 def assemble_observability(dsos, R):
@@ -264,16 +250,11 @@ def assemble_observability(dsos, R):
     quintuplet, shape 2N-by-(n+p).
 
     The top N rows are ``[-K^T M^{-T} curr | 0]``; the bottom rows are
-    ``[prev - D^T M^{-T} curr | G^T]``; for sparse storage the ``K^T`` and
-    ``D^T`` blocks come from one product of the stored ``[K D]^T`` with
-    ``M^{-T} curr``.  This is the assembly a recursion step writes into
-    its workspace.
+    ``[prev - D^T M^{-T} curr | G^T]``.  The first n columns are
+    ``dsos.apply_at(R)``, as a recursion step writes them into its
+    workspace.
     """
-    _require_discrete(dsos)
-    z_r = _checked_iterate(dsos, R)
-    m2 = _update_matrix(z_r, dsos.G.T)
-    _write_observability(dsos, z_r, m2)
-    return m2
+    return _assembled(_checked_iterate(dsos, R), dsos.apply_at, dsos.G.T)
 
 
 def _require_finite(*arrays):
@@ -321,7 +302,6 @@ def _public_step(dsos, S, R, hankel):
     """One recursion step on a fresh workspace holding copies of the
     iterates; a RankCollapseWarning points at the caller of the public
     step function."""
-    _require_discrete(dsos)
     z_s, z_r = _checked_iterate(dsos, S), _checked_iterate(dsos, R)
     if z_s.shape[1] != z_r.shape[1]:
         raise DimensionMismatch("S and R iterates must have the same width")

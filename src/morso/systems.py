@@ -359,7 +359,8 @@ class SecondOrderSystem:
     Otherwise they are dense ndarrays.  Sparse storage has a SuperLU factor
     of ``M`` and, from the first :meth:`solve_mass_t`, one of ``M^T``;
     dense storage an LU factor.  The subspace recursion,
-    :meth:`solve_mass`, :meth:`transfer`, ``discretize``, ``reduce_model``
+    :meth:`solve_mass`, :meth:`apply_a`, :meth:`apply_at`,
+    :meth:`transfer`, ``discretize``, ``reduce_model``
     and ``verify_structure_conditions`` work on either without densifying,
     so a sparse model costs memory in proportion to its nonzeros.
     ``linearize``, ``stability_report`` and the BT oracle need dense
@@ -461,21 +462,39 @@ class SecondOrderSystem:
         """Return M^{-T} @ rhs using the cached factorization."""
         return self._mass_factor.solve(rhs, trans=True)
 
-    def _stiffness_damping(self, stacked):
-        """``K prev + D curr`` of a 2N-row ``stacked = [prev; curr]``: one
-        product of sparse storage's ``[K D]``, or the two products of dense
-        storage."""
-        if self.is_sparse:
-            return self._KD @ stacked
-        N = self.order
-        return self.K @ stacked[:N] + self.D @ stacked[N:]
+    # -- the first-order operator ------------------------------------------
 
-    def _stiffness_damping_t(self, rhs):
-        """``[K^T rhs; D^T rhs]``: one product of sparse storage's
-        ``[K D]^T``, or the two products of dense storage."""
+    def apply_a(self, z, out):
+        """Write ``A @ z`` into `out` and return `out`, where ``A`` is the
+        first-order matrix of :func:`linearize` and `z` = ``[prev; curr]``
+        has 2N rows: ``curr`` on top, ``-M^{-1}(K prev + D curr)`` below.
+        Sparse storage forms ``K prev + D curr`` as one product of the
+        stored ``[K D]`` with `z`, dense storage as two products.  `out`
+        may be a view, such as columns of a wider buffer; `z` is only
+        read."""
+        N = self.order
+        out[:N] = z[N:]
+        kd = (self._KD @ z if self.is_sparse
+              else self.K @ z[:N] + self.D @ z[N:])
+        np.negative(self.solve_mass(kd), out=out[N:])
+        return out
+
+    def apply_at(self, z, out):
+        """Write ``A^T @ z`` into `out` and return `out`, for a 2N-row `z` =
+        ``[prev; curr]``: ``-K^T M^{-T} curr`` on top, ``prev - D^T M^{-T}
+        curr`` below.  Sparse storage takes both blocks from one product of
+        the stored ``[K D]^T`` with ``M^{-T} curr``, dense storage from two
+        products.  `out` may be a view; `z` is only read."""
+        N = self.order
+        y = self.solve_mass_t(z[N:])
         if self.is_sparse:
-            return self._KDt @ rhs
-        return np.vstack([self.K.T @ rhs, self.D.T @ rhs])
+            kd_t = self._KDt @ y
+            k_t, d_t = kd_t[:N], kd_t[N:]
+        else:
+            k_t, d_t = self.K.T @ y, self.D.T @ y
+        np.negative(k_t, out=out[:N])
+        np.subtract(z[:N], d_t, out=out[N:])
+        return out
 
     @cached_property
     def _KD(self):
@@ -491,7 +510,8 @@ class SecondOrderSystem:
 
     @cached_property
     def _mass_input(self):
-        """Read-only ``M^{-1} F``, solved once for every recursion step."""
+        """Read-only ``M^{-1} F``, solved once for every recursion step and
+        the ``B`` of :func:`linearize`."""
         return _freeze(self.solve_mass(self.F))
 
     # -- transfer function -------------------------------------------------
@@ -658,7 +678,6 @@ def linearize(sos):
         For a sparse system above ``DENSE_ORDER_LIMIT``.
     """
     N = sos.order
-    m = sos.n_inputs
     if sos.is_sparse and N > DENSE_ORDER_LIMIT:
         raise BadParameters(
             "linearize needs dense matrices, and a sparse model of order "
@@ -668,8 +687,8 @@ def linearize(sos):
     A[N:, :N] = -sos.solve_mass(_dense(sos.K))
     A[N:, N:] = -sos.solve_mass(_dense(sos.D))
 
-    B = np.zeros((2 * N, m))
-    B[N:] = sos.solve_mass(sos.F)
+    B = np.zeros((2 * N, sos.n_inputs))
+    B[N:] = sos._mass_input
 
     C = np.zeros((sos.n_outputs, 2 * N))
     if sos.is_continuous:

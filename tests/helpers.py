@@ -5,6 +5,7 @@ same systems.
 """
 
 import numpy as np
+import scipy.sparse
 
 from morso import recursion, systems
 from morso.systems import FirstOrderSystem, SecondOrderSystem
@@ -98,6 +99,19 @@ def random_stable_discrete(seed, N, m=1, p=1, rho_max=0.85, dominant=0,
         F = Q2 @ (Q2.T @ F * weights)
     G = rng.standard_normal((p, N))
     return SecondOrderSystem(Mb, Db, Kb, F, G, h=1.0)
+
+
+def banded_sos(rng, N, m, p, h=1.0):
+    """Quintuplet with tridiagonal M, D and K, which is stored sparse from
+    N = 60 on: M is diagonally dominant, D and K are small.  Difference
+    (``h=1.0``) by default, continuous with ``h=None``."""
+    def tridiagonal(diagonal, scale):
+        off = scale * rng.standard_normal(N - 1)
+        main = diagonal + scale * rng.standard_normal(N)
+        return scipy.sparse.diags_array([off, main, off], offsets=[-1, 0, 1])
+    return SecondOrderSystem(
+        tridiagonal(3.0, 0.5), tridiagonal(0.0, 0.3), tridiagonal(0.0, 0.3),
+        rng.standard_normal((N, m)), rng.standard_normal((p, N)), h=h)
 
 
 def equivalence_suite():

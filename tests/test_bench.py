@@ -72,6 +72,19 @@ class TestMsdChain:
         with pytest.raises(BadParameters):
             generate_msd_chain(4, mass=0.0)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"N": 5.5}, "N"), ({"N": 5.0}, "N"), ({"N": 5, "seed": 1.5}, "seed"),
+    ], ids=["fraction", "integral-float", "seed"])
+    def test_size_and_seed_must_be_integers(self, kwargs, name):
+        """These used to end in a numpy TypeError."""
+        with pytest.raises(BadParameters, match=f"^{name} must be an integer"):
+            generate_msd_chain(**kwargs)
+
+    def test_numpy_integer_size_and_seed(self):
+        a = generate_msd_chain(np.int64(5), seed=np.int32(1))
+        b = generate_msd_chain(5, seed=1)
+        assert a.order == 5 and np.array_equal(a.M, b.M)
+
 
 class TestBenchmarkRoundtrip:
     def test_write_load_bit_exact(self, tmp_path):

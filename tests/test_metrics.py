@@ -47,6 +47,23 @@ class TestGrid:
         with pytest.raises(BadParameters):
             FrequencyGrid.unit_circle(1)
 
+    @pytest.mark.parametrize("count", [10.5, 10.0, "10", None],
+                             ids=["fraction", "integral-float", "string",
+                                  "none"])
+    def test_count_must_be_an_integer(self, count):
+        """``unit_circle(10.5)`` used to give 11 points, the last one past
+        pi, and ``log_continuous(count=10.5)`` a TypeError."""
+        for grid in (FrequencyGrid.unit_circle,
+                     lambda c: FrequencyGrid.log_continuous(count=c)):
+            with pytest.raises(BadParameters,
+                               match="^grid count must be an integer, got "):
+                grid(count)
+
+    def test_numpy_integer_count(self):
+        g = FrequencyGrid.unit_circle(np.int64(10))
+        assert len(g.points) == 10 and g.parameters[-1] == np.pi
+        assert len(FrequencyGrid.log_continuous(count=np.int32(7)).points) == 7
+
     def test_count_capped_before_allocating(self):
         assert len(FrequencyGrid.unit_circle(MAX_GRID_COUNT).points) == MAX_GRID_COUNT
         for count in (MAX_GRID_COUNT + 1, 10**11):

@@ -5,6 +5,7 @@ import scipy.linalg
 from morso.bench import generate_msd_chain
 from morso.discretize import default_step, discretize
 from morso.errors import (
+    BadParameters,
     DimensionMismatch,
     DomainMismatch,
     OrderTooLarge,
@@ -176,6 +177,15 @@ class TestBalancedTruncation:
             dense_balanced_truncation(fos, 11)
         with pytest.raises(OrderTooLarge):
             dense_balanced_truncation(fos, 0)
+
+    @pytest.mark.parametrize("order", [2.5, 2.0])
+    def test_order_must_be_an_integer(self, order):
+        """A fractional order used to end in an IndexError."""
+        fos = random_stable_fos(6, 10)
+        with pytest.raises(BadParameters, match="^order must be an integer"):
+            dense_balanced_truncation(fos, order)
+        with pytest.raises(BadParameters, match="^order must be an integer"):
+            balancing_factors(fos).truncate(order)
 
     def test_order_above_hankel_rank(self):
         # the input never reaches the second state: one Hankel singular

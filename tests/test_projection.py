@@ -53,6 +53,13 @@ class TestBuildProjection:
             proj = build_projection(S, R)
         assert proj.order == 3
 
+    @pytest.mark.parametrize("shape", [(6, 0), (0, 0)])
+    def test_zero_columns_are_a_dimension_mismatch(self, shape):
+        """Zero-column S and R used to fail with an IndexError at the
+        largest singular value."""
+        with pytest.raises(DimensionMismatch, match="at least one column"):
+            build_projection(np.zeros(shape), np.zeros(shape))
+
     def test_orthogonal_subspaces_collapse(self):
         S = np.zeros((6, 2))
         S[0, 0] = S[1, 1] = 1.0

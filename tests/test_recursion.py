@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse
 
 import firstorder
-from helpers import count_angle_kernels, random_stable_discrete
+from helpers import banded_sos, count_angle_kernels, random_stable_discrete
 
 from morso.errors import (
     BadParameters,
@@ -187,7 +187,7 @@ def test_iterate_layout_and_dtype_do_not_change_bits(kind, sparse):
     same bits as its C-ordered float64 copy."""
     rng = np.random.default_rng(10)
     N, n = (60, 3) if sparse else (6, 3)
-    dsos = (_banded_sos(rng, N, 2, 1) if sparse
+    dsos = (banded_sos(rng, N, 2, 1) if sparse
             else random_stable_discrete(10, N, m=2, p=1))
     if kind == "integer":
         S, R = (rng.integers(-3, 4, (2 * N, n)) for _ in range(2))
@@ -343,6 +343,29 @@ class TestRunRecursion:
         with pytest.raises(BadParameters, match="needs angle_tol"):
             RecursionConfig(n=2, tau=tau, max_steps=3)
         assert RecursionConfig(n=2, angle_tol=0.1, max_steps=3).max_steps == 3
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n": 2.5}, "n"),
+    ({"n": 2, "tau": 2.5}, "tau"),
+    ({"n": 2, "seed": 1.5}, "seed"),
+    ({"n": 2, "angle_tol": 0.1, "max_steps": 2.5}, "max_steps"),
+    ({"n": 3.0}, "n"),
+    ({"n": "3"}, "n"),
+    ({"n": None}, "n"),
+], ids=["n", "tau", "seed", "max_steps", "integral-float", "string", "none"])
+def test_config_integers_must_be_integers(kwargs, name):
+    """A non-integer count or seed fails at construction, not deep in numpy."""
+    with pytest.raises(BadParameters, match=f"^{name} must be an integer, got "):
+        RecursionConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers():
+    config = RecursionConfig(n=np.int64(2), seed=np.uint8(3), tau=np.int32(4))
+    dsos = random_stable_discrete(4, 6)
+    _, _, diag = run_recursion(dsos, config, "srlrg")
+    assert diag.steps_taken == 4
+    RecursionConfig(n=np.int16(1), angle_tol=0.1, max_steps=np.int64(5))
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -598,13 +621,13 @@ def _one_algorithm_cases():
            lambda: random_stable_discrete(17, 9, m=2, p=1),
            RecursionConfig(n=3, seed=5, tau=15))
     yield ("csr m=1 p=3 fixed steps",
-           lambda: _banded_sos(np.random.default_rng(8), 80, 1, 3),
+           lambda: banded_sos(np.random.default_rng(8), 80, 1, 3),
            RecursionConfig(n=4, seed=2, tau=12))
     yield ("dense m=1 p=2 angle converges",
            lambda: random_stable_discrete(1, 10, m=1, p=2, rho_max=0.6),
            RecursionConfig(n=4, seed=7, angle_tol=1e-8, max_steps=500))
     yield ("csr m=1 p=2 angle converges",
-           lambda: _banded_sos(np.random.default_rng(9), 60, 1, 2),
+           lambda: banded_sos(np.random.default_rng(9), 60, 1, 2),
            RecursionConfig(n=2, seed=3, angle_tol=1e-8, max_steps=500))
 
 
@@ -774,18 +797,6 @@ def test_rank_collapsing_run_warns():
     assert {r.filename for r in record} == {__file__}
 
 
-def _banded_sos(rng, N, m, p):
-    """Difference system with tridiagonal M, D and K, which is stored
-    sparse: M is diagonally dominant, D and K are small."""
-    def tridiagonal(diagonal, scale):
-        off = scale * rng.standard_normal(N - 1)
-        main = diagonal + scale * rng.standard_normal(N)
-        return scipy.sparse.diags_array([off, main, off], offsets=[-1, 0, 1])
-    return SecondOrderSystem(
-        tridiagonal(3.0, 0.5), tridiagonal(0.0, 0.3), tridiagonal(0.0, 0.3),
-        rng.standard_normal((N, m)), rng.standard_normal((p, N)), h=1.0)
-
-
 @st.composite
 def _step_cases(draw):
     banded = draw(st.booleans())
@@ -808,7 +819,7 @@ def test_stacked_equivalence_random_systems(case):
     banded, N, n, m, p, seed = case
     rng = np.random.default_rng(seed)
     if banded:
-        dsos = _banded_sos(rng, N, m, p)
+        dsos = banded_sos(rng, N, m, p)
         assert dsos.is_sparse
     else:
         dsos = random_stable_discrete(seed, N, m=m, p=p)

@@ -22,7 +22,7 @@ from morso.systems import (
     transfer,
 )
 
-from helpers import random_sos, random_stable_discrete
+from helpers import banded_sos, random_sos, random_stable_discrete
 
 
 class TestConstruction:
@@ -238,6 +238,55 @@ class TestLinearize:
             t_sos = s.transfer(pt)
             t_fos = fos.transfer(pt)
             assert np.max(np.abs(t_sos - t_fos)) <= 1e-10 * np.max(np.abs(t_sos))
+
+
+_OPERATOR_MODELS = {
+    "dense-discrete": lambda: random_stable_discrete(4, 6, m=2, p=3),
+    "dense-continuous": lambda: random_sos(2, 5, m=3, p=2),
+    "csr-discrete": lambda: banded_sos(np.random.default_rng(7), 80, 2, 3),
+    "csr-continuous": lambda: banded_sos(np.random.default_rng(8), 80, 3, 2,
+                                         h=None),
+}
+
+
+@pytest.mark.parametrize("transpose", [False, True],
+                         ids=["apply_a", "apply_at"])
+@pytest.mark.parametrize("model", list(_OPERATOR_MODELS))
+def test_operator_is_the_linearized_matrix(model, transpose):
+    """``apply_a``/``apply_at`` write ``A @ z``/``A^T @ z`` for the dense
+    ``A`` of ``linearize``, into columns of a wider buffer as the recursion
+    workspace passes them, return that view and leave `z` unchanged."""
+    sos = _OPERATOR_MODELS[model]()
+    assert sos.is_sparse == model.startswith("csr")
+    A = linearize(sos).A
+    N, n = sos.order, 4
+    z = np.random.default_rng(3).standard_normal((2 * N, n))
+    before = z.copy()
+    buffer = np.full((2 * N, n + 3), 7.0)
+    out = buffer[:, :n]
+    apply = sos.apply_at if transpose else sos.apply_a
+    assert apply(z, out) is out
+    expected = (A.T if transpose else A) @ z
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.all(buffer[:, n:] == 7.0)
+    assert z.tobytes() == before.tobytes()
+
+
+def test_linearize_reads_the_cached_input_solve(monkeypatch):
+    """``B`` is the system's ``M^{-1} F``, solved once: ``linearize`` solves
+    only ``M^{-1} K`` and ``M^{-1} D`` itself."""
+    sos = random_sos(5, 4, m=3, p=2)
+    solved = []
+    solve_mass = SecondOrderSystem.solve_mass
+
+    def recording(self, rhs):
+        solved.append(rhs.shape)
+        return solve_mass(self, rhs)
+    monkeypatch.setattr(SecondOrderSystem, "solve_mass", recording)
+    for _ in range(2):
+        fos = linearize(sos)
+        assert fos.B[4:].tobytes() == sos._mass_input.tobytes()
+    assert solved == [(4, 4), (4, 4), (4, 3), (4, 4), (4, 4)]
 
 
 class TestTransfer:
