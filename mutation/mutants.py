@@ -121,6 +121,18 @@ MUTANTS = (
          "angle_tol",),
     ),
     Mutant(
+        "real-check-passes-anything", ERRORS,
+        "    if isinstance(value, numbers.Real):\n",
+        "    return value\n    if isinstance(value, numbers.Real):\n",
+        ("tests/test_discretize.py::test_step_must_be_real",
+         "tests/test_systems.py::TestConstruction::test_step_must_be_real",
+         "tests/test_recursion.py::test_config_angle_tol_must_be_real",
+         "tests/test_projection.py::TestBuildProjection::test_rank_tol_must_"
+         "be_real",
+         "tests/test_bench.py::TestMsdChain::test_constants_must_be_real",
+         "tests/test_metrics.py::TestGrid::test_bounds_must_be_real"),
+    ),
+    Mutant(
         "projection-takes-zero-columns", PROJECTION,
         "S.shape != R.shape or not S.shape[1]:",
         "S.shape != R.shape:",
@@ -133,7 +145,45 @@ MUTANTS = (
         "                 r * r * P2 - r * P1 + P0)",
         "tests = (r * r * P2 - P0, r * r * P2 + r * P1 + P0)",
         ("tests/test_discretize.py::test_unstable_discretization_warns",
-         "tests/test_discretize.py::test_warning_matches_spectra"),
+         "tests/test_discretize.py::test_warning_matches_spectra",
+         "tests/test_discretize.py::test_certificate_refuses_each_failed_"
+         "condition[Mb-Db+Kb]"),
+    ),
+    Mutant(
+        "jury-drops-mass-minus-stiffness", DISCRETIZE,
+        "tests = (r * r * P2 - P0, r * r * P2 + r * P1 + P0,",
+        "tests = (r * r * P2 + r * P1 + P0,",
+        ("tests/test_discretize.py::test_certificate_refuses_each_failed_"
+         "condition[Mb-Kb]",),
+    ),
+    Mutant(
+        "jury-drops-sum", DISCRETIZE,
+        "r * r * P2 - P0, r * r * P2 + r * P1 + P0,",
+        "r * r * P2 - P0,",
+        ("tests/test_discretize.py::test_certificate_refuses_each_failed_"
+         "condition[Mb+Db+Kb]",),
+    ),
+    Mutant(
+        "continuous-certificate-drops-damping", DISCRETIZE,
+        "tests = (P2, P1 - 2.0 * t * P2, P0 - t * P1 + t * t * P2)",
+        "tests = (P2, P0 - t * P1 + t * t * P2)",
+        ("tests/test_discretize.py::test_certificate_refuses_each_failed_"
+         "condition[damping]",),
+    ),
+    Mutant(
+        "certificate-without-margin", DISCRETIZE,
+        "    t = MARGINAL_TOL\n",
+        "    t = 0.0\n",
+        ("tests/test_discretize.py::test_certificate_refuses_each_failed_"
+         "condition[continuous-margin]",
+         "tests/test_discretize.py::test_certificate_refuses_each_failed_"
+         "condition[discrete-margin]"),
+    ),
+    Mutant(
+        "csr-division-by-reciprocal", DISCRETIZE,
+        "a.data / c",
+        "a.data * (1.0 / c)",
+        ("tests/test_sparse_path.py::test_scheme_maps_on_distinct_patterns",),
     ),
     # -- the stacked iterate ------------------------------------------------
     Mutant(
@@ -243,21 +293,24 @@ MUTANTS = (
         '    values[zeros] = np.where(raw[starts[zeros]] == ord("-"), -0.0, '
         "0.0)\n",
         "",
-        ("tests/test_mmio.py::test_array_reader_keeps_the_sign_of_zero",),
+        ("tests/test_mmio.py::test_array_reader_keeps_the_sign_of_zero",
+         "tests/test_mmio.py::test_fast_array_reader_misread_line"),
     ),
     Mutant(
         "no-nan-certificate", MMIO,
         "    if not np.isnan(z.imag).all():\n        return None\n",
         "",
         ("tests/test_mmio.py::test_array_reader_junk_the_fast_reader_would_"
-         "cut_short",),
+         "cut_short",
+         "tests/test_mmio.py::test_fast_array_reader_misread_line"),
     ),
     Mutant(
         "no-byte-alphabet-check", MMIO,
         "if (data.translate(None, _DECIMAL) or newline[0]",
         "if (newline[0]",
         ("tests/test_mmio.py::test_array_reader_two_values_on_one_line_past_"
-         "the_gate",),
+         "the_gate",
+         "tests/test_mmio.py::test_fast_array_reader_misread_line"),
     ),
     Mutant(
         "blank-lines-reach-fast-reader", MMIO,
@@ -272,7 +325,8 @@ MUTANTS = (
         "line-starts-shifted", MMIO,
         "starts = np.flatnonzero(np.r_[True, newline[:-1]])",
         "starts = np.flatnonzero(np.r_[newline[:-1], True])",
-        ("tests/test_mmio.py::test_array_reader_keeps_the_sign_of_zero",),
+        ("tests/test_mmio.py::test_array_reader_keeps_the_sign_of_zero",
+         "tests/test_mmio.py::test_fast_array_reader_misread_line"),
     ),
     Mutant(
         "fast-block-line-count-off-by-one", MMIO,

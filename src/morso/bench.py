@@ -30,7 +30,8 @@ from typing import get_args
 import numpy as np
 
 from .discretize import DEFAULT_SCHEME
-from .errors import BadParameters, DimensionMismatch, ParseError, check_integer
+from .errors import (BadParameters, DimensionMismatch, ParseError, check_integer,
+                     check_real)
 from .metrics import DEFAULT_GRID_COUNT, DEFAULT_OMEGA_MAX, DEFAULT_OMEGA_MIN
 from .mmio import read_lines, read_matrix, text_output, write_matrix
 from .systems import SecondOrderSystem
@@ -164,16 +165,17 @@ def generate_msd_chain(N, stiffness=1.0, damping=0.1, mass=1.0, seed=None):
 
     M, D and K are built sparse, and the system stores them as its
     storage rule decides: sparse from N = 60 on, dense below.
-    ``N`` and ``seed`` must be integers (numpy integers included).
+    ``N`` and ``seed`` must be integers (numpy integers included), and
+    ``stiffness``, ``damping`` and ``mass`` real numbers.
     Returns a continuous system; it is stable whenever ``damping > 0``.
     """
     if check_integer(N, "N") < 2:
         raise BadParameters(f"chain needs at least 2 masses, got {N}")
-    if not 0 < stiffness < np.inf:
+    if not 0 < check_real(stiffness, "stiffness") < np.inf:
         raise BadParameters(f"stiffness must be positive and finite, got {stiffness}")
-    if not 0 <= damping < np.inf:
+    if not 0 <= check_real(damping, "damping") < np.inf:
         raise BadParameters(f"damping must be nonnegative and finite, got {damping}")
-    if not 0 < mass < np.inf:
+    if not 0 < check_real(mass, "mass") < np.inf:
         raise BadParameters(f"mass must be positive and finite, got {mass}")
     if seed is not None and check_integer(seed, "seed") < 0:
         raise BadParameters(f"seed must be >= 0, got {seed}")

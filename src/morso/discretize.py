@@ -82,27 +82,14 @@ DEFAULT_SCHEME = Scheme.FORWARD_VELOCITY
 _STEP_BLOCK_ENTRIES = 1 << 20
 
 
-def _entrywise(linear_map, mats):
-    """``linear_map(M, D, K)`` applied entry by entry: to dense matrices as
-    they are, or to sparse ones through their values on the union of their
-    patterns (zero where a matrix has no entry), so that every entry takes
-    the same arithmetic as in the dense matrices."""
-    if not _issparse(mats[0]):
-        return linear_map(*mats)
+def _divide(a, c):
+    """``a / c`` entry by entry for either storage: scipy divides a sparse
+    matrix by a scalar as a product with ``1 / c``, which rounds otherwise."""
+    if not _issparse(a):
+        return a / c
     from scipy.sparse import csr_array
 
-    shape = mats[0].shape
-    coo = [m.tocoo() for m in mats]
-    keys = [c.row.astype(np.int64) * shape[1] + c.col for c in coo]
-    union = np.unique(np.concatenate(keys))
-    values = []
-    for c, k in zip(coo, keys):
-        v = np.zeros(union.size)
-        v[np.searchsorted(union, k)] = c.data
-        values.append(v)
-    rows, cols = np.divmod(union, shape[1])
-    return tuple(csr_array((v, (rows, cols)), shape=shape)
-                 for v in linear_map(*values))
+    return csr_array((a.data / c, a.indices, a.indptr), shape=a.shape)
 
 
 def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):
@@ -113,7 +100,8 @@ def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):
     sos : SecondOrderSystem
         Continuous system.
     h : float
-        Positive finite step size.
+        Positive finite step size: a Python or numpy real number, not a
+        string (BadParameters).
     scheme : Scheme or str, optional
         Velocity difference to use, as a member or its name (default:
         forward).  An unknown name raises BadParameters.
@@ -145,15 +133,15 @@ def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):
     h = _checked_step(h, NonPositiveStep)
     h2 = h * h
 
-    def scheme_map(M, D, K):
-        if scheme is Scheme.FORWARD_VELOCITY:
-            return (M + h * D) / h2, (h2 * K - 2.0 * M - h * D) / h2, M / h2
-        if scheme is Scheme.BACKWARD_VELOCITY:
-            return M / h2, (h2 * K - 2.0 * M + h * D) / h2, (M - h * D) / h2
-        return ((2.0 * M + h * D) / (2.0 * h2), (h2 * K - 2.0 * M) / h2,
-                (2.0 * M - h * D) / (2.0 * h2))
-
-    Mb, Db, Kb = _entrywise(scheme_map, (sos.M, sos.D, sos.K))
+    M, D, K = sos.M, sos.D, sos.K
+    if scheme is Scheme.FORWARD_VELOCITY:
+        Mb, Db, Kb, c = M + h * D, h2 * K - 2.0 * M - h * D, M, h2
+    elif scheme is Scheme.BACKWARD_VELOCITY:
+        Mb, Db, Kb, c = M, h2 * K - 2.0 * M + h * D, M - h * D, h2
+    else:
+        Mb, Db, Kb, c = (2.0 * M + h * D, h2 * K - 2.0 * M, 2.0 * M - h * D,
+                         2.0 * h2)
+    Mb, Db, Kb = _divide(Mb, c), _divide(Db, h2), _divide(Kb, c)
     dsos = SecondOrderSystem(Mb, Db, Kb, sos.F, sos.G, h=h)
     if stability_check and not _certified_stable(dsos):
         try:
@@ -240,16 +228,14 @@ def inverse_discretize(dsos, scheme=DEFAULT_SCHEME):
     h = dsos.h
     h2 = h * h
 
-    def inverse_map(Mb, Db, Kb):
-        if scheme is Scheme.FORWARD_VELOCITY:
-            M = h2 * Kb
-        elif scheme is Scheme.BACKWARD_VELOCITY:
-            M = h2 * Mb
-        else:
-            M = h2 * (Mb + Kb) / 2.0
-        return M, h * (Mb - Kb), Mb + Db + Kb
-
-    M, D, K = _entrywise(inverse_map, (dsos.M, dsos.D, dsos.K))
+    Mb, Db, Kb = dsos.M, dsos.D, dsos.K
+    if scheme is Scheme.FORWARD_VELOCITY:
+        M = h2 * Kb
+    elif scheme is Scheme.BACKWARD_VELOCITY:
+        M = h2 * Mb
+    else:
+        M = h2 * (Mb + Kb) / 2.0
+    D, K = h * (Mb - Kb), Mb + Db + Kb
     return SecondOrderSystem(M, D, K, dsos.F, dsos.G, h=None)
 
 

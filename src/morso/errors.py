@@ -1,6 +1,7 @@
-"""Exception and warning types shared across the package, and the one
-check of integer parameters."""
+"""Exception and warning types shared across the package, and the checks
+of integer and real parameters."""
 
+import numbers
 import operator
 
 
@@ -88,6 +89,18 @@ def check_integer(value, name):
         return operator.index(value)
     except TypeError:
         raise BadParameters(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_real(value, name):
+    """`value` as a Python float if it is a real number: a Python or numpy
+    integer or float (``numbers.Real``).  Raises BadParameters otherwise,
+    also for a string such as ``'0.5'``."""
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise BadParameters(f"{name} must be a real number, got {value!r}")
 
 
 class ParseError(ValidationError):

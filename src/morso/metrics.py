@@ -16,7 +16,7 @@ import numpy as np
 
 from .discretize import DEFAULT_SCHEME, Scheme, discretize, inverse_discretize
 from .errors import (BadParameters, DimensionMismatch, DomainMismatch,
-                     check_integer)
+                     check_integer, check_real)
 from .mmio import text_output
 
 __all__ = [
@@ -68,6 +68,8 @@ class FrequencyGrid:
     def log_continuous(cls, omega_min=DEFAULT_OMEGA_MIN, omega_max=DEFAULT_OMEGA_MAX,
                        count=DEFAULT_GRID_COUNT):
         _check_count(count)
+        omega_min = check_real(omega_min, "omega_min")
+        omega_max = check_real(omega_max, "omega_max")
         if not 0 < omega_min < omega_max < np.inf:
             raise BadParameters(
                 f"need 0 < omega_min < omega_max < inf, got "

@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     RankCollapse,
     ShrunkRankWarning,
+    check_real,
 )
 from .systems import SecondOrderSystem, _dense, linearize
 
@@ -61,9 +62,10 @@ class ProjectionPair:
 
 
 def check_rank_tol(rank_tol):
-    """Raise BadParameters if ``rank_tol`` is NaN or above 1, which would
-    discard every direction of :func:`build_projection`."""
-    if not rank_tol <= 1:
+    """Raise BadParameters if ``rank_tol`` is not a real number, or is NaN
+    or above 1, which would discard every direction of
+    :func:`build_projection`."""
+    if not check_real(rank_tol, "rank_tol") <= 1:
         raise BadParameters(f"rank_tol must be at most 1, got {rank_tol}")
 
 
@@ -80,8 +82,8 @@ def build_projection(S, R, rank_tol=1e-12):
     DimensionMismatch
         If S and R are not matrices of one shape with at least one column.
     BadParameters
-        If ``rank_tol`` is NaN or above 1, which would discard every
-        direction.
+        If ``rank_tol`` is not a real number, or is NaN or above 1, which
+        would discard every direction.
     RankCollapse
         If ``S^T R`` is numerically zero (the subspaces are orthogonal,
         which signals a failed recursion).

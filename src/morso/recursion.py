@@ -36,6 +36,7 @@ from .errors import (
     RankCollapseWarning,
     SvdFailure,
     check_integer,
+    check_real,
 )
 from .mmio import text_output
 
@@ -63,7 +64,7 @@ class RecursionConfig:
     bounded by ``max_steps``.  ``max_steps`` bounds only that rule, so it
     needs ``angle_tol``.  ``n``, ``seed``, ``tau`` and ``max_steps`` must be
     integers (numpy integers included): ``n``, ``tau`` and ``max_steps`` at
-    least 1, ``seed`` at least 0.
+    least 1, ``seed`` at least 0.  ``angle_tol`` must be a real number.
     """
 
     n: int
@@ -81,7 +82,8 @@ class RecursionConfig:
                 raise BadParameters(f"{name} must be >= {least}, got {value}")
         if self.tau is not None and self.angle_tol is not None:
             raise BadParameters("give either tau or angle_tol, not both")
-        if self.angle_tol is not None and not 0.0 < self.angle_tol < 1.0:
+        if (self.angle_tol is not None
+                and not 0.0 < check_real(self.angle_tol, "angle_tol") < 1.0):
             raise BadParameters(
                 f"angle_tol must lie in (0, 1), got {self.angle_tol}"
             )

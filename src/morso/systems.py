@@ -32,6 +32,7 @@ from .errors import (
     SingularAtPoint,
     SingularMass,
     ZeroPoint,
+    check_real,
 )
 
 __all__ = [
@@ -110,8 +111,9 @@ def _checked_matrix(mat, values, name):
 
 
 def _checked_step(h, error):
-    """``float(h)``, raising ``error`` unless it is a positive finite step."""
-    h = float(h)
+    """``h`` as a float, raising BadParameters unless it is a real number
+    and ``error`` unless it is a positive finite step."""
+    h = check_real(h, "discrete step h")
     if not 0 < h < np.inf:
         raise error(f"discrete step h must be positive and finite, got {h}")
     return h

@@ -80,6 +80,15 @@ class TestMsdChain:
         with pytest.raises(BadParameters, match=f"^{name} must be an integer"):
             generate_msd_chain(**kwargs)
 
+    @pytest.mark.parametrize("name, value", [
+        ("stiffness", None), ("damping", "0.5"), ("mass", "1"),
+    ])
+    def test_constants_must_be_real(self, name, value):
+        """These used to end in a TypeError from the comparison."""
+        with pytest.raises(BadParameters,
+                           match=f"^{name} must be a real number, got "):
+            generate_msd_chain(4, **{name: value})
+
     def test_numpy_integer_size_and_seed(self):
         a = generate_msd_chain(np.int64(5), seed=np.int32(1))
         b = generate_msd_chain(5, seed=1)

@@ -195,6 +195,23 @@ def test_non_finite_step_rejected_before_any_matrix(h):
             discretize(chain, h)
 
 
+@pytest.mark.parametrize("h", ["abc", None, "0.5"])
+def test_step_must_be_real(h):
+    """'abc' used to raise a bare ValueError, None a TypeError, and '0.5'
+    was taken as 0.5."""
+    with pytest.raises(BadParameters,
+                       match="^discrete step h must be a real number, got "):
+        discretize(generate_msd_chain(4), h)
+
+
+def test_numpy_real_steps():
+    chain = generate_msd_chain(4)
+    for h, value in ((np.float32(0.5), 0.5), (np.int64(1), 1.0)):
+        d = discretize(chain, h)
+        assert type(d.h) is float and d.h == value
+        assert d.M.tobytes() == discretize(chain, value).M.tobytes()
+
+
 def test_unstable_discretization_warns():
     chain = generate_msd_chain(6, damping=0.3)
     with pytest.warns(UnstableDiscretizationWarning):
@@ -213,6 +230,24 @@ def test_non_symmetric_model_is_decided_by_its_spectra():
     assert stability_report(dsos).margin == pytest.approx(-1.94, abs=5e-3)
     warned, dsos = _warns(sos, 0.5, DEFAULT_SCHEME)
     assert not warned and stability_report(dsos).is_stable
+
+
+@pytest.mark.parametrize("mdk, h", [
+    ((-1.0, 1.0, 1.0), None), ((1.0, -0.1, 1.0), None),
+    ((1.0, 1.0, -1.0), None), ((1.0, 0.0, 2.0), 1.0),
+    ((1.0, -2.0, 0.5), 1.0), ((1.0, 2.0, 0.5), 1.0),
+    ((1.0, 1e-11, 1.0), None), ((1.0, 0.0, 1.0 - 1e-12), 1.0),
+], ids=["mass", "damping", "stiffness", "Mb-Kb", "Mb+Db+Kb", "Mb-Db+Kb",
+        "continuous-margin", "discrete-margin"])
+def test_certificate_refuses_each_failed_condition(mdk, h):
+    """Scalar models that fail exactly one condition of the certificate,
+    each not stable by its spectrum: the continuous conditions on M, D and
+    K, the three Jury conditions, and a stable model whose margin (5e-12
+    and 5e-13) is below MARGINAL_TOL, which only the shift or scaling by
+    MARGINAL_TOL refuses."""
+    sos = SecondOrderSystem(*mdk, 1.0, 1.0, h=h)
+    assert not stability_report(sos).is_stable
+    assert not discretize_module._certified_stable(sos)
 
 
 @pytest.mark.parametrize("P", [np.diag([1.0, -1.0]), np.diag([1.0, 0.0])],

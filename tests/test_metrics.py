@@ -59,6 +59,19 @@ class TestGrid:
                                match="^grid count must be an integer, got "):
                 grid(count)
 
+    @pytest.mark.parametrize("bounds, name", [
+        (("1", 10.0), "omega_min"), ((1.0, None), "omega_max"),
+    ], ids=["string-min", "none-max"])
+    def test_bounds_must_be_real(self, bounds, name):
+        """A string bound used to end in a TypeError from the comparison."""
+        with pytest.raises(BadParameters,
+                           match=f"^{name} must be a real number, got "):
+            FrequencyGrid.log_continuous(*bounds, count=5)
+
+    def test_numpy_real_bounds(self):
+        g = FrequencyGrid.log_continuous(np.float32(1), np.int64(10), 3)
+        assert g.parameters.tobytes() == np.geomspace(1.0, 10.0, 3).tobytes()
+
     def test_numpy_integer_count(self):
         g = FrequencyGrid.unit_circle(np.int64(10))
         assert len(g.points) == 10 and g.parameters[-1] == np.pi

@@ -249,6 +249,18 @@ def _outcome(path, fast_min_chars, block_chars):
     return a.shape, a.tobytes()
 
 
+@pytest.mark.parametrize("line", _MISREAD)
+def test_fast_array_reader_misread_line(tmp_path, line):
+    """Each line scipy's C++ reader misreads, as the middle value of a 3x1
+    array file, reads to the same bytes or the same error and line with the
+    size gate at 0 as with the gate above the file's size."""
+    text = f"%%MatrixMarket matrix array real general\n3 1\n1.5\n{line}\n-2.5\n"
+    path = tmp_path / "misread.mtx"
+    path.write_text(text)
+    assert (_outcome(path, 0, mmio._BLOCK_CHARS)
+            == _outcome(path, len(text) + 1, mmio._BLOCK_CHARS))
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_fast_array_reader_matches_python_reader(tmp_path_factory, data):

@@ -60,6 +60,13 @@ class TestBuildProjection:
         with pytest.raises(DimensionMismatch, match="at least one column"):
             build_projection(np.zeros(shape), np.zeros(shape))
 
+    def test_rank_tol_must_be_real(self):
+        """A string tolerance used to end in a TypeError from the comparison."""
+        S = np.eye(6)[:, :2]
+        with pytest.raises(BadParameters,
+                           match="^rank_tol must be a real number, got '1e-7'"):
+            build_projection(S, S, rank_tol="1e-7")
+
     def test_orthogonal_subspaces_collapse(self):
         S = np.zeros((6, 2))
         S[0, 0] = S[1, 1] = 1.0

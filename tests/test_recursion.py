@@ -360,6 +360,14 @@ def test_config_integers_must_be_integers(kwargs, name):
         RecursionConfig(**kwargs)
 
 
+@pytest.mark.parametrize("angle_tol", ["0.1", [0.1]], ids=["string", "list"])
+def test_config_angle_tol_must_be_real(angle_tol):
+    """A string tolerance used to end in a TypeError from the comparison."""
+    with pytest.raises(BadParameters,
+                       match="^angle_tol must be a real number, got "):
+        RecursionConfig(n=2, angle_tol=angle_tol)
+
+
 def test_config_accepts_numpy_integers():
     config = RecursionConfig(n=np.int64(2), seed=np.uint8(3), tau=np.int32(4))
     dsos = random_stable_discrete(4, 6)

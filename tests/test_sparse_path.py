@@ -26,6 +26,7 @@ from morso.discretize import (
     _certified_stable,
     _positive_definite,
     discretize,
+    inverse_discretize,
 )
 from morso.errors import (
     BadParameters,
@@ -314,23 +315,14 @@ def _sparse_symmetric(rng, N, diagonal_weight):
        weights=st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)),
        h=st.sampled_from([0.05, 0.2, 0.5]), scheme=st.sampled_from(Scheme))
 def test_sparse_storage_matches_dense_twin(N, seed, weights, h, scheme):
-    """Discretize matrices equal to the sign of zero, the same certificate
-    verdict, and mass solves and transfers within 1e-12 relative."""
+    """Discretize and inverse_discretize matrices equal to the sign of zero,
+    the same certificate verdict, and mass solves and transfers within
+    1e-12 relative."""
     rng = np.random.default_rng(seed)
     M = _sparse_symmetric(rng, N, 2.0)
     D, K = (_sparse_symmetric(rng, N, w) for w in weights)
     F, G = rng.standard_normal((N, 2)), rng.standard_normal((2, N))
-    sparse = SecondOrderSystem(M, D, K, F, G)
-    with mock.patch.object(systems, "SPARSE_DENSITY", 0.0):
-        dense = SecondOrderSystem(M, D, K, F, G)
-        dense_d = discretize(dense, h, scheme, stability_check=False)
-    sparse_d = discretize(sparse, h, scheme, stability_check=False)
-    assert sparse.is_sparse and sparse_d.is_sparse
-    assert not dense.is_sparse and not dense_d.is_sparse
-
-    for role in ("M", "D", "K"):
-        assert (getattr(sparse_d, role).toarray().tobytes()
-                == (getattr(dense_d, role) + 0.0).tobytes())
+    sparse, sparse_d, dense, dense_d = _scheme_twins(M, D, K, F, G, h, scheme)
     for a, b in ((sparse, dense), (sparse_d, dense_d)):
         assert _certified_stable(a) == _certified_stable(b)
 
@@ -344,6 +336,46 @@ def test_sparse_storage_matches_dense_twin(N, seed, weights, h, scheme):
                 assert close(getattr(a, solve)(x), getattr(b, solve)(x))
     assert close(sparse.transfer(3 + 4j), dense.transfer(3 + 4j))
     assert close(sparse_d.transfer(2.0), dense_d.transfer(2.0))
+
+
+def _scheme_twins(M, D, K, F, G, h, scheme):
+    """The system of M, D, K, F, G and its discretization, stored sparse and
+    stored dense, after checking that the sparse discretization and its
+    inverse equal their dense twins byte for byte, up to the sign of zero."""
+    sparse = SecondOrderSystem(M, D, K, F, G)
+    sparse_d = discretize(sparse, h, scheme, stability_check=False)
+    sparse_c = inverse_discretize(sparse_d, scheme)
+    with mock.patch.object(systems, "SPARSE_DENSITY", 0.0):
+        dense = SecondOrderSystem(M, D, K, F, G)
+        dense_d = discretize(dense, h, scheme, stability_check=False)
+        dense_c = inverse_discretize(dense_d, scheme)
+    assert sparse.is_sparse and sparse_d.is_sparse and sparse_c.is_sparse
+    assert not (dense.is_sparse or dense_d.is_sparse or dense_c.is_sparse)
+    for a, b in ((sparse_d, dense_d), (sparse_c, dense_c)):
+        for role in ("M", "D", "K"):
+            assert (getattr(a, role).toarray().tobytes()
+                    == (getattr(b, role) + 0.0).tobytes())
+    return sparse, sparse_d, dense, dense_d
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_scheme_maps_on_distinct_patterns(scheme):
+    """M diagonal, D on every other off-diagonal pair and K pentadiagonal,
+    at the non-dyadic h = 0.1: the sums take entries that only one or two
+    of the matrices have, and the divisions by h^2 and 2 h^2 round."""
+    N = 200
+    rng = np.random.default_rng(7)
+    M = scipy.sparse.diags_array(rng.uniform(1.0, 2.0, N))
+    off = rng.uniform(-0.3, 0.3, N - 1)
+    off[::2] = 0.0
+    D = scipy.sparse.diags_array([off, rng.uniform(1.0, 2.0, N), off],
+                                 offsets=[-1, 0, 1])
+    o1, o2 = rng.uniform(-1.0, 0.0, N - 1), rng.uniform(-0.5, 0.0, N - 2)
+    K = scipy.sparse.diags_array([o2, o1, rng.uniform(4.0, 5.0, N), o1, o2],
+                                 offsets=[-2, -1, 0, 1, 2])
+    F, G = rng.standard_normal((N, 2)), rng.standard_normal((2, N))
+    assert len({frozenset(zip(*a.nonzero())) for a in (M, D, K)}) == 3
+    _scheme_twins(M, D, K, F, G, 0.1, scheme)
 
 
 def test_certificate_rejects_indefinite_sparse_matrix():

@@ -7,6 +7,7 @@ from scipy.sparse.linalg import splu
 from morso.bench import generate_msd_chain
 from morso.discretize import discretize
 from morso.errors import (
+    BadParameters,
     ConditioningWarning,
     DimensionMismatch,
     SingularAtPoint,
@@ -76,6 +77,14 @@ class TestConstruction:
     def test_first_order_step_positive_and_finite(self, h):
         with pytest.raises(DimensionMismatch, match="positive and finite"):
             FirstOrderSystem([[0.5]], [[1.0]], [[1.0]], h=h)
+
+    def test_step_must_be_real(self):
+        for make in (lambda: SecondOrderSystem(1, 0, 1, 1, 1, h="0.5"),
+                     lambda: FirstOrderSystem([[0.5]], [[1.0]], [[1.0]],
+                                              h="0.5")):
+            with pytest.raises(BadParameters, match="^discrete step h must "
+                               "be a real number, got '0.5'$"):
+                make()
 
 
 class TestValidation:
