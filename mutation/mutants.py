@@ -114,6 +114,31 @@ MUTANTS = (
         ("tests/test_metrics.py::TestGrid::test_count_must_be_an_integer",),
     ),
     Mutant(
+        "tau-with-angle-tol-accepted", RECURSION,
+        "if self.tau is not None and self.angle_tol is not None:",
+        "if False:",
+        ("tests/test_recursion.py::test_config_tau_conflicts_with_angle_tol",
+         "tests/test_cli.py::test_compare_tau_with_config_angle_tol_exit_1"),
+    ),
+    Mutant(
+        "angle-tol-without-upper-bound", RECURSION,
+        'not 0.0 < check_real(self.angle_tol, "angle_tol") < 1.0):',
+        'not 0.0 < check_real(self.angle_tol, "angle_tol")):',
+        ("tests/test_recursion.py::test_config_angle_tol_must_lie_in_unit_"
+         "interval[1.0]",
+         "tests/test_recursion.py::test_config_angle_tol_must_lie_in_unit_"
+         "interval[1.5]"),
+    ),
+    Mutant(
+        "angle-tol-without-lower-bound", RECURSION,
+        'not 0.0 < check_real(self.angle_tol, "angle_tol") < 1.0):',
+        'not check_real(self.angle_tol, "angle_tol") < 1.0):',
+        ("tests/test_recursion.py::test_config_angle_tol_must_lie_in_unit_"
+         "interval[0.0]",
+         "tests/test_recursion.py::test_config_angle_tol_must_lie_in_unit_"
+         "interval[-0.1]"),
+    ),
+    Mutant(
         "max-steps-without-angle-tol", RECURSION,
         "if self.max_steps is not None and self.angle_tol is None:",
         "if False:",
@@ -180,10 +205,26 @@ MUTANTS = (
          "condition[discrete-margin]"),
     ),
     Mutant(
-        "csr-division-by-reciprocal", DISCRETIZE,
+        "csr-division-by-reciprocal", SYSTEMS,
         "a.data / c",
         "a.data * (1.0 / c)",
-        ("tests/test_sparse_path.py::test_scheme_maps_on_distinct_patterns",),
+        ("tests/test_sparse_path.py::test_scheme_maps_on_distinct_patterns",
+         "tests/test_sparse_path.py::test_characteristic_and_transfer_match_"
+         "dense_twin"),
+    ),
+    Mutant(
+        "symmetry-check-dense-passes-anything", DISCRETIZE,
+        "    return np.array_equal(P, P.T)\n",
+        "    return True\n",
+        ("tests/test_discretize.py::test_non_symmetric_model_is_decided_by_"
+         "its_spectra",),
+    ),
+    Mutant(
+        "symmetry-check-sparse-passes-anything", DISCRETIZE,
+        "        return (P != P.T).nnz == 0\n",
+        "        return True\n",
+        ("tests/test_sparse_path.py::test_certificate_refuses_non_symmetric_"
+         "sparse_model",),
     ),
     # -- the stacked iterate ------------------------------------------------
     Mutant(
@@ -282,10 +323,44 @@ MUTANTS = (
     ),
     Mutant(
         "non-finite-lu-accepted", SYSTEMS,
-        "if info > 0 or np.count_nonzero(np.isfinite(lu)) < lu.size:",
+        "if info > 0 or not _all_finite(lu):",
         "if info > 0:",
         ("tests/test_systems.py::test_overflowing_lu_is_a_failed_"
          "factorization",),
+    ),
+    # -- tridiagonal point factors ---------------------------------------------
+    Mutant(
+        "band-non-finite-entry-unchecked", SYSTEMS,
+        "        if not math.isfinite(anorm) and not _all_finite(*mat):\n"
+        '            raise self._error("nonfinite")\n',
+        "",
+        ("tests/test_transfer_grid.py::test_grid_fails_at_first_overflowing_"
+         "point",
+         "tests/test_transfer_grid.py::test_band_failures_are_the_dense_"
+         "failures"),
+    ),
+    Mutant(
+        "band-non-finite-factor-accepted", SYSTEMS,
+        "if info > 0 or not _all_finite(*lu[:4]):",
+        "if info > 0:",
+        ("tests/test_systems.py::test_overflowing_lu_is_a_failed_"
+         "factorization",),
+    ),
+    Mutant(
+        "band-rcond-unchecked", SYSTEMS,
+        "        return gtcon(*lu, anorm)[0]\n",
+        "        return 1.0\n",
+        ("tests/test_transfer_grid.py::test_grid_fails_at_first_numerically_"
+         "singular_point",
+         "tests/test_transfer_grid.py::test_band_failures_are_the_dense_"
+         "failures"),
+    ),
+    Mutant(
+        "band-one-norm-drops-super-diagonal", SYSTEMS,
+        "anorms = _one_norms(mats).tolist()",
+        "anorms = _one_norms(mats if bands is None else mats[:, 1:]).tolist()",
+        ("tests/test_transfer_grid.py::test_band_one_norms_are_the_matrix_"
+         "one_norms",),
     ),
     # -- dense Matrix Market through scipy's C++ reader and writer -------------
     Mutant(

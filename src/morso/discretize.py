@@ -39,6 +39,7 @@ from .systems import (
     SecondOrderSystem,
     _checked_step,
     _dense,
+    _divide,
     _issparse,
     stability_report,
 )
@@ -80,16 +81,6 @@ DEFAULT_SCHEME = Scheme.FORWARD_VELOCITY
 # Entries of K that default_step densifies at a time from sparse storage
 # (8 MB of float64).
 _STEP_BLOCK_ENTRIES = 1 << 20
-
-
-def _divide(a, c):
-    """``a / c`` entry by entry for either storage: scipy divides a sparse
-    matrix by a scalar as a product with ``1 / c``, which rounds otherwise."""
-    if not _issparse(a):
-        return a / c
-    from scipy.sparse import csr_array
-
-    return csr_array((a.data / c, a.indices, a.indptr), shape=a.shape)
 
 
 def discretize(sos, h, scheme=DEFAULT_SCHEME, *, stability_check=True):

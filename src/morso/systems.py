@@ -135,10 +135,36 @@ def _dense(a):
     return a.toarray() if _issparse(a) else a
 
 
-# Most bytes of dense characteristic matrices that a grid of points builds
-# at a time.  The points of one chunk are built and normed together and
-# then factored one by one, so a grid never holds more than this (or one
-# matrix, if that is larger) of them.
+def _divide(a, c):
+    """``a / c`` entry by entry for either storage: scipy divides a sparse
+    matrix by a scalar as a product with ``1 / c``, which rounds otherwise."""
+    if not _issparse(a):
+        return a / c
+    from scipy.sparse import csr_array
+
+    return csr_array((a.data / c, a.indices, a.indptr), shape=a.shape)
+
+
+def _band(a):
+    """The tridiagonal band of a square ndarray or CSR matrix `a`, in
+    LAPACK's band layout: a ``(3, N)`` array whose row 0 holds the
+    super-diagonal in columns 1 to N-1, row 1 the diagonal and row 2 the
+    sub-diagonal in columns 0 to N-2, so that column j holds the entries of
+    column j of `a` in row order, and zeros elsewhere.  None when `a` has a
+    nonzero entry off those three diagonals.  It reads ``diagonal(k)`` and
+    a count of nonzeros, so it never densifies a CSR `a`."""
+    diagonals = [a.diagonal(k) for k in (1, 0, -1)]
+    if sum(map(np.count_nonzero, diagonals)) < _nonzeros(a):
+        return None
+    band = np.zeros((3, a.shape[0]))
+    band[0, 1:], band[1], band[2, :-1] = diagonals
+    return band
+
+
+# Most bytes of characteristic matrices (dense, or tridiagonal bands) that a
+# grid of points builds at a time.  The points of one chunk are built and
+# normed together and then factored one by one, so a grid never holds more
+# than this (or one matrix, if that is larger) of them.
 _CHUNK_BYTES = 64 * 1024
 
 # What a failed factor of the mass matrix, and of the characteristic matrix
@@ -158,23 +184,38 @@ _POINT_FAILURE = SingularAtPoint, {
                 "{point} (rcond={rcond:.2e})",
 }
 
+# The LAPACK factor, condition estimate and solve of a general and of a
+# tridiagonal matrix.
+_GENERAL = ("getrf", "gecon", "getrs")
+_TRIDIAGONAL = ("gttrf", "gtcon", "gttrs")
+
 
 @functools.cache
-def _lapack(dtype):
-    """LAPACK ``getrf``, ``gecon`` and ``getrs`` for arrays of `dtype`."""
-    return get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=dtype)
+def _lapack(names, dtype):
+    """The LAPACK routines `names` for arrays of `dtype`."""
+    return get_lapack_funcs(names, dtype=dtype)
 
 
 def _one_norms(mats):
     """1-norm (largest absolute column sum) of a matrix, or of each matrix
     of a stack, as ``np.linalg.norm(mat, 1)``.  It is not finite exactly
-    when a matrix has a non-finite entry or its column sums overflow."""
+    when a matrix has a non-finite entry or its column sums overflow.  A
+    band of :func:`_band`'s layout holds each column's entries in row
+    order, so its norm is, bit for bit, that of its matrix."""
     return np.abs(mats).sum(axis=-2).max(axis=-1)
 
 
+def _all_finite(*arrays):
+    """Whether every entry of `arrays` is finite: one count_nonzero over
+    one array, which is quicker than all() on the small arrays of a grid."""
+    a = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=None)
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 class _Factor:
-    """Checked LU factor of a square dense ndarray or CSR matrix `mat`: the
-    mass matrix, or the characteristic matrix at `point`.
+    """Checked LU factor of the mass matrix, or of the characteristic
+    matrix at `point`, in one of three storages: a square dense ndarray, a
+    CSR matrix or a tridiagonal triple.
 
     A dense `mat` is factored by LAPACK ``getrf`` and solved by ``getrs``:
     the results of ``scipy.linalg.lu_factor``/``lu_solve`` without their
@@ -185,7 +226,12 @@ class _Factor:
     ``1 / (||mat||_1 est)``, where ``est`` is the one-column
     ``scipy.sparse.linalg.onenormest`` of ``mat^{-1}`` (the Hager-Higham
     estimator of ``gecon``), applied through the factor's solves; it draws
-    no random vectors, so it is the same on every call.
+    no random vectors, so it is the same on every call.  A tuple ``(dl, d,
+    du)`` of the sub-, main and super-diagonal of a tridiagonal matrix of
+    order at least 3, given with its 1-norm `anorm`, is factored in place
+    by ``gttrf`` and solved by ``gttrs``, which, as ``getrs``, returns
+    Fortran-ordered solves; its ``rcond`` is the ``gtcon`` estimate, by the
+    same estimator.
 
     Raises SingularMass, or SingularAtPoint naming `point`, at the first
     check that fails, in this order: `mat` has a non-finite entry (looked
@@ -196,21 +242,15 @@ class _Factor:
 
     def __init__(self, mat, point=None, anorm=None):
         self._point = point
-        self._sparse = not isinstance(mat, np.ndarray)
-        if self._sparse:
-            rcond = self._splu(mat)
+        if isinstance(mat, tuple):
+            self._kind = "tridiagonal"
+            rcond = self._gttrf(mat, anorm)
+        elif isinstance(mat, np.ndarray):
+            self._kind = "dense"
+            rcond = self._getrf(mat, anorm)
         else:
-            if anorm is None:
-                mat, anorm = np.array(mat, order="F"), float(_one_norms(mat))
-            getrf, gecon, _ = _lapack(mat.dtype)
-            if not math.isfinite(anorm) and not np.isfinite(mat).all():
-                raise self._error("nonfinite")
-            lu, piv, info = getrf(mat, overwrite_a=True)
-            # count_nonzero: a quicker all() on the small matrices of a grid
-            if info > 0 or np.count_nonzero(np.isfinite(lu)) < lu.size:
-                raise self._error("broken")
-            self._lu = lu, piv
-            rcond = gecon(lu, anorm)[0]
+            self._kind = "sparse"
+            rcond = self._splu(mat)
         rcond_min = 0.0 if point is None else _RCOND_SINGULAR
         if rcond == 0.0 or not math.isfinite(rcond) or rcond < rcond_min:
             raise self._error("singular", rcond)
@@ -220,6 +260,32 @@ class _Factor:
         error, messages = (_MASS_FAILURE if self._point is None
                            else _POINT_FAILURE)
         return error(messages[reason].format(point=self._point, rcond=rcond))
+
+    def _getrf(self, mat, anorm):
+        """``rcond`` of a dense `mat`, whose ``getrf`` factor it keeps."""
+        if anorm is None:
+            mat, anorm = np.array(mat, order="F"), float(_one_norms(mat))
+        getrf, gecon, _ = _lapack(_GENERAL, mat.dtype)
+        if not math.isfinite(anorm) and not np.isfinite(mat).all():
+            raise self._error("nonfinite")
+        lu, piv, info = getrf(mat, overwrite_a=True)
+        if info > 0 or not _all_finite(lu):
+            raise self._error("broken")
+        self._lu = lu, piv
+        return gecon(lu, anorm)[0]
+
+    def _gttrf(self, mat, anorm):
+        """``rcond`` of a tridiagonal triple `mat`, whose ``gttrf`` factor
+        it keeps."""
+        gttrf, gtcon, _ = _lapack(_TRIDIAGONAL, mat[1].dtype)
+        if not math.isfinite(anorm) and not _all_finite(*mat):
+            raise self._error("nonfinite")
+        *lu, info = gttrf(*mat, overwrite_dl=True, overwrite_d=True,
+                          overwrite_du=True)
+        if info > 0 or not _all_finite(*lu[:4]):
+            raise self._error("broken")
+        self._lu = lu
+        return gtcon(*lu, anorm)[0]
 
     def _splu(self, mat):
         """``rcond`` of a CSR `mat`, whose SuperLU factor it keeps."""
@@ -256,10 +322,14 @@ class _Factor:
         """``mat^{-1} rhs``, or ``mat^{-T} rhs`` when `trans` is set.  A real
         SuperLU factor solves a complex `rhs` as its real and imaginary
         parts."""
-        if not self._sparse:
+        if self._kind == "dense":
             lu, piv = self._lu
-            getrs = _lapack(np.promote_types(lu.dtype, rhs.dtype))[2]
+            getrs = _lapack(_GENERAL, np.promote_types(lu.dtype, rhs.dtype))[2]
             return getrs(lu, piv, rhs, trans=int(trans))[0]
+        if self._kind == "tridiagonal":
+            gttrs = _lapack(_TRIDIAGONAL,
+                            np.promote_types(self._lu[1].dtype, rhs.dtype))[2]
+            return gttrs(*self._lu, rhs, trans="T" if trans else "N")[0]
         lu = self._lu_t if trans else self._lu
         if not np.iscomplexobj(rhs) or np.iscomplexobj(self._mat.data):
             return lu.solve(rhs)
@@ -272,45 +342,58 @@ def _solve_grid(system, points):
     """Transfer matrices of `system` at `points`, a sequence of points as
     the caller gave them, as a ``(P, p, m)`` complex stack.
 
-    Dense storage builds the characteristic matrices of at most
-    ``_CHUNK_BYTES`` of points at a time with the expression of
-    ``characteristic`` and takes their 1-norms at once; CSR storage builds
-    each point's matrix alone.  Either way one :class:`_Factor` per point
-    factors, checks and solves it.  Every point must be nonzero for a
-    difference system.  Raises SingularAtPoint, naming the point as given,
-    at the first point in order whose matrix is not finite or is
-    (numerically) singular.
+    A second-order system with tridiagonal bands (``_bands``) builds the
+    ``(points, 3, N)`` bands of at most ``_CHUNK_BYTES`` of points at a
+    time with the expression of ``characteristic``, takes their 1-norms at
+    once and factors each point's band in place as a tridiagonal
+    :class:`_Factor`, for either storage: O(N) work and memory per point.
+    Other dense storage does the same with whole characteristic matrices,
+    each factored in place in a Fortran-ordered copy; other CSR storage
+    builds and factors each point's CSR matrix alone.  Every point must be
+    nonzero for a difference system.  Raises SingularAtPoint, naming the
+    point as given, at the first point in order whose matrix is not finite
+    or is (numerically) singular.
     """
     if isinstance(system, SecondOrderSystem):
         rhs, out, sparse = system.F, system.G, system.is_sparse
+        bands = system._bands
     else:
-        rhs, out, sparse = system.B, system.C, False
+        rhs, out, sparse, bands = system.B, system.C, False, None
     stack = np.empty((len(points), out.shape[0], rhs.shape[1]), complex)
-    if sparse:
+    if sparse and bands is None:
         for k, point in enumerate(points):
             stack[k] = out @ _Factor(system.characteristic(point),
                                      point).solve(rhs)
         return stack
     n = system.order
-    per_chunk = max(1, _CHUNK_BYTES // (16 * n * n))
+    per_chunk = max(1, _CHUNK_BYTES // (16 * n * (n if bands is None else 3)))
     size = min(per_chunk, len(points))
-    # The matrices are built in C order, which is fastest, and factored in
-    # place in a Fortran-ordered copy.  The solves are Fortran-ordered, as
-    # getrs returns them, so that one product per chunk gives the bits of
-    # one product per point.
-    lus = np.empty((size, n, n), complex).transpose(0, 2, 1)
+    # The matrices are built in C order, which is fastest; a dense one is
+    # factored in place in a Fortran-ordered copy, a band in place.  The
+    # solves are Fortran-ordered, as getrs and gttrs return them, so that
+    # one product per chunk gives the bits of one product per point.
+    if bands is None:
+        lus = np.empty((size, n, n), complex).transpose(0, 2, 1)
     solves = np.empty((size, rhs.shape[1], n), complex).transpose(0, 2, 1)
     rhs = np.asfortranarray(rhs, dtype=complex)
     out = out.astype(complex)
     zs = np.asarray(points, dtype=complex)[:, None, None]
     for start in range(0, len(points), per_chunk):
         stop = min(start + per_chunk, len(points))
-        mats = system._characteristics(zs[start:stop])
-        lus[:stop - start] = mats
+        if bands is None:
+            mats = system._characteristics(zs[start:stop])
+        else:
+            mats = system._characteristics(zs[start:stop], *bands)
         anorms = _one_norms(mats).tolist()
-        del mats  # not to be held while the next chunk is built
+        if bands is None:
+            lus[:stop - start] = mats
+            mats = lus
         for k, anorm in enumerate(anorms):
-            solves[k] = _Factor(lus[k], points[start + k], anorm).solve(rhs)
+            mat = mats[k]
+            if bands is not None:
+                mat = mat[2, :-1], mat[1], mat[0, 1:]
+            solves[k] = _Factor(mat, points[start + k], anorm).solve(rhs)
+        del mats  # not to be held while the next chunk is built
         np.matmul(out, solves[:stop - start], out=stack[start:stop])
     return stack
 
@@ -370,6 +453,15 @@ class SecondOrderSystem:
     (N = 2000) and raise BadParameters above it.
     ``scipy.sparse`` is imported only when a sparse matrix is given, and
     ``scipy.sparse.linalg`` only when a system is stored sparse.
+
+    **Tridiagonal models.**  When none of M, D and K has an entry off its
+    tridiagonal band and N >= 3, as for a mass-spring-damper chain, the
+    first :meth:`transfer` caches their three diagonals (``_bands``), read
+    from either storage without densifying it.  Every point of
+    :meth:`transfer` is then built and factored as a tridiagonal band, in
+    O(N) work and memory.  The mass factor stays a general one: SuperLU
+    solves the recursion's multi-column blocks faster than ``gttrs``,
+    which solves one column at a time.
     """
 
     def __init__(self, M, D, K, F, G, h=None):
@@ -530,21 +622,25 @@ class SecondOrderSystem:
             raise ZeroPoint("discrete characteristic matrix is undefined at z = 0")
         return self._characteristics(pt)
 
-    def _characteristics(self, z):
+    def _characteristics(self, z, M=None, D=None, K=None):
         """``characteristic`` at a nonzero complex scalar `z`, or at each
         nonzero point of a ``(k, 1, 1)`` complex array `z` as a C-ordered
-        ``(k, N, N)`` stack (dense storage only), with the same bits.  The
-        sums are in place, so as to hold few temporaries, and each product
-        has a fresh output: numpy's complex products may round differently
-        in place."""
+        ``(k, N, N)`` stack (dense storage only), with the same bits.  Given
+        the bands of :attr:`_bands` as `M`, `D` and `K`, it builds the
+        ``(k, 3, N)`` bands of those matrices instead, entry by entry the
+        same arithmetic.  The sums are in place, so as to hold few
+        temporaries, and each product has a fresh output: numpy's complex
+        products may round differently in place."""
+        if M is None:
+            M, D, K = self.M, self.D, self.K
         if self.is_continuous:
-            P = self.M * z * z
-            P += self.D * z
-            P += self.K
+            P = M * z * z
+            P += D * z
+            P += K
         else:
-            P = self.M * z
-            P += self.D
-            P += self.K / z
+            P = M * z
+            P += D
+            P += _divide(K, z)
         return P
 
     def transfer(self, points):
@@ -581,6 +677,22 @@ class SecondOrderSystem:
         stack = np.array([memo[key] for key in keys], dtype=complex).reshape(
             len(keys), self.n_outputs, self.n_inputs)
         return stack[0] if single else stack
+
+    @cached_property
+    def _bands(self):
+        """Read-only ``(3, 3, N)`` stack of the tridiagonal bands of M, D
+        and K (see :func:`_band`), built on the first transfer, when none of
+        the three has an entry off its tridiagonal band and N >= 3 (below
+        that, LAPACK's ``gttrf`` wrapper takes no arrays); else None."""
+        if self.order < 3:
+            return None
+        bands = []
+        for mat in (self.M, self.D, self.K):
+            band = _band(mat)
+            if band is None:
+                return None
+            bands.append(band)
+        return _freeze(np.stack(bands))
 
     @cached_property
     def _transfers(self):

@@ -360,6 +360,19 @@ def test_config_integers_must_be_integers(kwargs, name):
         RecursionConfig(**kwargs)
 
 
+@pytest.mark.parametrize("angle_tol", [0.0, -0.1, 1.0, 1.5])
+def test_config_angle_tol_must_lie_in_unit_interval(angle_tol):
+    with pytest.raises(BadParameters, match=r"^angle_tol must lie in \(0, 1\), "
+                       f"got {angle_tol}$"):
+        RecursionConfig(n=2, angle_tol=angle_tol)
+
+
+def test_config_tau_conflicts_with_angle_tol():
+    with pytest.raises(BadParameters,
+                       match="^give either tau or angle_tol, not both$"):
+        RecursionConfig(n=2, tau=5, angle_tol=0.1)
+
+
 @pytest.mark.parametrize("angle_tol", ["0.1", [0.1]], ids=["string", "list"])
 def test_config_angle_tol_must_be_real(angle_tol):
     """A string tolerance used to end in a TypeError from the comparison."""

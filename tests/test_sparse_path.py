@@ -358,6 +358,21 @@ def _scheme_twins(M, D, K, F, G, h, scheme):
     return sparse, sparse_d, dense, dense_d
 
 
+def test_characteristic_and_transfer_match_dense_twin():
+    """On the N = 120 chain at h = 0.5 the CSR P(z) divides K by z entry by
+    entry, as the dense one does, so both storages give the same bytes of
+    ``characteristic`` and of ``transfer``."""
+    sparse = _chain(120)
+    with mock.patch.object(systems, "SPARSE_DENSITY", 0.0):
+        dense = SecondOrderSystem(sparse.M, sparse.D, sparse.K, sparse.F,
+                                  sparse.G, h=sparse.h)
+    assert sparse.is_sparse and not dense.is_sparse
+    for z in np.exp([0.7j, 0.05j, 2.9j]):
+        assert (sparse.characteristic(z).toarray().tobytes()
+                == dense.characteristic(z).tobytes())
+        assert sparse.transfer(z).tobytes() == dense.transfer(z).tobytes()
+
+
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
 def test_scheme_maps_on_distinct_patterns(scheme):
     """M diagonal, D on every other off-diagonal pair and K pentadiagonal,
@@ -376,6 +391,17 @@ def test_scheme_maps_on_distinct_patterns(scheme):
     F, G = rng.standard_normal((N, 2)), rng.standard_normal((2, N))
     assert len({frozenset(zip(*a.nonzero())) for a in (M, D, K)}) == 3
     _scheme_twins(M, D, K, F, G, 0.1, scheme)
+
+
+def test_certificate_refuses_non_symmetric_sparse_model():
+    """A damping entry above the diagonal with no twin below it leaves no
+    energy certificate, continuous or discrete, for sparse storage."""
+    sos = generate_msd_chain(80, damping=1.0, seed=80)
+    bump = scipy.sparse.csr_array(([0.1], ([0], [2])), shape=(80, 80))
+    skew = SecondOrderSystem(sos.M, sos.D + bump, sos.K, sos.F, sos.G)
+    assert skew.is_sparse and _certified_stable(sos)
+    assert not _certified_stable(skew)
+    assert not _certified_stable(discretize(skew, STEP, stability_check=False))
 
 
 def test_certificate_rejects_indefinite_sparse_matrix():
@@ -477,9 +503,18 @@ def test_sparse_mass_and_point_checks():
         sos = SecondOrderSystem(ill, zero, eye, F, G)
     assert sos.is_sparse
     assert sos.mass_condition == pytest.approx(1e14)
-    undamped = SecondOrderSystem(eye, zero, -eye, F, G)  # P(1) = 0
-    with pytest.raises(SingularAtPoint, match="singular at point"):
-        undamped.transfer(1.0)
+    # P(1) = K + I is 0, or, with K's top right corner set, a matrix whose
+    # one nonzero is off the tridiagonal band; each stored sparse and dense.
+    corner = scipy.sparse.csr_array(([1.0], ([0], [N - 1])), shape=(N, N))
+    for K, tridiagonal in ((-eye, True), (corner - eye, False)):
+        undamped = SecondOrderSystem(eye, zero, K, F, G)
+        with mock.patch.object(systems, "SPARSE_DENSITY", 0.0):
+            twin = SecondOrderSystem(eye, zero, K, F, G)
+        assert undamped.is_sparse and not twin.is_sparse
+        for sos in (undamped, twin):
+            assert (sos._bands is not None) == tridiagonal
+            with pytest.raises(SingularAtPoint, match="singular at point"):
+                sos.transfer(1.0)
 
 
 def test_sparse_condition_estimate_draws_no_random_numbers(monkeypatch):

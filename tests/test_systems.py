@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse.linalg import splu
 
 from morso.bench import generate_msd_chain
 from morso.discretize import discretize
@@ -138,21 +137,36 @@ class TestValidation:
 _OVERFLOWING_LU = np.array([[1.0, 1e308], [1.0, -1e308]])
 
 
+def _overflowing(N, tridiagonal):
+    """_OVERFLOWING_LU in the top left corner of an identity of order N;
+    with a 1 in the top right corner when not `tridiagonal`."""
+    a = np.eye(N)
+    a[:2, :2] = _OVERFLOWING_LU
+    if not tridiagonal:
+        a[0, -1] = 1.0
+    return a
+
+
 def test_overflowing_lu_is_a_failed_factorization():
     """A finite matrix whose LU factor overflows fails its factorization:
     as M, and, negated, as K of a continuous model with M = I and D = 0,
-    whose characteristic matrix at 0 it is, alone and first in a grid."""
-    with np.errstate(over="ignore"):
-        with pytest.raises(SingularMass, match=r"^mass matrix M is singular: "
-                           r"LU factorization failed$"):
-            SecondOrderSystem(_OVERFLOWING_LU, np.zeros((2, 2)), np.eye(2),
-                              np.ones((2, 1)), np.ones((1, 2)))
-        s = SecondOrderSystem(np.eye(2), np.zeros((2, 2)), -_OVERFLOWING_LU,
-                              np.ones((2, 1)), np.ones((1, 2)))
-        for points in (0j, [0j, 1j]):
-            with pytest.raises(SingularAtPoint, match=r"^characteristic "
-                               r"matrix is singular at point 0j$"):
-                s.transfer(points)
+    whose characteristic matrix at 0 it is, alone and first in a grid.
+    Of order 3, a tridiagonal one is factored as a band, and one with an
+    entry off the band as a general matrix."""
+    for N, tridiagonal in ((2, True), (3, True), (3, False)):
+        a = _overflowing(N, tridiagonal)
+        eye, zero = np.eye(N), np.zeros((N, N))
+        F, G = np.ones((N, 1)), np.ones((1, N))
+        with np.errstate(over="ignore"):
+            with pytest.raises(SingularMass, match=r"^mass matrix M is "
+                               r"singular: LU factorization failed$"):
+                SecondOrderSystem(a, zero, eye, F, G)
+            s = SecondOrderSystem(eye, zero, -a, F, G)
+            assert (s._bands is not None) == (tridiagonal and N >= 3)
+            for points in (0j, [0j, 1j]):
+                with pytest.raises(SingularAtPoint, match=r"^characteristic "
+                                   r"matrix is singular at point 0j$"):
+                    s.transfer(points)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "real factor, complex rhs"])
@@ -176,12 +190,40 @@ def test_lu_helper_matches_scipy(kind):
             scipy.linalg.lu_solve((ref_lu, ref_piv), b, trans=trans))
 
 
-def _complex_solve(P, F):
-    """``P^{-1} F`` by scipy, with P and F made complex first."""
+@pytest.mark.parametrize("trans", [False, True])
+def test_band_factor_matches_lapack(trans):
+    """A tridiagonal triple is factored in place by gttrf, its rcond is the
+    gtcon estimate and its solves are gttrs', Fortran-ordered."""
+    rng = np.random.default_rng(5)
+    N = 9
+    dl, d, du = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                 for n in (N - 1, N, N - 1))
+    b = rng.standard_normal((N, 2)) + 1j * rng.standard_normal((N, 2))
+    P = np.diag(dl, -1) + np.diag(d) + np.diag(du, 1)
+    anorm = np.linalg.norm(P, 1)
+    gttrf, gtcon, gttrs = scipy.linalg.get_lapack_funcs(
+        ("gttrf", "gtcon", "gttrs"), dtype=complex)
+    *lu, _ = gttrf(dl, d, du)
+    triple = dl.copy(), d.copy(), du.copy()
+    factor = _Factor(triple, 1j, anorm)
+    assert all(np.shares_memory(a, b) for a, b in zip(factor._lu, triple))
+    assert factor.rcond == gtcon(*lu, anorm)[0]
+    x = factor.solve(np.asfortranarray(b), trans=trans)
+    assert x.flags.f_contiguous
+    assert np.array_equal(x, gttrs(*lu, b, trans="T" if trans else "N")[0])
+    assert np.allclose((P.T if trans else P) @ x, b)
+
+
+def _complex_solve(P, F, tridiagonal=False):
+    """``P^{-1} F`` by scipy, with P and F made complex first: an LU solve,
+    or, for a `tridiagonal` P, scipy's tridiagonal solve (LAPACK ``gttrf``
+    and ``gttrs``) made Fortran-ordered, as ``gttrs`` returns it."""
     P, F = P.astype(complex), F.astype(complex)
-    if isinstance(P, np.ndarray):
-        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(P), F)
-    return splu(P.tocsc()).solve(F)
+    if tridiagonal:
+        return np.asfortranarray(scipy.linalg.solve(
+            P if isinstance(P, np.ndarray) else P.toarray(), F,
+            assume_a="tridiagonal"))
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(P), F)
 
 
 @pytest.mark.parametrize("N, sparse", [(32, False), (120, True)])
@@ -189,14 +231,16 @@ def _complex_solve(P, F):
 def test_transfer_is_a_solve_with_complex_matrices(N, sparse, h):
     """``transfer`` passes P and F as they are: its result is bit-identical
     to a solve with explicitly complex copies, for dense and sparse
-    storage, in both domains, and for the first-order form."""
+    storage, in both domains, and for the first-order form.  The chain's
+    P(z) is tridiagonal, so its reference is a tridiagonal solve."""
     sos = generate_msd_chain(N, damping=1.0, seed=1)
     if h is not None:
         sos = discretize(sos, h)
     assert sos.is_sparse == sparse
+    assert sos._bands is not None
     points = [0.3j, 1.5 + 0.2j] if h is None else np.exp([0.3j, 2.0j])
     for pt in points:
-        X = _complex_solve(sos.characteristic(pt), sos.F)
+        X = _complex_solve(sos.characteristic(pt), sos.F, tridiagonal=True)
         assert np.array_equal(sos.transfer(pt), sos.G @ X)
     if not sparse:
         fos = linearize(sos)

@@ -1,9 +1,12 @@
 """Transfer functions evaluated a grid at a time.
 
 ``transfer(points)`` must give, bit for bit, the stack of the one-point
-calls and of a scipy LU reference, fail at the first failing point with
-the error a one-point call raises there, and build no stack of
-characteristic matrices.
+calls and of a scipy reference, fail at the first failing point with the
+error a one-point call raises there, and build no stack of characteristic
+matrices.  The reference is an LU solve, or, where P(z) is tridiagonal and
+of order at least 3, scipy's tridiagonal solve made Fortran-ordered, as
+LAPACK ``gttrs`` returns it: numpy's product of ``G`` with equal solves of
+different layouts may round differently.
 """
 
 import tracemalloc
@@ -23,29 +26,43 @@ from morso.errors import SingularAtPoint, ZeroPoint
 from morso.systems import FirstOrderSystem, SecondOrderSystem
 
 
+def _tridiagonal(P):
+    """Whether P has order at least 3 and no entry off its tridiagonal."""
+    P = P if isinstance(P, np.ndarray) else P.toarray()
+    return len(P) >= 3 and not np.triu(P, 2).any() and not np.tril(P, -2).any()
+
+
 def _reference(P, F, G):
     """``G P^{-1} F`` by scipy, with P and F made complex first."""
     P, F = P.astype(complex), F.astype(complex)
-    if isinstance(P, np.ndarray):
+    if _tridiagonal(P):
+        P = P if isinstance(P, np.ndarray) else P.toarray()
+        X = np.asfortranarray(scipy.linalg.solve(P, F, assume_a="tridiagonal"))
+    elif isinstance(P, np.ndarray):
         X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(P), F)
     else:
         X = splu(P.tocsc()).solve(F)
     return G @ X
 
 
-def _second_order(rng, N, m, p, h, sparse):
-    """Random damped second-order model; banded, and so stored sparse, when
-    `sparse` is set."""
-    if sparse:
-        def band():
-            offsets = (-1, 0, 1)
-            diagonals = [rng.standard_normal(N - abs(k)) for k in offsets]
-            return scipy.sparse.diags_array(diagonals, offsets=offsets)
+def _second_order(rng, N, m, p, h, sparse, banded):
+    """Random damped second-order model: stored sparse when `sparse` is
+    set, tridiagonal when `banded` is set, else pentadiagonal when sparse
+    and full when dense."""
+    offsets = range(-1, 2) if banded else range(-2, 3)
 
-        M = scipy.sparse.diags_array(
-            [rng.uniform(-1, 1, N - 1), rng.uniform(3, 4, N),
-             rng.uniform(-1, 1, N - 1)], offsets=(-1, 0, 1))
-        D, K = band(), band()
+    def band(draw):
+        return scipy.sparse.diags_array(
+            [draw(N - abs(k)) for k in offsets], offsets=offsets)
+
+    if sparse or banded:
+        # M is diagonally dominant: entries in [-1, 1] plus [5, 6] on the
+        # diagonal
+        M = band(lambda n: rng.uniform(-1, 1, n)) + scipy.sparse.diags_array(
+            rng.uniform(5, 6, N))
+        D, K = band(rng.standard_normal), band(rng.standard_normal)
+        if not sparse:
+            M, D, K = M.toarray(), D.toarray(), K.toarray()
     else:
         M = rng.uniform(-1, 1, (N, N)) + 2 * N * np.eye(N)
         D = rng.standard_normal((N, N))
@@ -53,6 +70,7 @@ def _second_order(rng, N, m, p, h, sparse):
     sos = SecondOrderSystem(M, D, K, rng.standard_normal((N, m)),
                             rng.standard_normal((p, N)), h=h)
     assert sos.is_sparse == sparse
+    assert (sos._bands is not None) == banded
     return sos
 
 
@@ -76,14 +94,20 @@ def _check_grid(make, points, reference):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sparse=st.booleans(),
-       discrete=st.booleans(), m=st.integers(1, 3), p=st.integers(1, 3),
-       count=st.integers(1, 12), repeats=st.integers(0, 4),
-       chunk_points=st.integers(1, 5))
+       banded=st.booleans(), discrete=st.booleans(), m=st.integers(1, 3),
+       p=st.integers(1, 3), count=st.integers(1, 12),
+       repeats=st.integers(0, 4), chunk_points=st.integers(1, 5))
 def test_second_order_grid_matches_points_and_scipy(
-        seed, sparse, discrete, m, p, count, repeats, chunk_points):
+        seed, sparse, banded, discrete, m, p, count, repeats, chunk_points):
+    """Tridiagonal models of either storage take the band factors; sparse
+    pentadiagonal and dense full ones the general factors."""
     rng = np.random.default_rng(seed)
-    N = int(rng.integers(60, 80)) if sparse else int(rng.integers(1, 12))
-    model = _second_order(rng, N, m, p, 0.5 if discrete else None, sparse)
+    if sparse:  # pentadiagonal is below 5 % of N^2 from N = 100 on
+        N = int(rng.integers(60, 80) if banded else rng.integers(100, 120))
+    else:
+        N = int(rng.integers(3 if banded else 1, 12))
+    model = _second_order(rng, N, m, p, 0.5 if discrete else None, sparse,
+                          banded)
     points = _points(rng, count, repeats)
 
     def make():
@@ -94,7 +118,8 @@ def test_second_order_grid_matches_points_and_scipy(
         return _reference(model.characteristic(z), model.F, model.G)
 
     # Chunks of `chunk_points` points, so that grids straddle boundaries.
-    with mock.patch.object(systems, "_CHUNK_BYTES", 16 * N * N * chunk_points):
+    per_point = 16 * N * (3 if banded else N)
+    with mock.patch.object(systems, "_CHUNK_BYTES", per_point * chunk_points):
         _check_grid(make, points, reference)
 
 
@@ -144,19 +169,28 @@ def test_scalar_point_keeps_matrix_shape():
 
 # -- errors: the first failing point, as a one-point call reports it -------
 
-def _undamped(sparse):
-    """Undamped diagonal model with poles at +-i, +-2i, ..., +-Ni: N = 40,
-    stored sparse, or N = 4, stored dense."""
+def _undamped(sparse, tridiagonal=True):
+    """Undamped model with poles at +-i, +-2i, ..., +-Ni: N = 40, stored
+    sparse, or N = 4, stored dense.  It is diagonal, so it takes the band
+    factors; unless not `tridiagonal`, when K has a 1 in its top right
+    corner too, which keeps P(s) upper triangular and its poles where they
+    are, and it takes the general factors."""
     N = 40 if sparse else 4
-    k = np.arange(1.0, N + 1) ** 2
+    k = np.diag(np.arange(1.0, N + 1) ** 2)
+    k[0, -1] = 0.0 if tridiagonal else 1.0
+    M, D, K = np.eye(N), np.zeros((N, N)), k
     if sparse:
-        M, D, K = (scipy.sparse.diags_array(d) for d in
-                   (np.ones(N), np.zeros(N), k))
-    else:
-        M, D, K = np.eye(N), np.zeros((N, N)), np.diag(k)
+        M, D, K = (scipy.sparse.csr_array(a) for a in (M, D, K))
     sos = SecondOrderSystem(M, D, K, np.ones((N, 1)), np.ones((1, N)))
     assert sos.is_sparse == sparse
+    assert (sos._bands is not None) == tridiagonal
     return sos
+
+
+def _remake(sos, h=None, M=None):
+    """A fresh system of `sos`'s matrices, with mass `M` if given."""
+    M = sos.M if M is None else M
+    return lambda: SecondOrderSystem(M, sos.D, sos.K, sos.F, sos.G, h=h)
 
 
 def _scalar_error(make, point):
@@ -180,14 +214,16 @@ def _assert_grid_fails_like(make, points, first):
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
 @pytest.mark.parametrize("chunk_points", [1, 3, 64])
 def test_grid_fails_at_first_pole(sparse, chunk_points):
-    sos = _undamped(sparse)
-    make = lambda: SecondOrderSystem(sos.M, sos.D, sos.K, sos.F, sos.G)  # noqa: E731
-    points = [0.5j, 1.5j, 2.5j, 3j, 2j, 4.5j]
-    N = sos.order
-    with mock.patch.object(systems, "_CHUNK_BYTES", 16 * N * N * chunk_points):
-        _assert_grid_fails_like(make, points, 3)
-    assert _scalar_error(make, 3j) == (
-        SingularAtPoint, "characteristic matrix is singular at point 3j")
+    for tridiagonal in (True, False):
+        make = _remake(_undamped(sparse, tridiagonal))
+        points = [0.5j, 1.5j, 2.5j, 3j, 2j, 4.5j]
+        N = make().order
+        per_point = 16 * N * (3 if tridiagonal else N)
+        with mock.patch.object(systems, "_CHUNK_BYTES",
+                               per_point * chunk_points):
+            _assert_grid_fails_like(make, points, 3)
+        assert _scalar_error(make, 3j) == (
+            SingularAtPoint, "characteristic matrix is singular at point 3j")
 
 
 def test_grid_fails_at_first_numerically_singular_point():
@@ -195,9 +231,12 @@ def test_grid_fails_at_first_numerically_singular_point():
                               np.diag([4.0, 2.0]), np.ones((2, 1)),
                               np.ones((1, 2)))
     near = 1j * (1 + 1e-15)
-    # the CSR model fails through the sparse factor's condition estimate
-    for sos in (dense, _undamped(True)):
-        make = lambda sos=sos: SecondOrderSystem(sos.M, sos.D, sos.K, sos.F, sos.G)  # noqa: E731
+    # the CSR model fails through the sparse factor's condition estimate,
+    # the tridiagonal ones through gtcon's
+    for sos in (dense, *(_undamped(sparse, tridiagonal)
+                         for sparse in (False, True)
+                         for tridiagonal in (True, False))):
+        make = _remake(sos)
         kind, message = _scalar_error(make, near)
         assert kind is SingularAtPoint and "numerically singular" in message
         _assert_grid_fails_like(make, np.array([0.5j, near, 2j]), 1)
@@ -205,32 +244,102 @@ def test_grid_fails_at_first_numerically_singular_point():
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
 def test_grid_fails_at_first_overflowing_point(sparse):
-    sos = _undamped(sparse)
-    M = sos.M * 1e305
-    make = lambda: SecondOrderSystem(M, sos.D, sos.K, sos.F, sos.G)  # noqa: E731
-    with np.errstate(over="ignore", invalid="ignore"):
-        kind, message = _scalar_error(make, 1e4j)
-    assert kind is SingularAtPoint and "not finite at point" in message
-    _assert_grid_fails_like(make, [0.5j, 1e4j, 2j], 1)
+    for tridiagonal in (True, False):
+        sos = _undamped(sparse, tridiagonal)
+        make = _remake(sos, M=sos.M * 1e305)
+        with np.errstate(over="ignore", invalid="ignore"):
+            kind, message = _scalar_error(make, 1e4j)
+        assert kind is SingularAtPoint and "not finite at point" in message
+        _assert_grid_fails_like(make, [0.5j, 1e4j, 2j], 1)
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
 def test_grid_zero_point_and_earlier_pole(sparse):
     """On a difference model, z = 0 raises ZeroPoint unless an earlier
     point of the grid fails first."""
-    sos = _undamped(sparse)
-    make = lambda: SecondOrderSystem(sos.M, sos.D, sos.K, sos.F, sos.G, h=0.5)  # noqa: E731
-    # P(z) = M z + K / z is singular where z^2 = -k, e.g. z = 2j.
-    _assert_grid_fails_like(make, [0.5, 0.7j, 0.0, 2j], 2)
-    _assert_grid_fails_like(make, [0.5, 2j, 0.0], 1)
-    assert _scalar_error(make, 0.0)[0] is ZeroPoint
-    assert _scalar_error(make, 2j)[0] is SingularAtPoint
+    for tridiagonal in (True, False):
+        make = _remake(_undamped(sparse, tridiagonal), h=0.5)
+        # P(z) = M z + K / z is singular where z^2 = -k, e.g. z = 2j.
+        _assert_grid_fails_like(make, [0.5, 0.7j, 0.0, 2j], 2)
+        _assert_grid_fails_like(make, [0.5, 2j, 0.0], 1)
+        assert _scalar_error(make, 0.0)[0] is ZeroPoint
+        assert _scalar_error(make, 2j)[0] is SingularAtPoint
 
 
 def test_first_order_grid_fails_at_first_eigenvalue():
     fos = FirstOrderSystem(np.diag([0.5, -2.0, 3.0]), np.ones((3, 1)),
                            np.ones((1, 3)), h=1.0)
     _assert_grid_fails_like(lambda: fos, np.array([0.1, 1.0, 3.0, 0.5]), 2)
+
+
+# -- tridiagonal models: band factors --------------------------------------
+
+def _chains():
+    """The N = 32 chain, stored dense, and the N = 120 chain, stored sparse,
+    each continuous and at h = 0.5, with points of their domain."""
+    for N in (32, 120):
+        sos = generate_msd_chain(N, damping=1.0, seed=1)
+        yield sos, 1j * np.geomspace(1e-2, 10.0, 9)
+        yield discretize(sos, 0.5), np.exp(1j * np.linspace(0.01, 3.1, 9))
+
+
+def test_band_one_norms_are_the_matrix_one_norms(monkeypatch):
+    """The 1-norm each band factor gets is np.linalg.norm(P(z), 1), bit for
+    bit."""
+    norms = []
+
+    class Recording(systems._Factor):
+        def __init__(self, mat, point=None, anorm=None):
+            assert isinstance(mat, tuple)
+            norms.append((point, anorm))
+            super().__init__(mat, point, anorm)
+
+    chains = list(_chains())
+    monkeypatch.setattr(systems, "_Factor", Recording)
+    for sos, points in chains:
+        norms.clear()
+        sos.transfer(points)
+        assert [point for point, _ in norms] == list(points)
+        for point, anorm in norms:
+            P = sos.characteristic(point)
+            P = P if isinstance(P, np.ndarray) else P.toarray()
+            assert anorm == np.linalg.norm(P, 1)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_band_failures_are_the_dense_failures(sparse):
+    """At a pole, near one and at an overflowing point, a tridiagonal
+    model's grid raises the error and message that the dense factor of
+    P(z) raises at its first failing point."""
+    sos = _undamped(sparse)
+    for make, bad in ((_remake(sos), 3j), (_remake(sos), 1j * (1 + 1e-15)),
+                      (_remake(sos, M=sos.M * 1e305), 1e4j)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = make().characteristic(bad)
+            with pytest.raises(SingularAtPoint) as dense:
+                systems._Factor(P if isinstance(P, np.ndarray)
+                                else P.toarray(), bad)
+            with pytest.raises(SingularAtPoint) as band:
+                make().transfer([0.5j, bad, 2j])
+        assert str(band.value) == str(dense.value)
+
+
+def test_band_grid_memory_is_linear_in_order():
+    """50 points of an N = 20000 chain allocate, beyond their output, a few
+    bands of 3N complex entries (960 kB each), neither an N x N matrix
+    (6.4 GB) nor one band per point (48 MB)."""
+    N = 20000
+    dsos = discretize(generate_msd_chain(N, damping=1.0, seed=1), 0.5)
+    assert dsos.is_sparse and dsos._bands is not None
+    points = np.exp(1j * np.linspace(0.01, 3.1, 50))
+    tracemalloc.start()
+    try:
+        stack = dsos.transfer(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = 2 * stack.nbytes + 50 * 200
+    assert peak - kept < 8 * 16 * 3 * N
 
 
 # -- memory: no stack of characteristic matrices ---------------------------
