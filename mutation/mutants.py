@@ -357,10 +357,58 @@ MUTANTS = (
     ),
     Mutant(
         "band-one-norm-drops-super-diagonal", SYSTEMS,
-        "anorms = _one_norms(mats).tolist()",
-        "anorms = _one_norms(mats if bands is None else mats[:, 1:]).tolist()",
+        "anorms = _one_norms(mats)\n",
+        "anorms = _one_norms(mats if bands is None else mats[:, 1:])\n",
         ("tests/test_transfer_grid.py::test_band_one_norms_are_the_matrix_"
          "one_norms",),
+    ),
+    Mutant(
+        "sparse-non-finite-factor-accepted", SYSTEMS,
+        "        if not _all_finite(lu.L.data, lu.U.data):\n"
+        '            raise self._error("broken")\n',
+        "",
+        ("tests/test_systems.py::test_overflowing_sparse_lu_is_a_failed_"
+         "factorization",),
+    ),
+    # -- the screen of the stacked solves of small dense models -------------
+    Mutant(
+        "screen-without-factor-2-margin", SYSTEMS,
+        "& (rcond >= 2 * _RCOND_SINGULAR))",
+        "& (rcond >= _RCOND_SINGULAR))",
+        ("tests/test_transfer_grid.py::test_point_the_screen_cannot_clear_"
+         "is_factored",),
+    ),
+    Mutant(
+        "screen-without-finiteness-test", SYSTEMS,
+        "               & np.isfinite(solves).all(axis=(1, 2))\n",
+        "",
+        ("tests/test_transfer_grid.py::test_point_with_a_non_finite_solve_"
+         "is_factored",),
+    ),
+    Mutant(
+        "screen-ignores-rcond", SYSTEMS,
+        "               & (rcond >= 2 * _RCOND_SINGULAR))",
+        "               )",
+        ("tests/test_transfer_grid.py::test_grid_fails_at_first_numerically_"
+         "singular_point",
+         "tests/test_transfer_grid.py::test_small_dense_grid_fails_at_first_"
+         "failing_point",
+         "tests/test_transfer_grid.py::test_point_the_screen_cannot_clear_"
+         "is_factored"),
+    ),
+    Mutant(
+        "screen-bounds-no-norm", SYSTEMS,
+        "cleared = ((anorms <= _BATCH_NORM_MAX) & (inorms <= _BATCH_NORM_MAX)",
+        "cleared = ((anorms < np.inf) & (inorms < np.inf)",
+        ("tests/test_transfer_grid.py::test_screen_clears_no_point_that_"
+         "factor_fails",),
+    ),
+    Mutant(
+        "stacked-rhs-one-dimension-short", SYSTEMS,
+        "x = np.linalg.solve(mats, rhs_eye[None])",
+        "x = np.linalg.solve(mats, rhs_eye)",
+        ("tests/test_transfer_grid.py::test_reduced_models_take_one_stacked_"
+         "solve_per_chunk",),
     ),
     # -- dense Matrix Market through scipy's C++ reader and writer -------------
     Mutant(

@@ -168,6 +168,8 @@ def read_matrix(path):
         if max(sizes[:2]) > MAX_DIMENSION:
             raise ParseError(path, lineno, f"more than {MAX_DIMENSION} rows or "
                              f"columns in {line.strip()!r}")
+        if sym != "general" and sizes[0] != sizes[1]:
+            raise ParseError(path, lineno, f"{sym} file must be square")
         if fmt == "coordinate":
             return _read_coordinate(path, f, lineno, *sizes, sym)
         return _read_array(path, f, lineno, *sizes, sym)
@@ -335,19 +337,13 @@ def _parse_block(path, text, lineno):
 
 def _read_array(path, f, lineno, rows, cols, sym):
     """The values after the size line (line ``lineno``) of ``f``."""
-    size_lineno = lineno
     parts = [np.empty(0)]
     for text in _line_blocks(f):
         values, lines = _parse_block(path, text, lineno + 1)
         parts.append(values)
         lineno += lines
     values = np.concatenate(parts)
-    if sym == "general":
-        expected = rows * cols
-    else:
-        if rows != cols:
-            raise ParseError(path, size_lineno, "symmetric array file must be square")
-        expected = rows * (rows + 1) // 2
+    expected = rows * cols if sym == "general" else rows * (rows + 1) // 2
     if len(values) != expected:
         raise ParseError(
             path, lineno, f"expected {expected} values, found {len(values)}"

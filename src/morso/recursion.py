@@ -39,6 +39,7 @@ from .errors import (
     check_real,
 )
 from .mmio import text_output
+from .systems import _all_finite
 
 __all__ = [
     "RecursionConfig",
@@ -260,12 +261,11 @@ def assemble_observability(dsos, R):
 
 
 def _require_finite(*arrays):
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise NonFiniteIterate(
-                "subspace iterate diverged to NaN/Inf; the difference system "
-                "is most likely unstable (check the discretization step size)"
-            )
+    if not all(map(_all_finite, arrays)):
+        raise NonFiniteIterate(
+            "subspace iterate diverged to NaN/Inf; the difference system "
+            "is most likely unstable (check the discretization step size)"
+        )
 
 
 def _svd(mat, left=True):

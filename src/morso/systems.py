@@ -15,6 +15,7 @@ Both share one representation: :class:`SecondOrderSystem` with ``h=None``
 for the continuous case and a positive step ``h`` for the difference case.
 """
 
+import contextlib
 from dataclasses import dataclass, field
 import functools
 from functools import cached_property
@@ -163,9 +164,24 @@ def _band(a):
 
 # Most bytes of characteristic matrices (dense, or tridiagonal bands) that a
 # grid of points builds at a time.  The points of one chunk are built and
-# normed together and then factored one by one, so a grid never holds more
-# than this (or one matrix, if that is larger) of them.
+# normed together and then solved, so a grid never holds more than this (or
+# one matrix, if that is larger) of them.
 _CHUNK_BYTES = 64 * 1024
+
+# Largest order of a dense characteristic matrix whose grid is solved a
+# chunk at a time by one stacked LAPACK call (see :func:`_screened_solves`).
+# Above it the stacked inverse costs more than the per-point factors it
+# saves: in `compare` of a dense model of order 24, its 1,080 points took
+# 43 ms per run factored one by one and 55 ms stacked (about even at 18).
+_BATCH_ORDER = 16
+
+# Largest 1-norm of P, and of its computed inverse, that the screen of
+# :func:`_screened_solves` clears.  At order at most _BATCH_ORDER, partial
+# pivoting grows an entry at most (1 + sqrt 2)^15 < 6e5-fold, so neither
+# the LU factor of such a P nor gecon's iterates through it come near
+# overflow (1.8e308), where _Factor would fail a matrix that the stacked
+# solve still inverts.
+_BATCH_NORM_MAX = 1e290
 
 # What a failed factor of the mass matrix, and of the characteristic matrix
 # at {point}, raises: the error type, and the message templates for a
@@ -236,8 +252,13 @@ class _Factor:
     Raises SingularMass, or SingularAtPoint naming `point`, at the first
     check that fails, in this order: `mat` has a non-finite entry (looked
     for only when its 1-norm is not finite); the factorization meets a zero
-    or non-finite pivot, or a CSR `mat` has no nonzeros; ``rcond`` is zero,
-    not finite or, at a point, below ``_RCOND_SINGULAR``.
+    or non-finite pivot or leaves a non-finite factor, or a CSR `mat` has no
+    nonzeros; ``rcond`` is zero, not finite or, at a point, below
+    ``_RCOND_SINGULAR``.
+
+    It is the judge of every point: a grid of a small dense model
+    (:func:`_screened_solves`) builds one only for the points its screen
+    cannot clear, and the screen clears none that it would fail.
     """
 
     def __init__(self, mat, point=None, anorm=None):
@@ -302,6 +323,8 @@ class _Factor:
             self._lu = lu = splu(mat.tocsc())
         except RuntimeError:
             raise self._error("broken") from None
+        if not _all_finite(lu.L.data, lu.U.data):
+            raise self._error("broken")
         self._mat = mat
         inverse = LinearOperator(
             mat.shape, dtype=mat.dtype, matvec=lu.solve,
@@ -338,6 +361,48 @@ class _Factor:
         return x
 
 
+def _screened_solves(mats, anorms, rhs_eye):
+    """``P^{-1} rhs`` at each matrix P of the ``(c, k, k)`` stack `mats`,
+    whose 1-norms are `anorms`, from one stacked ``np.linalg.solve`` of
+    ``rhs_eye = [rhs | I]``, and the mask of the points its screen clears.
+
+    The solve gives ``P^{-1} rhs``, with the bits of a solve of P alone
+    with `rhs` (as the tests check for k <= 16 and up to 3 columns), and
+    ``P^{-1}``, whose 1-norm gives P's exact ``rcond = 1 / (||P||_1
+    ||P^{-1}||_1)``.  A point is cleared when both 1-norms are at
+    most ``_BATCH_NORM_MAX``, its ``P^{-1} rhs`` is finite and its exact
+    rcond is at least ``2 * _RCOND_SINGULAR``.  The ``gecon`` rcond that
+    :class:`_Factor` checks is no smaller than the exact one, since its
+    Hager-Higham estimate never exceeds ``||P^{-1}||_1``.  The factor 2
+    covers the rounding of both figures, which is at most about k cond eps,
+    2 % at cond = 5e12.  So every cleared point passes :class:`_Factor`,
+    and the others are left to it.
+
+    One exactly singular P makes ``np.linalg.solve`` raise for the whole
+    stack.  The chunk is then solved again one point at a time; a singular
+    point's solve is left NaN, so that the screen leaves it to _Factor,
+    and every other point keeps the bits of its own solve.
+    """
+    try:
+        # rhs_eye as a stack of one matrix: numpy 1.x reads a right-hand
+        # side of one dimension fewer than `mats` as a stack of vectors.
+        x = np.linalg.solve(mats, rhs_eye[None])
+    except np.linalg.LinAlgError:
+        x = np.full(mats.shape[:1] + rhs_eye.shape, np.nan, complex)
+        for k, mat in enumerate(mats):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                x[k] = np.linalg.solve(mat, rhs_eye)
+    m = rhs_eye.shape[1] - mats.shape[1]
+    solves, inverses = x[..., :m], x[..., m:]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inorms = _one_norms(inverses)
+        rcond = 1.0 / (anorms * inorms)
+    cleared = ((anorms <= _BATCH_NORM_MAX) & (inorms <= _BATCH_NORM_MAX)
+               & np.isfinite(solves).all(axis=(1, 2))
+               & (rcond >= 2 * _RCOND_SINGULAR))
+    return solves, cleared
+
+
 def _solve_grid(system, points):
     """Transfer matrices of `system` at `points`, a sequence of points as
     the caller gave them, as a ``(P, p, m)`` complex stack.
@@ -347,12 +412,16 @@ def _solve_grid(system, points):
     time with the expression of ``characteristic``, takes their 1-norms at
     once and factors each point's band in place as a tridiagonal
     :class:`_Factor`, for either storage: O(N) work and memory per point.
-    Other dense storage does the same with whole characteristic matrices,
-    each factored in place in a Fortran-ordered copy; other CSR storage
-    builds and factors each point's CSR matrix alone.  Every point must be
-    nonzero for a difference system.  Raises SingularAtPoint, naming the
-    point as given, at the first point in order whose matrix is not finite
-    or is (numerically) singular.
+    Other dense storage does the same with whole characteristic matrices.
+    Up to order ``_BATCH_ORDER`` a chunk is solved by one stacked LAPACK
+    call behind an exact-rcond screen (:func:`_screened_solves`), and only
+    the points the screen cannot clear are factored, in order; above it
+    each point is factored in place in a Fortran-ordered copy.  Other CSR
+    storage builds and factors each point's CSR matrix alone.  A point's
+    value depends on that point alone, so a grid gives the bits of its
+    one-point calls.  Every point must be nonzero for a difference system.
+    Raises SingularAtPoint, naming the point as given, at the first point
+    in order whose matrix is not finite or is (numerically) singular.
     """
     if isinstance(system, SecondOrderSystem):
         rhs, out, sparse = system.F, system.G, system.is_sparse
@@ -366,16 +435,19 @@ def _solve_grid(system, points):
                                      point).solve(rhs)
         return stack
     n = system.order
+    batched = bands is None and n <= _BATCH_ORDER
     per_chunk = max(1, _CHUNK_BYTES // (16 * n * (n if bands is None else 3)))
     size = min(per_chunk, len(points))
-    # The matrices are built in C order, which is fastest; a dense one is
-    # factored in place in a Fortran-ordered copy, a band in place.  The
-    # solves are Fortran-ordered, as getrs and gttrs return them, so that
-    # one product per chunk gives the bits of one product per point.
-    if bands is None:
+    # The matrices are built in C order, which is fastest; a large dense
+    # one is factored in place in a Fortran-ordered copy, a band in place.
+    # The solves are Fortran-ordered, as getrs and gttrs return them, so
+    # that one product per chunk gives the bits of one product per point.
+    if bands is None and not batched:
         lus = np.empty((size, n, n), complex).transpose(0, 2, 1)
     solves = np.empty((size, rhs.shape[1], n), complex).transpose(0, 2, 1)
     rhs = np.asfortranarray(rhs, dtype=complex)
+    if batched:
+        rhs_eye = np.concatenate([rhs, np.eye(n, dtype=complex)], axis=1)
     out = out.astype(complex)
     zs = np.asarray(points, dtype=complex)[:, None, None]
     for start in range(0, len(points), per_chunk):
@@ -384,15 +456,22 @@ def _solve_grid(system, points):
             mats = system._characteristics(zs[start:stop])
         else:
             mats = system._characteristics(zs[start:stop], *bands)
-        anorms = _one_norms(mats).tolist()
-        if bands is None:
-            lus[:stop - start] = mats
-            mats = lus
-        for k, anorm in enumerate(anorms):
+        anorms = _one_norms(mats)
+        if batched:
+            screened, cleared = _screened_solves(mats, anorms, rhs_eye)
+            solves[:stop - start] = screened
+            judged = np.flatnonzero(~cleared).tolist()
+        else:
+            judged = range(stop - start)
+            if bands is None:
+                lus[:stop - start] = mats
+                mats = lus
+        norms = anorms.tolist()
+        for k in judged:
             mat = mats[k]
             if bands is not None:
                 mat = mat[2, :-1], mat[1], mat[0, 1:]
-            solves[k] = _Factor(mat, points[start + k], anorm).solve(rhs)
+            solves[k] = _Factor(mat, points[start + k], norms[k]).solve(rhs)
         del mats  # not to be held while the next chunk is built
         np.matmul(out, solves[:stop - start], out=stack[start:stop])
     return stack

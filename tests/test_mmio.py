@@ -629,6 +629,20 @@ def test_negative_size_is_parse_error(tmp_path, header, body):
     assert exc.value.lineno == 3
 
 
+@pytest.mark.parametrize("header,body", [
+    ("coordinate real symmetric", "3 2 1\n3 1 1.0\n"),
+    ("coordinate real skew-symmetric", "2 3 0\n"),
+    ("array real symmetric", "3 2\n1.0\n2.0\n3.0\n"),
+])
+def test_non_square_symmetric_is_parse_error(tmp_path, header, body):
+    """A symmetric entry (3, 1) of a 3x2 file would mirror to (1, 3)."""
+    path = tmp_path / "r.mtx"
+    path.write_text(f"%%MatrixMarket matrix {header}\n% sizes\n{body}")
+    with pytest.raises(ParseError, match="must be square") as exc:
+        read_matrix(path)
+    assert exc.value.lineno == 3
+
+
 @pytest.mark.parametrize("size_line", ["1000000000000 1 0", "1 10000001 0",
                                        "1 1000000000000000000000000 0",
                                        "10000001 1"])

@@ -169,6 +169,29 @@ def test_overflowing_lu_is_a_failed_factorization():
                     s.transfer(points)
 
 
+def test_overflowing_sparse_lu_is_a_failed_factorization():
+    """A CSR matrix whose SuperLU factor overflows fails its factorization
+    as its dense twin does: as M, and, negated, as K of a continuous model
+    with M = I and D = 0, at 0 alone and first in a grid.  Of order 70 it
+    is stored sparse, and with an entry off the band it is factored by
+    SuperLU at every point."""
+    N = 70
+    a = scipy.sparse.csr_array(_overflowing(N, tridiagonal=False))
+    eye = scipy.sparse.identity(N, format="csr")
+    zero = scipy.sparse.csr_array((N, N))
+    F, G = np.ones((N, 1)), np.ones((1, N))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularMass, match=r"^mass matrix M is "
+                           r"singular: LU factorization failed$"):
+            SecondOrderSystem(a, zero, eye, F, G)
+        s = SecondOrderSystem(eye, zero, -a, F, G)
+        assert s.is_sparse and s._bands is None
+        for points in (0j, [0j, 1j]):
+            with pytest.raises(SingularAtPoint, match=r"^characteristic "
+                               r"matrix is singular at point 0j$"):
+                s.transfer(points)
+
+
 @pytest.mark.parametrize("kind", ["real", "complex", "real factor, complex rhs"])
 def test_lu_helper_matches_scipy(kind):
     rng = np.random.default_rng(3)

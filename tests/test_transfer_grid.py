@@ -1,12 +1,16 @@
 """Transfer functions evaluated a grid at a time.
 
 ``transfer(points)`` must give, bit for bit, the stack of the one-point
-calls and of a scipy reference, fail at the first failing point with the
-error a one-point call raises there, and build no stack of characteristic
-matrices.  The reference is an LU solve, or, where P(z) is tridiagonal and
-of order at least 3, scipy's tridiagonal solve made Fortran-ordered, as
-LAPACK ``gttrs`` returns it: numpy's product of ``G`` with equal solves of
-different layouts may round differently.
+calls and of a numpy or scipy reference, fail at the first failing point
+with the error a one-point call raises there, and build no stack of
+characteristic matrices.  The reference is a solve made Fortran-ordered,
+as LAPACK ``getrs`` and ``gttrs`` return it: numpy's product of ``G`` with
+equal solves of different layouts may round differently.  Where P(z) is
+tridiagonal and of order at least 3, it is scipy's tridiagonal solve;
+where it is dense, of order at most ``_BATCH_ORDER``, numpy's
+``np.linalg.solve``, which a grid of such a model calls on a stack; else
+scipy's LU solve.  (numpy's ``gesv`` and scipy's ``getrf``/``getrs`` may
+differ in the last bit.)
 """
 
 import tracemalloc
@@ -23,6 +27,8 @@ from morso import metrics, systems
 from morso.bench import generate_msd_chain
 from morso.discretize import Scheme, consistency_error, discretize
 from morso.errors import SingularAtPoint, ZeroPoint
+from morso.projection import build_projection, reduce_model
+from morso.recursion import RecursionConfig, run_recursion
 from morso.systems import FirstOrderSystem, SecondOrderSystem
 
 
@@ -33,11 +39,13 @@ def _tridiagonal(P):
 
 
 def _reference(P, F, G):
-    """``G P^{-1} F`` by scipy, with P and F made complex first."""
+    """``G P^{-1} F`` by numpy or scipy, with P and F made complex first."""
     P, F = P.astype(complex), F.astype(complex)
     if _tridiagonal(P):
         P = P if isinstance(P, np.ndarray) else P.toarray()
         X = np.asfortranarray(scipy.linalg.solve(P, F, assume_a="tridiagonal"))
+    elif isinstance(P, np.ndarray) and len(P) <= systems._BATCH_ORDER:
+        X = np.asfortranarray(np.linalg.solve(P, F))
     elif isinstance(P, np.ndarray):
         X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(P), F)
     else:
@@ -105,7 +113,7 @@ def test_second_order_grid_matches_points_and_scipy(
     if sparse:  # pentadiagonal is below 5 % of N^2 from N = 100 on
         N = int(rng.integers(60, 80) if banded else rng.integers(100, 120))
     else:
-        N = int(rng.integers(3 if banded else 1, 12))
+        N = int(rng.integers(3 if banded else 1, 21))
     model = _second_order(rng, N, m, p, 0.5 if discrete else None, sparse,
                           banded)
     points = _points(rng, count, repeats)
@@ -125,7 +133,7 @@ def test_second_order_grid_matches_points_and_scipy(
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), discrete=st.booleans(),
-       n=st.integers(1, 14), m=st.integers(1, 3), p=st.integers(1, 3),
+       n=st.integers(1, 20), m=st.integers(1, 3), p=st.integers(1, 3),
        count=st.integers(1, 12), repeats=st.integers(0, 4),
        chunk_points=st.integers(1, 5))
 def test_first_order_grid_matches_points_and_scipy(
@@ -340,6 +348,186 @@ def test_band_grid_memory_is_linear_in_order():
         tracemalloc.stop()
     kept = 2 * stack.nbytes + 50 * 200
     assert peak - kept < 8 * 16 * 3 * N
+
+
+# -- small dense models: one stacked solve per chunk, behind a screen ------
+
+def _record_point_factors(monkeypatch):
+    """The points at which a point _Factor is built, in order."""
+    points = []
+
+    class Recording(systems._Factor):
+        def __init__(self, mat, point=None, anorm=None):
+            if point is not None:
+                points.append(point)
+            super().__init__(mat, point, anorm)
+
+    monkeypatch.setattr(systems, "_Factor", Recording)
+    return points
+
+
+def test_reduced_models_take_one_stacked_solve_per_chunk(monkeypatch):
+    """The N = 32 chain's srlrg reductions of order 2, 4 and 6 are solved
+    on 300 points of the unit circle by one np.linalg.solve per chunk, and
+    no point is factored alone."""
+    dsos = discretize(generate_msd_chain(32, damping=1.0, seed=1), 0.5)
+    reduced = []
+    for n in (2, 4, 6):
+        S, R, _ = run_recursion(dsos, RecursionConfig(n=n, tau=64, seed=1),
+                                "srlrg")
+        reduced.append(reduce_model(dsos, build_projection(S, R)))
+    points = np.exp(1j * np.linspace(0.01, 3.1, 300))
+    solve = np.linalg.solve
+    calls = []
+
+    def counting(a, b):
+        # as many dimensions in b as in a: numpy 1.x and 2.x read it alike
+        assert b.ndim == a.ndim == 3
+        calls.append(len(a))
+        return solve(a, b)
+
+    factored = _record_point_factors(monkeypatch)
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    for red in reduced:
+        k = red.order
+        assert 2 <= k <= systems._BATCH_ORDER and not red.is_sparse
+        per_chunk = systems._CHUNK_BYTES // (16 * k * k)
+        calls.clear()
+        stack = red.transfer(points)
+        assert calls == [min(per_chunk, 300 - start)
+                         for start in range(0, 300, per_chunk)]
+        assert factored == []
+        assert np.isfinite(stack).all()
+
+
+def test_point_the_screen_cannot_clear_is_factored():
+    """A point whose exact rcond lies in [1e-13, 2e-13) passes _Factor but
+    not the screen: its value is _Factor's, and the other points' values,
+    one of rcond 2.5e-13 among them, are the stacked solve's.  C = I, so
+    each value is its solve, whatever its layout."""
+    # P(z) = z I - A has exact rcond |z| / 1.5 at a small real z
+    A = np.array([[0.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+    fos = FirstOrderSystem(A, np.ones((3, 2)), np.eye(3))
+    near, cleared = 2.25e-13, 3.75e-13
+    points = np.array([0.5j, near, 3.0 + 1j, cleared, 1.5j])
+    with pytest.MonkeyPatch.context() as patch:
+        factored = _record_point_factors(patch)
+        stack = fos.transfer(points)
+    assert factored == [near]
+    for z, value in zip(points, stack):
+        P = z * np.eye(3) - A
+        rcond = 1 / (np.linalg.norm(P, 1)
+                     * np.linalg.norm(np.linalg.inv(P), 1))
+        B = fos.B.astype(complex)
+        if z == near:
+            assert 1e-13 <= rcond < 2e-13
+            assert np.array_equal(value, systems._Factor(P, z).solve(B))
+        else:
+            assert rcond >= 2e-13
+            assert np.array_equal(value, np.linalg.solve(P, B))
+
+
+def test_point_with_a_non_finite_solve_is_factored(monkeypatch):
+    """A point whose P^{-1} B overflows, though P is well conditioned, is
+    left to _Factor, whose solve it keeps."""
+    fos = FirstOrderSystem(-1e-10 * np.eye(2), np.full((2, 1), 1e300),
+                           np.eye(2))
+    P = 1e-10 * np.eye(2, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = fos.C.astype(complex) @ systems._Factor(P, 0j).solve(
+            fos.B.astype(complex))
+        factored = _record_point_factors(monkeypatch)
+        stack = fos.transfer([1.0, 0j, 2.0])
+    assert factored == [0j]
+    assert not np.isfinite(stack[1]).any()
+    assert np.array_equal(stack[1], expected, equal_nan=True)
+
+
+def _small_dense_failures(model, discrete):
+    """A small dense model of order 3 with an entry off the band, and the
+    failing points of its grid by kind: a pole where P rounds to a tiny
+    pivot, a point near a pole, a point where P overflows, and a point
+    where P is exactly singular."""
+    h = 0.5 if discrete else None
+    if model == "second-order":
+        # P(s) = s^2 I + K, P(z) = z I + K / z: poles at i sqrt(k)
+        K = np.diag([2.0, 4.0, 9.0])
+        K[0, -1] = 1.0
+        eye, zero = np.eye(3), np.zeros((3, 3))
+        F, G = np.ones((3, 1)), np.ones((1, 3))
+
+        def make(M=eye):
+            return lambda: SecondOrderSystem(M, zero, K, F, G, h=h)
+
+        return {"pole": (make(), 1j * np.sqrt(2.0)),
+                "near-pole": (make(), 2j * (1 + 1e-15)),
+                "overflowing": (make(1e305 * eye), 1e4j),
+                "exactly singular": (make(), 3j)}
+    # P(z) = z I - A: eigenvalues +-i sqrt 2 and 3
+    A = np.array([[0.0, 1.0, 1.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    B, C = np.ones((3, 1)), np.ones((1, 3))
+
+    def make_first(A=A):
+        fos = FirstOrderSystem(A, B, C, h=h)
+        return lambda: fos
+
+    return {"pole": (make_first(), 1j * np.sqrt(2.0)),
+            "near-pole": (make_first(), 3 * (1 + 1e-15)),
+            "overflowing": (make_first(A + 1e308 * np.eye(3)), -1e308),
+            "exactly singular": (make_first(), 3.0)}
+
+
+_FAILURE_MESSAGES = {
+    "pole": "numerically singular at point",
+    "near-pole": "numerically singular at point",
+    "overflowing": "not finite at point",
+    "exactly singular": "characteristic matrix is singular at point",
+}
+
+
+@pytest.mark.parametrize("discrete", [False, True],
+                         ids=["continuous", "discrete"])
+@pytest.mark.parametrize("model", ["second-order", "first-order"])
+def test_small_dense_grid_fails_at_first_failing_point(model, discrete):
+    """Each kind of failing point, placed mid-chunk between cleared points
+    and before an exactly singular one, raises the one-point call's error,
+    with chunks of 5 points and of 2."""
+    failures = _small_dense_failures(model, discrete)
+    for kind, (make, bad) in failures.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            error, message = _scalar_error(make, np.complex128(bad))
+        assert error is SingularAtPoint
+        assert _FAILURE_MESSAGES[kind] in message, (kind, message)
+        later = failures["exactly singular"][1]
+        points = np.array([0.3 + 0.5j, 0.7j, bad, 1.2 + 0.2j, later])
+        for chunk_points in (5, 2):
+            with mock.patch.object(systems, "_CHUNK_BYTES",
+                                   16 * 9 * chunk_points), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                _assert_grid_fails_like(make, points, 2)
+
+
+def test_screen_clears_no_point_that_factor_fails():
+    """Near overflow and underflow the stacked solve still inverts P where
+    _Factor fails it: a 2 x 2 P of 1-norm 1.6e308 whose LU overflows, and
+    3e-308 I, whose gecon rcond is 0.  The screen bounds both 1-norms, so
+    the grid raises there as the one-point call does."""
+    t = 8e307
+    P = t * np.array([[0.5 + 0.5j, (1 + 1j) / np.sqrt(2)], [1, -1]])
+    # P(1j) = -M + 1j D + K = P
+    sos = SecondOrderSystem(np.eye(2), P.imag, P.real + np.eye(2),
+                            np.ones((2, 1)), np.ones((1, 2)))
+    assert np.array_equal(sos.characteristic(1j), P)
+    # P(0) = -A
+    tiny = 3e-308 * np.eye(2)
+    fos = FirstOrderSystem(-tiny, np.ones((2, 1)), np.ones((1, 2)))
+    for make, points, first, P in ((_remake(sos), [1j, 2j], 0, P),
+                                   (lambda: fos, [1j, 0j, 2j], 1, tiny)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = np.linalg.solve(P, np.eye(2))
+        assert np.isfinite(X).all()
+        assert np.linalg.norm(P, 1) * np.linalg.norm(X, 1) < 5
+        _assert_grid_fails_like(make, np.array(points), first)
 
 
 # -- memory: no stack of characteristic matrices ---------------------------
